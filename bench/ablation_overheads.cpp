@@ -15,12 +15,9 @@
 //
 // The async-sinks ablation follows the same shape: every query x engine,
 // native and Beam, sync vs async sink producers (STREAMSHIM_ASYNC_SINKS
-// semantics), merged as an "async_sinks" section. So does the coder
-// ablation: Beam with and without the coder fast path
-// (STREAMSHIM_CODER_ELISION semantics), merged as a "coders" section.
-// STREAMSHIM_SWEEP selects which harness sweeps run
-// (all | fusion | async | coders); the Google-benchmark micro rows always
-// run and obey --benchmark_filter.
+// semantics), merged as an "async_sinks" section. STREAMSHIM_SWEEP selects
+// which harness sweeps run (all | fusion | async); the Google-benchmark
+// micro rows always run and obey --benchmark_filter.
 #include <benchmark/benchmark.h>
 
 #include <any>
@@ -354,96 +351,6 @@ std::vector<AsyncRow> run_async_sweep(const harness::HarnessConfig& base) {
   return rows;
 }
 
-// --- coders sweep: how much the coder fast path recovers --------------------
-
-struct CoderRow {
-  std::string engine;
-  std::string query;
-  double native_seconds = 0.0;
-  double beam_seconds = 0.0;    // flags off: the paper's measured plans
-  double elided_seconds = 0.0;  // elide_coders: fingerprint-matched fast path
-  // Slowdown factors against native, before and after arming the fast path.
-  double beam_factor = 0.0;
-  double elided_factor = 0.0;
-  // Fraction of the excess over native that the coder fast path removed:
-  //   (beam_factor - elided_factor) / (beam_factor - 1), clamped to [0, 1].
-  double recovered_fraction = 0.0;
-  // runtime.serde.elided_edges delta over the elided setup's runs: how many
-  // graph edges actually skipped the decode -> re-encode round trip.
-  std::uint64_t elided_edges = 0;
-};
-
-std::vector<CoderRow> run_coders_sweep(const harness::HarnessConfig& base) {
-  const std::vector<workload::QueryId> sweep_queries = {
-      workload::QueryId::kIdentity, workload::QueryId::kSample,
-      workload::QueryId::kProjection, workload::QueryId::kGrep};
-  const std::vector<queries::Engine> engines = {
-      queries::Engine::kFlink, queries::Engine::kSpark, queries::Engine::kApex};
-
-  std::vector<harness::SetupKey> baseline_setups;
-  std::vector<harness::SetupKey> elided_setups;
-  for (const auto query : sweep_queries) {
-    for (const auto engine : engines) {
-      baseline_setups.push_back(harness::SetupKey{
-          .engine = engine, .sdk = queries::Sdk::kNative, .query = query,
-          .parallelism = 1});
-      baseline_setups.push_back(harness::SetupKey{
-          .engine = engine, .sdk = queries::Sdk::kBeam, .query = query,
-          .parallelism = 1});
-      elided_setups.push_back(harness::SetupKey{
-          .engine = engine, .sdk = queries::Sdk::kBeam, .query = query,
-          .parallelism = 1});
-    }
-  }
-
-  // Two harnesses over identically seeded input: the only difference is
-  // PipelineOptions.elide_coders on the Beam path.
-  harness::HarnessConfig baseline_config = base;
-  baseline_config.elide_coders = false;
-  harness::HarnessConfig elided_config = base;
-  elided_config.elide_coders = true;
-
-  std::fprintf(stderr, "coders sweep: baseline + native setups\n");
-  harness::BenchmarkHarness baseline_harness(baseline_config);
-  const auto baseline_set = bench::run_setups(baseline_harness, baseline_setups);
-  std::fprintf(stderr, "coders sweep: coder-elided setups\n");
-  harness::BenchmarkHarness elided_harness(elided_config);
-  const auto elided_set = bench::run_setups(elided_harness, elided_setups);
-
-  std::vector<CoderRow> rows;
-  for (const auto query : sweep_queries) {
-    for (const auto engine : engines) {
-      const harness::SetupKey native_key{.engine = engine,
-                                         .sdk = queries::Sdk::kNative,
-                                         .query = query, .parallelism = 1};
-      const harness::SetupKey beam_key{.engine = engine,
-                                       .sdk = queries::Sdk::kBeam,
-                                       .query = query, .parallelism = 1};
-      CoderRow row;
-      row.engine = queries::engine_name(engine);
-      row.query = workload::query_info(query).name;
-      row.native_seconds = setup_mean(baseline_set, native_key);
-      row.beam_seconds = setup_mean(baseline_set, beam_key);
-      row.elided_seconds = setup_mean(elided_set, beam_key);
-      if (elided_set.contains(beam_key)) {
-        row.elided_edges = elided_set.get(beam_key).serde.elided_edges;
-      }
-      if (row.native_seconds > 0.0) {
-        row.beam_factor = row.beam_seconds / row.native_seconds;
-        row.elided_factor = row.elided_seconds / row.native_seconds;
-      }
-      if (row.beam_factor > 1.0) {
-        row.recovered_fraction = (row.beam_factor - row.elided_factor) /
-                                 (row.beam_factor - 1.0);
-        if (row.recovered_fraction < 0.0) row.recovered_fraction = 0.0;
-        if (row.recovered_fraction > 1.0) row.recovered_fraction = 1.0;
-      }
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
 /// Shared with every section-writing bench: replaces one section of
 /// BENCH_dataplane.json in place without disturbing the others.
 using bench::merge_section_into_dataplane;
@@ -460,10 +367,8 @@ int main(int argc, char** argv) {
   const std::string sweep = env_string("STREAMSHIM_SWEEP", "all");
   const bool do_fusion = sweep == "all" || sweep == "fusion";
   const bool do_async = sweep == "all" || sweep == "async";
-  const bool do_coders = sweep == "all" || sweep == "coders";
-  if (!do_fusion && !do_async && !do_coders) {
-    std::fprintf(stderr,
-                 "unknown STREAMSHIM_SWEEP=%s (all|fusion|async|coders)\n",
+  if (!do_fusion && !do_async) {
+    std::fprintf(stderr, "unknown STREAMSHIM_SWEEP=%s (all|fusion|async)\n",
                  sweep.c_str());
     return 1;
   }
@@ -549,49 +454,6 @@ int main(int argc, char** argv) {
     section += "  ]\n";
     if (!merge_section_into_dataplane("async_sinks", section)) return 1;
     std::printf("\nwrote async_sinks section into BENCH_dataplane.json\n");
-  }
-
-  if (do_coders) {
-    std::printf(
-        "\n=== Coder ablation (native vs Beam vs Beam + coder fast path) "
-        "===\n");
-    bench::print_scale(config);
-    const auto rows = run_coders_sweep(config);
-
-    std::printf("%-6s %-10s %10s %9s %9s %8s %8s %10s %7s\n", "engine",
-                "query", "native_s", "beam_s", "elided_s", "beamfac",
-                "elidfac", "recovered", "edges");
-    for (const auto& row : rows) {
-      std::printf(
-          "%-6s %-10s %10.4f %9.4f %9.4f %7.2fx %7.2fx %9.0f%% %7llu\n",
-          row.engine.c_str(), row.query.c_str(), row.native_seconds,
-          row.beam_seconds, row.elided_seconds, row.beam_factor,
-          row.elided_factor, row.recovered_fraction * 100.0,
-          static_cast<unsigned long long>(row.elided_edges));
-    }
-
-    std::string section = "  \"coders\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      char line[640];
-      std::snprintf(
-          line, sizeof(line),
-          "    {\"engine\": \"%s\", \"query\": \"%s\", \"records\": %llu, "
-          "\"native_seconds\": %.6f, \"beam_seconds\": %.6f, "
-          "\"elided_seconds\": %.6f, \"beam_factor\": %.4f, "
-          "\"elided_factor\": %.4f, \"recovered_fraction\": %.4f, "
-          "\"elided_edges\": %llu}%s\n",
-          row.engine.c_str(), row.query.c_str(),
-          static_cast<unsigned long long>(config.records), row.native_seconds,
-          row.beam_seconds, row.elided_seconds, row.beam_factor,
-          row.elided_factor, row.recovered_fraction,
-          static_cast<unsigned long long>(row.elided_edges),
-          i + 1 < rows.size() ? "," : "");
-      section += line;
-    }
-    section += "  ]\n";
-    if (!merge_section_into_dataplane("coders", section)) return 1;
-    std::printf("\nwrote coders section into BENCH_dataplane.json\n");
   }
   return 0;
 }

@@ -110,7 +110,7 @@ int main() {
   if (!breakdown.empty()) std::printf("\n%s", breakdown.c_str());
 
   // Always-on serde activity: what the coder layer encoded/decoded per
-  // setup, and how many edges the elision pass (if armed) removed.
+  // setup.
   const std::string serde = harness::render_serde_table(bench::setup_serde(set));
   if (!serde.empty()) std::printf("\n%s", serde.c_str());
 

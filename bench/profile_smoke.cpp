@@ -33,8 +33,7 @@ std::string json_escape(const std::string& in) {
 
 int main() {
   auto config = bench::config_from_env();
-  config.profile = true;   // the point of this bench
-  config.adaptive = false; // policy engine is measured elsewhere, opt-in
+  config.profile = true;  // the point of this bench
   std::printf("=== Profile smoke (cost attribution, all setups) ===\n");
   bench::print_scale(config);
 

@@ -15,10 +15,6 @@ baseline and fails on regressions beyond the threshold (default 25%):
     beam_sync / beam_async. Intersecting keys only, like "scaling" — the
     section rides along in BENCH_dataplane.json and may be absent from
     older baselines or CI smoke runs at a different record count.
-  - "coders" (ablation_overheads): every (engine, query, mode)
-    records_per_sec, where mode is one of native / beam / elided. Same
-    intersecting-keys policy as "async_sinks" — the section may be absent
-    from older baselines or CI smoke runs at a different record count.
   - "sustained" (bench/sustained_load): every (setup, query) row gates its
     max sustainable rate (max_rate, drop direction) and its event-time
     latency tail (p99_us, increase direction). Intersecting keys only — the
@@ -77,23 +73,6 @@ def async_sinks_rows(doc):
     for entry in doc.get("async_sinks", []):
         records = float(entry.get("records", 0))
         for mode in ("native_sync", "native_async", "beam_sync", "beam_async"):
-            seconds = float(entry.get(f"{mode}_seconds", 0))
-            if records > 0 and seconds >= 1e-3:
-                rows[(entry["engine"], entry["query"], mode)] = (
-                    records / seconds
-                )
-    return rows
-
-
-def coders_rows(doc):
-    """(engine, query, mode) -> records_per_sec for the coder ablation,
-    where mode is native / beam / elided. Derived from per-mode execution
-    seconds and the sweep's record count; sub-millisecond cells are
-    scheduler-noise dominated and excluded, like async_sinks."""
-    rows = {}
-    for entry in doc.get("coders", []):
-        records = float(entry.get("records", 0))
-        for mode in ("native", "beam", "elided"):
             seconds = float(entry.get(f"{mode}_seconds", 0))
             if records > 0 and seconds >= 1e-3:
                 rows[(entry["engine"], entry["query"], mode)] = (
@@ -267,15 +246,6 @@ def main():
         args.threshold,
         missing_fails=False,
     )
-    # Coder-ablation rows gate the fast path's recovered throughput the
-    # same way: intersecting keys only, derived rps with a noise floor.
-    failures += gate(
-        "coders",
-        coders_rows(baseline_doc),
-        coders_rows(current_doc),
-        args.threshold,
-        missing_fails=False,
-    )
     # Sustained-throughput knee and latency tail, intersecting keys only
     # (the open-loop sweep may be absent or run at smoke scale in CI).
     # The latency threshold is doubled relative to the rate threshold: a
@@ -309,7 +279,6 @@ def main():
             set(async_sinks_rows(baseline_doc))
             & set(async_sinks_rows(current_doc))
         )
-        + len(set(coders_rows(baseline_doc)) & set(coders_rows(current_doc)))
         + len(
             set(sustained_rate_rows(baseline_doc))
             & set(sustained_rate_rows(current_doc))

@@ -4,11 +4,6 @@
 // serialization work per element per stage.
 //
 // Fast-path hooks layered on the seed interface:
-//   * fingerprint() — a structural identity for the wire format *and* the
-//     decoded representation. Equal fingerprints on the two ends of an
-//     in-process edge prove encode∘decode is the identity there, which is
-//     what lets runners elide the round trip under
-//     PipelineOptions::elide_coders.
 //   * encoded_size_hint() — exact encoded size when the coder can compute
 //     it from the value (all the built-ins can); 0 means unknown. Batch
 //     encode uses it to reserve arena spans that never reallocate.
@@ -33,13 +28,6 @@ class Coder {
   virtual Value decode(BinaryReader& in) const = 0;
   virtual std::string name() const = 0;
 
-  /// Structural identity: equal fingerprints guarantee identical wire
-  /// bytes *and* an identical decoded Value alternative, so an edge whose
-  /// producer and consumer fingerprints match can skip the round trip.
-  /// (StringUtf8Coder and PayloadCoder share a wire format but decode to
-  /// different Value alternatives — their fingerprints differ.)
-  virtual std::string fingerprint() const = 0;
-
   /// Exact encoded size of `value`, or 0 when the coder cannot precompute
   /// it. Built-in coders always can; 0 only escapes custom coders.
   virtual std::size_t encoded_size_hint(const Value& value) const {
@@ -61,7 +49,6 @@ class StringUtf8Coder final : public Coder {
     return in.read_string();
   }
   std::string name() const override { return "StringUtf8Coder"; }
-  std::string fingerprint() const override { return "string"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     const std::size_t n = value.get<std::string>().size();
     return varint_size(n) + n;
@@ -81,7 +68,6 @@ class PayloadCoder final : public Coder {
     return runtime::read_payload(in);
   }
   std::string name() const override { return "PayloadCoder"; }
-  std::string fingerprint() const override { return "bytes"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     const std::size_t n = value.get<runtime::Payload>().size();
     return varint_size(n) + n;
@@ -97,7 +83,6 @@ class VarIntCoder final : public Coder {
     return in.read_varint_i64();
   }
   std::string name() const override { return "VarIntCoder"; }
-  std::string fingerprint() const override { return "varint"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     return varint_size(zigzag_encode(value.get<std::int64_t>()));
   }
@@ -119,7 +104,6 @@ class DoubleCoder final : public Coder {
     return v;
   }
   std::string name() const override { return "DoubleCoder"; }
-  std::string fingerprint() const override { return "double"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     (void)value;
     return sizeof(std::uint64_t);
@@ -148,10 +132,6 @@ class KvCoder final : public Coder {
   std::string name() const override {
     return "KvCoder(" + key_coder_->name() + ", " + value_coder_->name() +
            ")";
-  }
-  std::string fingerprint() const override {
-    return "kv<" + key_coder_->fingerprint() + "," +
-           value_coder_->fingerprint() + ">";
   }
   std::size_t encoded_size_hint(const Value& value) const override {
     const auto& kv = value.get<KV<K, V>>();

@@ -180,10 +180,9 @@ FusionResult fuse_graph(const BeamGraph& graph) {
       fused.name = fused_name(member_names);
       fused.urn = urns::kFused;
       fused.stage = fused_stage(std::move(factories), member_names);
-      // The chain's externally visible coders are the tail's output and the
-      // head's input: interior boundaries never re-encode.
+      // The chain's externally visible coder is the tail's output: interior
+      // boundaries never re-encode.
       fused.output_coder = last.output_coder;
-      fused.input_coder = head.input_coder;
       fused.parallelism_hint = head.parallelism_hint;
     }
     for (const int input : head.inputs) {

@@ -52,29 +52,12 @@ struct TransformNode {
   std::function<std::uint64_t(const Element&)> key_hash;
   /// Coder for this node's output elements (used where a runner serializes).
   CoderPtr output_coder;
-  /// Coder for this node's input elements. When a producer's output_coder
-  /// and its consumer's input_coder have equal fingerprints, the edge's
-  /// encode→decode round trip is the identity and runners may elide it
-  /// (PipelineOptions::elide_coders).
-  CoderPtr input_coder;
   bool stateful = false;
   /// Requested parallelism for this transform (0 = inherit the pipeline
   /// default). A change of parallelism between producer and consumer is a
   /// redistribution point, so the fusion pass treats it as a barrier.
   int parallelism_hint = 0;
 };
-
-/// True when the producer→consumer edge's encode→decode round trip is
-/// provably the identity: both ends declare coders and their structural
-/// fingerprints match. Runners consult this under
-/// PipelineOptions::elide_coders to skip the round trip.
-inline bool edge_elidable(const TransformNode& producer,
-                          const TransformNode& consumer) {
-  return producer.output_coder != nullptr &&
-         consumer.input_coder != nullptr &&
-         producer.output_coder->fingerprint() ==
-             consumer.input_coder->fingerprint();
-}
 
 class BeamGraph {
  public:

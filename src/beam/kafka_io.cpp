@@ -33,7 +33,6 @@ class KafkaRecordCoder final : public Coder {
     return record;
   }
   std::string name() const override { return "KafkaRecordCoder"; }
-  std::string fingerprint() const override { return "kafka_record"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     const auto& record = value.get<KafkaRecord>();
     return varint_size(record.topic.size()) + record.topic.size() +
@@ -57,7 +56,6 @@ class ProducerRecordStubCoder final : public Coder {
     return record;
   }
   std::string name() const override { return "ProducerRecordStubCoder"; }
-  std::string fingerprint() const override { return "producer_record"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     const auto& record = value.get<ProducerRecordStub>();
     return varint_size(record.key.size()) + record.key.size() +

@@ -27,25 +27,13 @@ struct PipelineOptions {
   /// penalty pipelining recovers.
   bool async_sinks = false;
 
-  /// Coder elision (--elide-coders): when an in-process edge's producer
-  /// output-coder fingerprint equals its consumer input-coder fingerprint,
-  /// the encode→decode round trip on that edge is the identity and the
-  /// runner skips it (the Apex runner keeps the hop CONTAINER_LOCAL; the
-  /// Flink runner keeps the engine's operator chaining). OFF by default for
-  /// the same reason as fusion: the per-hop serialization is part of the
-  /// abstraction cost Figs. 11–13 measure; turning it on quantifies how
-  /// much of that cost a fingerprint-aware runner recovers.
-  bool elide_coders = false;
-
   /// Resolves the env overrides: STREAMSHIM_FUSE_STAGES=1 turns fusion on,
-  /// STREAMSHIM_ASYNC_SINKS=1 turns async sinks on,
-  /// STREAMSHIM_CODER_ELISION=1 turns coder elision on, for every runner
-  /// that reads its options through here.
+  /// STREAMSHIM_ASYNC_SINKS=1 turns async sinks on, for every runner that
+  /// reads its options through here.
   static PipelineOptions from_env() {
     return PipelineOptions{
         .fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES"),
-        .async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS"),
-        .elide_coders = env_flag("STREAMSHIM_CODER_ELISION")};
+        .async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS")};
   }
 };
 

@@ -103,9 +103,6 @@ class ParDoTransform {
     if constexpr (requires { CoderTraits<Out>::of(); }) {
       node.output_coder = CoderTraits<Out>::of();
     }
-    if constexpr (requires { CoderTraits<In>::of(); }) {
-      node.input_coder = CoderTraits<In>::of();
-    }
     const int id = input.pipeline()->graph().add_node(std::move(node));
     return PCollection<Out>(input.pipeline(), id);
   }
@@ -208,9 +205,6 @@ class GroupByKey {
     node.inputs = {input.node_id()};
     node.stage = [] { return std::make_unique<GroupByKeyExecutor<K, V>>(); };
     node.key_hash = kv_key_hash<K, V>;
-    if constexpr (requires { CoderTraits<KV<K, V>>::of(); }) {
-      node.input_coder = CoderTraits<KV<K, V>>::of();
-    }
     const int id = input.pipeline()->graph().add_node(std::move(node));
     return PCollection<KV<K, std::vector<V>>>(input.pipeline(), id);
   }
@@ -234,7 +228,6 @@ class WindowInto {
     };
     if constexpr (requires { CoderTraits<T>::of(); }) {
       node.output_coder = CoderTraits<T>::of();
-      node.input_coder = CoderTraits<T>::of();
     }
     const int id = input.pipeline()->graph().add_node(std::move(node));
     return PCollection<T>(input.pipeline(), id);
@@ -273,7 +266,6 @@ PCollection<T> flatten(const std::vector<PCollection<T>>& inputs,
   };
   if constexpr (requires { CoderTraits<T>::of(); }) {
     node.output_coder = CoderTraits<T>::of();
-    node.input_coder = CoderTraits<T>::of();
   }
   const int id = pipeline->graph().add_node(std::move(node));
   return PCollection<T>(pipeline, id);

@@ -160,19 +160,11 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
       apex::CodecFactory codec;
       apex::Locality locality = apex::Locality::kContainerLocal;
       if (producer.output_coder != nullptr) {
-        if (options.pipeline.elide_coders && edge_elidable(producer, node)) {
-          // Matching fingerprints prove the round trip is the identity:
-          // keep the hop in-process and skip the codec entirely.
-          runtime::MetricsRegistry::global()
-              .counter("runtime.serde.elided_edges")
-              .add();
-        } else {
-          // One container per operator: the hop serializes.
-          locality = apex::Locality::kNodeLocal;
-          codec = [coder = producer.output_coder] {
-            return std::make_unique<BeamTupleCodec>(coder);
-          };
-        }
+        // One container per operator: the hop serializes.
+        locality = apex::Locality::kNodeLocal;
+        codec = [coder = producer.output_coder] {
+          return std::make_unique<BeamTupleCodec>(coder);
+        };
       }
       dag.add_stream("s_" + std::to_string(input) + "_" +
                          std::to_string(node.id),

@@ -26,8 +26,8 @@ class BeamSourceFunction final : public flink::SourceFunction {
   }
 
   void run(flink::SourceContext& context) override {
-    // The source carries its own fault site: when coder elision chains the
-    // whole pipeline into this vertex, the per-vertex task probes vanish
+    // The source carries its own fault site: when fusion chains the whole
+    // pipeline into this vertex, the per-vertex task probes vanish
     // and this becomes the only kOperatorThrow point on the job — a fault
     // here models a throw anywhere in the chain, replayed by the runner's
     // whole-job restart.
@@ -61,15 +61,7 @@ class BeamStageOperator final : public flink::StreamOperator {
     // initializes in start().
     executor_->configure(pipeline_options_);
     executor_->start();
-    recycle_boxes_ = pipeline_options_.elide_coders;
     emit_ = [this](Element&& produced) {
-      if (!free_boxes_.empty()) {
-        flink::Elem box = std::move(free_boxes_.back());
-        free_boxes_.pop_back();
-        *static_cast<Element*>(box.get()) = std::move(produced);
-        out_->collect(std::move(box));
-        return;
-      }
       out_->collect(flink::make_elem<Element>(std::move(produced)));
     };
   }
@@ -81,15 +73,6 @@ class BeamStageOperator final : public flink::StreamOperator {
       since_bundle_ = 0;
       executor_->bundle_boundary(emit_);
     }
-    // Zero-copy hand-off, upstream half: once process() returns, the
-    // executor's context references into the inbound box are gone, so a
-    // sole-owner box is dead storage. Under the fast path keep it and let
-    // the next emit move its output in instead of heap-boxing — the chain
-    // then cycles a fixed set of boxes instead of allocating per hop.
-    if (recycle_boxes_ && element.use_count() == 1 &&
-        free_boxes_.size() < kMaxFreeBoxes) {
-      free_boxes_.push_back(std::move(element));
-    }
   }
 
   void close(flink::Collector& out) override {
@@ -99,17 +82,13 @@ class BeamStageOperator final : public flink::StreamOperator {
   }
 
  private:
-  static constexpr std::size_t kMaxFreeBoxes = 8;
-
   StageFactory factory_;
   std::size_t bundle_size_;
   PipelineOptions pipeline_options_;
   std::unique_ptr<StageExecutor> executor_;
   std::size_t since_bundle_ = 0;
-  bool recycle_boxes_ = false;
   flink::Collector* out_ = nullptr;
   Emit emit_;
-  std::vector<flink::Elem> free_boxes_;
 };
 
 const char* translated_name(const TransformNode& node) {
@@ -141,16 +120,7 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
   // fused stage to its source and sink — direct calls end to end, like the
   // native pipeline. What remains of the slowdown is then the structural
   // cost of the abstraction (element boxing), not operator scheduling.
-  //
-  // Coder elision reaches the same plan shape by a different proof: the
-  // engine's chaining stays enabled, but each operator is chainable onto
-  // its producer only when the edge's coder fingerprints match — i.e. the
-  // encode→decode hop the unchained plan models is provably the identity.
-  const bool elide =
-      options.pipeline.elide_coders && !options.pipeline.fuse_stages;
-  if (!options.pipeline.fuse_stages && !elide) {
-    env.disable_operator_chaining();
-  }
+  if (!options.pipeline.fuse_stages) env.disable_operator_chaining();
 
   std::map<int, int> beam_to_flink;
   std::map<int, int> beam_parallelism;
@@ -178,15 +148,6 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
                                                    pipeline_options);
       };
     }
-    if (elide && node.kind != TransformKind::kRead) {
-      // Chainable only when every input edge's round trip is the identity;
-      // an unproven edge keeps the paper's operator boundary.
-      bool all_elidable = !node.inputs.empty();
-      for (const int input : node.inputs) {
-        if (!edge_elidable(graph.node(input), node)) all_elidable = false;
-      }
-      flink_node.chainable = all_elidable;
-    }
     const int flink_id = env.add_node(std::move(flink_node));
     beam_to_flink[node.id] = flink_id;
 
@@ -205,11 +166,6 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
         edge.mode = flink::PartitionMode::kRebalance;
       } else {
         edge.mode = flink::PartitionMode::kForward;
-        if (elide && edge_elidable(graph.node(input), node)) {
-          runtime::MetricsRegistry::global()
-              .counter("runtime.serde.elided_edges")
-              .add();
-        }
       }
       env.add_edge(std::move(edge));
     }

@@ -5,7 +5,6 @@
 
 #include "common/clock.hpp"
 #include "runtime/invoker.hpp"
-#include "runtime/policy.hpp"
 #include "runtime/task_runtime.hpp"
 
 namespace dsps::flink {
@@ -54,14 +53,8 @@ class Router {
     const std::int64_t now_us = steady_clock_us();
     if (stage.empty()) staged_at_us_[index] = now_us;
     stage.push_back(Envelope{element, false});
-    // The buffer timeout is the PolicyEngine's Flink knob: adaptive runs
-    // shrink it when downstream starves on queue_wait and grow it when the
-    // pipeline is compute-bound. Disabled (the default), this returns the
-    // paper-faithful constant untouched.
     if (stage.size() >= kBatchSize ||
-        now_us - staged_at_us_[index] >=
-            runtime::PolicyEngine::instance().flink_buffer_timeout_us(
-                kFlushTimeoutUs)) {
+        now_us - staged_at_us_[index] >= kFlushTimeoutUs) {
       flush_channel(index);
     }
   }

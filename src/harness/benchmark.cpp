@@ -2,7 +2,6 @@
 
 #include "common/clock.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/policy.hpp"
 #include "workload/aol_generator.hpp"
 #include "workload/data_sender.hpp"
 
@@ -25,11 +24,7 @@ std::vector<double> SetupMeasurements::execution_times() const {
 BenchmarkHarness::BenchmarkHarness(HarnessConfig config)
     : config_(config), noise_(config.noise) {
   broker_.set_rtt_us(config_.broker_rtt_us);
-  // Adaptive mode implies profiling (the policy engine consumes live
-  // snapshots); plain profiling arms without the policy hook.
-  if (config_.adaptive) {
-    runtime::PolicyEngine::instance().enable();
-  } else if (config_.profile && !runtime::Profiler::instance().armed()) {
+  if (config_.profile && !runtime::Profiler::instance().armed()) {
     runtime::Profiler::instance().arm();
   }
 }
@@ -78,7 +73,6 @@ Result<RunMeasurement> BenchmarkHarness::run_once(const SetupKey& key) {
   ctx.seed = config_.seed;
   ctx.fuse_stages = config_.fuse_stages;
   ctx.async_sinks = config_.async_sinks;
-  ctx.elide_coders = config_.elide_coders;
 
   RunMeasurement measurement;
   // Optional seeded noise (Table III's outlier analysis): pause before the
@@ -153,9 +147,7 @@ Result<SetupMeasurements> BenchmarkHarness::run_setup(const SetupKey& key) {
       .decode_bytes = counter_delta(metrics_before, metrics_after,
                                     "runtime.serde.decode.bytes"),
       .decode_ns = counter_delta(metrics_before, metrics_after,
-                                 "runtime.serde.decode.ns"),
-      .elided_edges = counter_delta(metrics_before, metrics_after,
-                                    "runtime.serde.elided_edges")};
+                                 "runtime.serde.decode.ns")};
   return measurements;
 }
 

@@ -49,7 +49,6 @@ struct SerdeStats {
   std::uint64_t decode_records = 0;
   std::uint64_t decode_bytes = 0;
   std::uint64_t decode_ns = 0;
-  std::uint64_t elided_edges = 0;
 };
 
 struct SetupMeasurements {
@@ -81,11 +80,6 @@ struct HarnessConfig {
   /// paper's writers are synchronous; the async-sinks sweep flips this to
   /// quantify how much of the sink-path penalty pipelining recovers.
   bool async_sinks = false;
-  /// Beam setups only: elide fingerprint-matched coder round trips
-  /// (beam::PipelineOptions::elide_coders). Default off — the per-hop
-  /// serialization is part of the measured abstraction cost; the coders
-  /// sweep flips this to quantify the recoverable share.
-  bool elide_coders = false;
   /// Input topic partitions. 1 = the paper's setup (ordered single log);
   /// the scale-out sweep fans the input out so N parallel consumers can
   /// drain N partitions concurrently (STREAMSHIM_INPUT_PARTITIONS).
@@ -97,10 +91,6 @@ struct HarnessConfig {
   /// (STREAMSHIM_PROFILE). Default off: disarmed scopes cost one relaxed
   /// atomic load, so paper-faithful numbers are untouched.
   bool profile = false;
-  /// Enable the adaptive policy engine (STREAMSHIM_ADAPTIVE): auto-tunes
-  /// the Spark micro-batch interval and the Flink router flush timeout from
-  /// live cost shares. Default off — Figs. 11-13 measure fixed knobs.
-  bool adaptive = false;
 
   static HarnessConfig from_env() {
     const BenchScale scale = resolve_bench_scale();
@@ -110,9 +100,7 @@ struct HarnessConfig {
     config.seed = scale.seed;
     config.fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES");
     config.async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS");
-    config.elide_coders = env_flag("STREAMSHIM_CODER_ELISION");
     config.profile = env_flag("STREAMSHIM_PROFILE");
-    config.adaptive = env_flag("STREAMSHIM_ADAPTIVE");
     config.parallelism = static_cast<int>(
         env_i64("STREAMSHIM_PARALLELISM", config.parallelism));
     // By default the input fans out with the requested parallelism (one

@@ -178,13 +178,9 @@ std::string render_partition_gauges(const runtime::MetricsSnapshot& snapshot) {
   std::vector<std::pair<std::string, double>> lag;
   std::vector<std::pair<std::string, double>> depth;
   for (const auto& [name, value] : snapshot.gauges) {
-    // Canonical spelling first; accept the legacy one so snapshots captured
-    // before the rename still render.
     if (name.rfind("kafka.consumer.lag.", 0) == 0) {
       lag.emplace_back(
           name.substr(std::string("kafka.consumer.lag.").size()), value);
-    } else if (name.rfind("kafka.lag.", 0) == 0) {
-      lag.emplace_back(name.substr(std::string("kafka.lag.").size()), value);
     } else if (name.find(".channel.") != std::string::npos &&
                name.size() > 11 &&
                name.compare(name.size() - 11, 11, ".peak_depth") == 0) {
@@ -281,8 +277,7 @@ std::string render_serde_table(
   bool any = false;
   std::size_t label_width = std::string("setup").size();
   for (const auto& [label, serde] : per_setup) {
-    any = any || serde.encode_records > 0 || serde.decode_records > 0 ||
-          serde.elided_edges > 0;
+    any = any || serde.encode_records > 0 || serde.decode_records > 0;
     label_width = std::max(label_width, label.size());
   }
   if (!any) return "";
@@ -298,7 +293,7 @@ std::string render_serde_table(
   out += "  " + pad_right("setup", label_width) + pad_left("enc_recs", 11) +
          pad_left("enc_bytes", 12) + pad_left("enc_ns/rec", 11) +
          pad_left("dec_recs", 11) + pad_left("dec_bytes", 12) +
-         pad_left("dec_ns/rec", 11) + pad_left("elided", 8) + "\n";
+         pad_left("dec_ns/rec", 11) + "\n";
   for (const auto& [label, serde] : per_setup) {
     out += "  " + pad_right(label, label_width) +
            pad_left(std::to_string(serde.encode_records), 11) +
@@ -308,8 +303,7 @@ std::string render_serde_table(
            pad_left(std::to_string(serde.decode_records), 11) +
            pad_left(std::to_string(serde.decode_bytes), 12) +
            pad_left(per_record_ns(serde.decode_ns, serde.decode_records),
-                    11) +
-           pad_left(std::to_string(serde.elided_edges), 8) + "\n";
+                    11) + "\n";
   }
   return out;
 }

@@ -53,10 +53,9 @@ struct ScalingPoint {
 /// Scaling-efficiency table, one block per setup+query, one row per P.
 std::string render_scaling_table(const std::vector<ScalingPoint>& points);
 
-/// Per-partition data-plane gauges: consumer lag (kafka.consumer.lag.*,
-/// with the legacy kafka.lag.* spelling still accepted) and channel queue
-/// depths (*.channel.*.depth/.peak_depth). Empty string when the snapshot
-/// has neither.
+/// Per-partition data-plane gauges: consumer lag (kafka.consumer.lag.*) and
+/// channel queue depths (*.channel.*.depth/.peak_depth). Empty string when
+/// the snapshot has neither.
 std::string render_partition_gauges(const runtime::MetricsSnapshot& snapshot);
 
 /// Per-setup cost breakdown from the always-on profiler: one row per setup,
@@ -68,9 +67,9 @@ std::string render_profile_breakdown(
         per_setup);
 
 /// Serde-layer activity per setup from the runtime.serde.* counters: bytes
-/// encoded/decoded, mean encode/decode ns per record (stride-sampled), and
-/// the number of elided edges. Rendered alongside the profile breakdown.
-/// Empty string when no setup did any serde work.
+/// encoded/decoded and mean encode/decode ns per record (stride-sampled).
+/// Rendered alongside the profile breakdown. Empty string when no setup did
+/// any serde work.
 std::string render_serde_table(
     const std::vector<std::pair<std::string, SerdeStats>>& per_setup);
 

@@ -4,7 +4,6 @@
 
 #include "runtime/fault.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/policy.hpp"
 #include "runtime/profiler.hpp"
 #include "runtime/watchdog.hpp"
 
@@ -262,9 +261,7 @@ void Consumer::commit() {
     broker_.commit_offset(config_.group_id, assignment.tp,
                           assignment.position);
     // Per-partition consumer-lag gauge: records appended beyond the offset
-    // just committed. The scaling/elasticity work keys off these. Published
-    // under the canonical engine.component.metric name; snapshot lookups of
-    // the legacy "kafka.lag." spelling resolve through the rename shim.
+    // just committed. The scaling/elasticity work keys off these.
     const auto end = broker_.end_offset(assignment.tp);
     if (end.is_ok()) {
       const double lag =
@@ -273,10 +270,6 @@ void Consumer::commit() {
                               ".p" +
                               std::to_string(assignment.tp.partition);
       registry.gauge("kafka.consumer.lag." + key).set(lag);
-      // Lag-slope advisory: a persistently growing lag raises the
-      // runtime.policy.shed_advisory gauge (behavior change only under
-      // STREAMSHIM_ADAPTIVE — see PolicyEngine::observe_consumer_lag).
-      runtime::PolicyEngine::instance().observe_consumer_lag(key, lag);
     }
   }
 }

@@ -78,8 +78,7 @@ std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
     restart.backoff = recovery_backoff(ctx.recovery);
   }
   const beam::PipelineOptions pipeline{.fuse_stages = ctx.fuse_stages,
-                                       .async_sinks = ctx.async_sinks,
-                                       .elide_coders = ctx.elide_coders};
+                                       .async_sinks = ctx.async_sinks};
   switch (engine) {
     case Engine::kFlink:
       return std::make_unique<beam::FlinkRunner>(

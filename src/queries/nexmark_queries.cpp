@@ -27,7 +27,6 @@ class BidCoder final : public Coder {
     return bid;
   }
   std::string name() const override { return "BidCoder"; }
-  std::string fingerprint() const override { return "nexmark_bid"; }
   std::size_t encoded_size_hint(const Value& value) const override {
     (void)value;
     return 4 * sizeof(std::int64_t);

@@ -76,12 +76,6 @@ struct QueryContext {
   /// Kafka sink producers to the background-sender mode. Off by default so
   /// every default run keeps the paper's synchronous writers.
   bool async_sinks = false;
-  /// Coder elision: the Beam path translates it to
-  /// beam::PipelineOptions::elide_coders — fingerprint-matched in-process
-  /// edges skip the encode→decode round trip. Off by default so every
-  /// default run keeps the paper's per-hop serialization; the native paths
-  /// ignore it (they never re-encode in process).
-  bool elide_coders = false;
   /// Open-loop mode (the sustained-load harness): sources treat the input
   /// topic as unbounded — they keep polling past the current end offset and
   /// terminate only when the topic is sealed (Broker::seal_topic) and fully

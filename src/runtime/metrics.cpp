@@ -55,23 +55,6 @@ void HistogramCell::record(std::uint64_t value_us) noexcept {
 
 }  // namespace detail
 
-std::string canonical_metric_name(std::string_view name) {
-  constexpr std::string_view kLegacyLag = "kafka.lag.";
-  if (name.substr(0, kLegacyLag.size()) == kLegacyLag) {
-    return "kafka.consumer.lag." +
-           std::string(name.substr(kLegacyLag.size()));
-  }
-  return std::string(name);
-}
-
-std::string legacy_metric_name(std::string_view name) {
-  constexpr std::string_view kCanonicalLag = "kafka.consumer.lag.";
-  if (name.substr(0, kCanonicalLag.size()) == kCanonicalLag) {
-    return "kafka.lag." + std::string(name.substr(kCanonicalLag.size()));
-  }
-  return {};
-}
-
 std::uint64_t HistogramSummary::percentile_us(double p) const noexcept {
   if (count == 0 || buckets.empty()) return 0;
   if (p < 0.0) p = 0.0;
@@ -86,35 +69,14 @@ std::uint64_t HistogramSummary::percentile_us(double p) const noexcept {
   return detail::bucket_upper_us(buckets.size() - 1);
 }
 
-namespace {
-
-/// Lookup through the rename shim: exact name, then its canonical spelling,
-/// then its legacy spelling — so consumers written against either side of a
-/// rename find the instrument.
-template <typename Map>
-auto shimmed_find(const Map& map, std::string_view name) {
-  auto it = map.find(std::string(name));
-  if (it != map.end()) return it;
-  const std::string canonical = canonical_metric_name(name);
-  if (canonical != name) {
-    it = map.find(canonical);
-    if (it != map.end()) return it;
-  }
-  const std::string legacy = legacy_metric_name(name);
-  if (!legacy.empty()) it = map.find(legacy);
-  return it;
-}
-
-}  // namespace
-
 std::uint64_t MetricsSnapshot::counter(std::string_view name,
                                        std::uint64_t fallback) const {
-  const auto it = shimmed_find(counters, name);
+  const auto it = counters.find(std::string(name));
   return it == counters.end() ? fallback : it->second;
 }
 
 double MetricsSnapshot::gauge(std::string_view name, double fallback) const {
-  const auto it = shimmed_find(gauges, name);
+  const auto it = gauges.find(std::string(name));
   return it == gauges.end() ? fallback : it->second;
 }
 
@@ -212,17 +174,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::merge(const MetricsSnapshot& snapshot,
                             const std::string& prefix) {
-  // Names canonicalize as they fold in, so a job registry still publishing
-  // a legacy spelling lands under the documented convention.
   for (const auto& [name, value] : snapshot.counters) {
-    counter(canonical_metric_name(prefix + name)).add(value);
+    counter(prefix + name).add(value);
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    gauge(canonical_metric_name(prefix + name)).set(value);
+    gauge(prefix + name).set(value);
   }
   for (const auto& [name, summary] : snapshot.histograms) {
     std::lock_guard lock(mutex_);
-    auto& cell = histograms_[canonical_metric_name(prefix + name)];
+    auto& cell = histograms_[prefix + name];
     if (cell == nullptr) cell = std::make_unique<detail::HistogramCell>();
     for (std::size_t i = 0;
          i < summary.buckets.size() && i < detail::kHistogramBuckets; ++i) {

@@ -152,23 +152,9 @@ struct HistogramSummary {
   std::uint64_t p999_us() const noexcept { return percentile_us(0.999); }
 };
 
-/// Canonical metric naming: `engine.component.metric` (engine = flink /
-/// spark / apex / kafka / runtime / yarn; further dots subdivide the metric,
-/// e.g. per-partition or per-subtask instances). Names that predate the
-/// convention are folded to their canonical spelling here — merge() applies
-/// the mapping as snapshots fold into the process registry, and snapshot
-/// lookups fall back through it, so committed baselines and older consumers
-/// written against the legacy names keep intersecting.
-///
-///   kafka.lag.<g>.<t>.<p>      -> kafka.consumer.lag.<g>.<t>.<p>
-///   channel.<l>.depth(.peak)   -> flink job registries only; merged as
-///                                 flink.channel.<l>.* (already canonical)
-std::string canonical_metric_name(std::string_view name);
-
-/// Inverse shim for lookups: the legacy spelling of a canonical name, or
-/// empty when the name never had one.
-std::string legacy_metric_name(std::string_view name);
-
+/// Metric naming: `engine.component.metric` (engine = flink / spark / apex /
+/// kafka / runtime / yarn; further dots subdivide the metric, e.g.
+/// per-partition or per-subtask instances).
 /// The one cross-engine schema: plain name -> value maps, consumed by the
 /// harness report, the Beam runners, and the perf smoke bench alike.
 struct MetricsSnapshot {

@@ -110,9 +110,6 @@ struct Profiler::Impl {
   Gauge live_total_us[kStageCount];
   Gauge live_share[kStageCount];
 
-  std::mutex observer_mutex;
-  std::function<void(const ProfileSnapshot&)> observer;
-
   // Sampler thread lifecycle.
   std::thread sampler;
   std::mutex sampler_mutex;
@@ -233,12 +230,6 @@ void Profiler::flush_this_thread() noexcept {
   tls.pending = 0;
 }
 
-void Profiler::set_observer(
-    std::function<void(const ProfileSnapshot&)> observer) {
-  std::lock_guard lock(impl_->observer_mutex);
-  impl_->observer = std::move(observer);
-}
-
 void Profiler::record_sample(Stage stage, std::uint32_t op,
                              std::uint64_t self_ns,
                              std::uint32_t weight) noexcept {
@@ -274,14 +265,7 @@ void Profiler::sampler_loop() {
           [this] { return impl_->sampler_stop; });
       if (impl_->sampler_stop) return;
     }
-    const ProfileSnapshot snap = snapshot();
-    publish_live(snap);
-    std::function<void(const ProfileSnapshot&)> observer;
-    {
-      std::lock_guard lock(impl_->observer_mutex);
-      observer = impl_->observer;
-    }
-    if (observer) observer(snap);
+    publish_live(snapshot());
   }
 }
 

@@ -29,14 +29,12 @@
 // flush into global sharded cells every kFlushPending samples and at task
 // teardown (OperatorInvoker::close). A background sampler thread
 // periodically publishes live totals as `runtime.profile.*` gauges in
-// MetricsRegistry::global(), records sampled scope durations into
-// HDR-style histograms, and feeds PolicyEngine (policy.hpp) its live
-// snapshots.
+// MetricsRegistry::global() and records sampled scope durations into
+// HDR-style histograms.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -85,7 +83,7 @@ struct ProfilerConfig {
   /// exact attribution (tests); the default keeps armed overhead <2% even
   /// on the hottest path (Flink native Identity, ~200ns/record wall).
   std::uint32_t sample_stride = 128;
-  /// Background sampler period (live gauges + PolicyEngine feed).
+  /// Background sampler period (live gauges).
   std::int64_t sampler_interval_ms = 20;
   /// Tests can run without the background thread.
   bool start_sampler = true;
@@ -156,10 +154,6 @@ class Profiler {
 
   /// Publishes the calling thread's slab into the global cells.
   void flush_this_thread() noexcept;
-
-  /// Observer invoked from the sampler thread with each live snapshot
-  /// (PolicyEngine hook). Replaces the previous observer; pass {} to clear.
-  void set_observer(std::function<void(const ProfileSnapshot&)> observer);
 
   // -- internal: ScopedStage/flush plumbing ---------------------------------
   void record_sample(Stage stage, std::uint32_t op, std::uint64_t self_ns,

@@ -7,7 +7,6 @@
 #include "common/queue.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/invoker.hpp"
-#include "runtime/policy.hpp"
 
 namespace dsps::spark {
 
@@ -370,13 +369,7 @@ Status StreamingContext::start() {
       const Stopwatch watch;
       run_one_batch();
       const auto spent_ms = static_cast<std::int64_t>(watch.elapsed_ms());
-      // The effective interval routes through the policy engine: when the
-      // adaptive mode is on it scales the configured value from live cost
-      // shares; when off (the default) it returns it unchanged.
-      const std::int64_t wait_ms =
-          runtime::PolicyEngine::instance().spark_batch_interval_ms(
-              batch_interval_ms_) -
-          spent_ms;
+      const std::int64_t wait_ms = batch_interval_ms_ - spent_ms;
       if (wait_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
       }
@@ -437,10 +430,7 @@ Status StreamingContext::run_bounded() {
     const bool empty_batch = last_batch_input_records_ == 0;
     if (empty_batch && all_inputs_drained()) break;
     const auto spent_ms = static_cast<std::int64_t>(watch.elapsed_ms());
-    const std::int64_t wait_ms =
-        runtime::PolicyEngine::instance().spark_batch_interval_ms(
-            batch_interval_ms_) -
-        spent_ms;
+    const std::int64_t wait_ms = batch_interval_ms_ - spent_ms;
     if (wait_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
     }

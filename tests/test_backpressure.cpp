@@ -2,9 +2,9 @@
 //
 // Units: CreditGate watermark hysteresis, shed policies, throttle_wait;
 // PartitionLog retention (size + age) with the out-of-range consumer reset;
-// the Queue::push_batch close-race regression; the PolicyEngine lag-slope
-// advisory. End to end: all 4 queries x 3 engines x {native, Beam} run
-// open-loop under synthetic overload with shedding off — output multisets
+// the Queue::push_batch close-race regression. End to end: all 4 queries x
+// 3 engines x {native, Beam} run open-loop under synthetic overload with
+// shedding off — output multisets
 // must exactly equal an unthrottled DirectRunner run over the same input —
 // and a drop_oldest run's shed count must match the missing records.
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@
 #include "queries/query_factory.hpp"
 #include "runtime/credit_gate.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/policy.hpp"
 #include "workload/data_sender.hpp"
 #include "workload/streambench.hpp"
 
@@ -235,30 +234,6 @@ TEST(Queue, SpscPushBatchReturnsPartialCountOnClose) {
   pusher.join();
   EXPECT_LT(watch.elapsed_ms(), 1'000.0);
   EXPECT_LT(pushed.load(), 6u);
-}
-
-// --- policy advisory ---------------------------------------------------------
-
-TEST(PolicyEngine, LagSlopeRaisesAdvisoryGauge) {
-  auto& policy = runtime::PolicyEngine::instance();
-  // Falling lag: no advisory.
-  for (int i = 20; i >= 0; --i) {
-    policy.observe_consumer_lag("test.falling", 1'000.0 * i);
-  }
-  EXPECT_EQ(policy.shed_advisory(), 0.0);
-  // Steadily growing lag beyond the floor: advisory raised.
-  for (int i = 0; i <= 20; ++i) {
-    policy.observe_consumer_lag("test.growing", 2'000.0 + 500.0 * i);
-  }
-  EXPECT_EQ(policy.shed_advisory(), 1.0);
-  EXPECT_EQ(runtime::MetricsRegistry::global().snapshot().gauge(
-                "runtime.policy.shed_advisory"),
-            1.0);
-  // Lag drains again: advisory clears.
-  for (int i = 20; i >= 0; --i) {
-    policy.observe_consumer_lag("test.growing", 500.0 * i);
-  }
-  EXPECT_EQ(policy.shed_advisory(), 0.0);
 }
 
 // --- throttled differential --------------------------------------------------

@@ -2,37 +2,19 @@
 // round-trip properties for every built-in coder, the batch-amortized arena
 // encode (exact precompute, shrink-less spans, shared chunks), zero-copy
 // decode aliasing/lifetime (the ASan target), concurrent batch encode (the
-// TSan target), and the elision contract — fingerprint-matched edges skip
-// the encode→decode round trip with byte-identical output to the non-elided
-// plan and the DirectRunner reference, on every runner, including under the
-// chaos harness.
+// TSan target).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "beam/coders.hpp"
 #include "beam/element.hpp"
-#include "beam/graph.hpp"
-#include "beam/kafka_io.hpp"
-#include "beam/pipeline.hpp"
-#include "beam/runners/apex_runner.hpp"
-#include "beam/runners/direct_runner.hpp"
-#include "beam/runners/flink_runner.hpp"
-#include "beam/runners/spark_runner.hpp"
 #include "common/bytes.hpp"
-#include "queries/query_factory.hpp"
-#include "runtime/fault.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/payload.hpp"
-#include "workload/streambench.hpp"
 
 namespace dsps::beam {
 namespace {
@@ -191,31 +173,6 @@ TEST(CoderRoundTripTest, EveryBuiltInRoundTripsWithExactHints) {
     EXPECT_EQ(v.get<Pair>().key, "key");
     EXPECT_EQ(v.get<Pair>().value, 99);
   });
-}
-
-TEST(CoderFingerprintTest, StructuralIdentityNotWireCompatibility) {
-  // Same coder type => same fingerprint, across instances.
-  EXPECT_EQ(StringUtf8Coder{}.fingerprint(), StringUtf8Coder{}.fingerprint());
-  // StringUtf8Coder and PayloadCoder share a wire format but decode to
-  // different Value alternatives, so their fingerprints must differ —
-  // eliding across them would change the type the consumer sees.
-  EXPECT_NE(StringUtf8Coder{}.fingerprint(), PayloadCoder{}.fingerprint());
-  EXPECT_NE(VarIntCoder{}.fingerprint(), DoubleCoder{}.fingerprint());
-  const KvCoder<std::string, std::int64_t> kv(
-      CoderTraits<std::string>::of(), CoderTraits<std::int64_t>::of());
-  EXPECT_EQ(kv.fingerprint(), "kv<string,varint>");
-}
-
-TEST(CoderElisionTest, EdgeElidableRequiresMatchingFingerprints) {
-  TransformNode producer;
-  TransformNode consumer;
-  EXPECT_FALSE(edge_elidable(producer, consumer));  // no coders at all
-  producer.output_coder = CoderTraits<Payload>::of();
-  EXPECT_FALSE(edge_elidable(producer, consumer));  // consumer missing
-  consumer.input_coder = CoderTraits<Payload>::of();
-  EXPECT_TRUE(edge_elidable(producer, consumer));
-  consumer.input_coder = CoderTraits<std::string>::of();
-  EXPECT_FALSE(edge_elidable(producer, consumer));  // fingerprint mismatch
 }
 
 // --- windowed-value envelope -------------------------------------------------
@@ -379,277 +336,6 @@ TEST(ConcurrentEncodeTest, PerThreadArenasEncodeAndHandOffAcrossThreads) {
       EXPECT_EQ(element_value<std::string>(decoded),
                 std::to_string(t) + ":" + std::to_string(i));
     }
-  }
-}
-
-// --- elision differential: elided == plain == DirectRunner -------------------
-
-void load_topic(kafka::Broker& broker, const std::string& topic, int n) {
-  broker.create_topic(topic, kafka::TopicConfig{.partitions = 1}).expect_ok();
-  for (int i = 0; i < n; ++i) {
-    // Tab-separated rows; every 7th contains the Grep needle.
-    const std::string value = (i % 7 == 0 ? "a test row " : "a plain row ") +
-                              std::to_string(i) + "\tsecond-col";
-    broker.append({topic, 0}, kafka::ProducerRecord{.value = value}, false)
-        .status()
-        .expect_ok();
-  }
-}
-
-std::vector<std::string> read_topic(kafka::Broker& broker,
-                                    const std::string& topic) {
-  std::vector<kafka::StoredRecord> stored;
-  broker.fetch({topic, 0}, 0, 1'000'000, stored).status().expect_ok();
-  std::vector<std::string> values;
-  values.reserve(stored.size());
-  for (auto& record : stored) values.push_back(record.value.str());
-  std::sort(values.begin(), values.end());
-  return values;
-}
-
-enum class RunnerKind { kDirect, kFlink, kSpark, kApex };
-
-std::unique_ptr<PipelineRunner> make_runner(RunnerKind kind, bool elide) {
-  switch (kind) {
-    case RunnerKind::kDirect:
-      return std::make_unique<DirectRunner>();
-    case RunnerKind::kFlink:
-      return std::make_unique<FlinkRunner>(FlinkRunnerOptions{
-          .parallelism = 1, .pipeline = {.elide_coders = elide}});
-    case RunnerKind::kSpark:
-      return std::make_unique<SparkRunner>(SparkRunnerOptions{
-          .parallelism = 1, .batch_interval_ms = 10,
-          .pipeline = {.elide_coders = elide}});
-    case RunnerKind::kApex:
-      return std::make_unique<ApexRunner>(ApexRunnerOptions{
-          .parallelism = 1, .pipeline = {.elide_coders = elide}});
-  }
-  throw std::invalid_argument("unknown runner");
-}
-
-/// The four StreamBench query bodies. Sample uses a per-pipeline seeded
-/// decider (not the thread-local production path) so the kept subset is a
-/// pure function of element order — the property a differential test needs.
-PCollection<Payload> apply_query(const PCollection<Payload>& values,
-                                 workload::QueryId query) {
-  using workload::QueryId;
-  switch (query) {
-    case QueryId::kIdentity:
-      return values.apply(MapElements<Payload, Payload>::via(
-          [](const Payload& line) { return line; }, "Identity"));
-    case QueryId::kSample:
-      return values.apply(Filter<Payload>::by(
-          [decider = workload::SampleDecider(7)](const Payload&) mutable {
-            return decider.keep();
-          },
-          "Sample"));
-    case QueryId::kProjection:
-      return values.apply(MapElements<Payload, Payload>::via(
-          [](const Payload& line) {
-            return workload::projection_payload(line);
-          },
-          "Projection"));
-    case QueryId::kGrep:
-      return values.apply(Filter<Payload>::by(
-          [](const Payload& line) {
-            return workload::grep_matches(line.view());
-          },
-          "Grep"));
-  }
-  throw std::invalid_argument("unknown query");
-}
-
-std::vector<std::string> run_query_with(RunnerKind kind, bool elide,
-                                        workload::QueryId query) {
-  kafka::Broker broker;
-  load_topic(broker, "in", 400);
-  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  Pipeline pipeline;
-  auto values =
-      pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
-          .apply(KafkaIO::without_metadata())
-          .apply(Values<Payload>::create<Payload>());
-  apply_query(values, query)
-      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
-  auto runner = make_runner(kind, elide);
-  auto result = pipeline.run(*runner);
-  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
-  return read_topic(broker, "out");
-}
-
-class ElisionDifferentialTest
-    : public ::testing::TestWithParam<workload::QueryId> {};
-
-TEST_P(ElisionDifferentialTest, ElidedMatchesPlainAndDirectOnEveryRunner) {
-  const workload::QueryId query = GetParam();
-  const auto reference = run_query_with(RunnerKind::kDirect, false, query);
-  ASSERT_FALSE(reference.empty() && query != workload::QueryId::kGrep);
-  for (const RunnerKind kind :
-       {RunnerKind::kFlink, RunnerKind::kSpark, RunnerKind::kApex}) {
-    const auto plain = run_query_with(kind, false, query);
-    const auto elided = run_query_with(kind, true, query);
-    EXPECT_EQ(plain, reference) << "plain diverged from DirectRunner";
-    EXPECT_EQ(elided, reference) << "elided diverged from DirectRunner";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllQueries, ElisionDifferentialTest,
-    ::testing::Values(workload::QueryId::kIdentity, workload::QueryId::kSample,
-                      workload::QueryId::kProjection,
-                      workload::QueryId::kGrep),
-    [](const auto& info) {
-      return workload::query_info(info.param).name;
-    });
-
-// --- elided-edges accounting -------------------------------------------------
-
-std::uint64_t elided_edges_counter() {
-  return runtime::MetricsRegistry::global().snapshot().counter(
-      "runtime.serde.elided_edges");
-}
-
-TEST(ElisionAccountingTest, ArmedRunnersCountElidedEdgesAndDisarmedDont) {
-  for (const RunnerKind kind : {RunnerKind::kFlink, RunnerKind::kApex}) {
-    const std::uint64_t before_plain = elided_edges_counter();
-    run_query_with(kind, false, workload::QueryId::kProjection);
-    EXPECT_EQ(elided_edges_counter(), before_plain)
-        << "flag-off run elided edges — the paper's plans must not";
-
-    const std::uint64_t before_elided = elided_edges_counter();
-    run_query_with(kind, true, workload::QueryId::kProjection);
-    EXPECT_GT(elided_edges_counter(), before_elided)
-        << "armed run elided no edges — the fast path never engaged";
-  }
-}
-
-// --- production path (queries::run_beam + ctx.elide_coders) ------------------
-
-TEST(ElisionProductionPathTest, ElideCodersFlagPreservesQueryOutput) {
-  // The deterministic production queries (Sample excluded: its thread-local
-  // sampling is seeded per worker thread, and elision legitimately changes
-  // the threading) through the real factory, elided vs plain per engine.
-  for (const auto query :
-       {workload::QueryId::kIdentity, workload::QueryId::kProjection,
-        workload::QueryId::kGrep}) {
-    std::vector<std::vector<std::string>> outputs;
-    for (const auto engine :
-         {queries::Engine::kFlink, queries::Engine::kSpark,
-          queries::Engine::kApex}) {
-      for (const bool elide : {false, true}) {
-        kafka::Broker broker;
-        load_topic(broker, "in", 300);
-        broker.create_topic("out", kafka::TopicConfig{.partitions = 1})
-            .expect_ok();
-        queries::QueryContext ctx;
-        ctx.broker = &broker;
-        ctx.input_topic = "in";
-        ctx.output_topic = "out";
-        ctx.elide_coders = elide;
-        const Status status = queries::run_beam(engine, query, ctx);
-        ASSERT_TRUE(status.is_ok()) << status.to_string();
-        outputs.push_back(read_topic(broker, "out"));
-      }
-    }
-    for (std::size_t i = 1; i < outputs.size(); ++i) {
-      EXPECT_EQ(outputs[i], outputs[0])
-          << workload::query_info(query).name << " run " << i
-          << " diverged";
-    }
-  }
-}
-
-// --- chaos differential: the fast path under fault injection -----------------
-
-TEST(ElisionChaosTest, ElidedPathStaysAtLeastOnceUnderFaults) {
-  using runtime::FaultInjector;
-  using runtime::FaultPoint;
-  using runtime::FaultRule;
-  constexpr int kRecords = 3000;
-  constexpr const char* kIn = "elide-chaos-in";
-  constexpr const char* kOut = "elide-chaos-out";
-
-  // The unfaulted, non-elided reference.
-  const std::vector<std::string> baseline = [&] {
-    kafka::Broker broker;
-    load_topic(broker, kIn, kRecords);
-    broker.create_topic(kOut, kafka::TopicConfig{.partitions = 1})
-        .expect_ok();
-    queries::QueryContext ctx;
-    ctx.broker = &broker;
-    ctx.input_topic = kIn;
-    ctx.output_topic = kOut;
-    queries::run_beam(queries::Engine::kFlink, workload::QueryId::kGrep, ctx)
-        .expect_ok();
-    return read_topic(broker, kOut);
-  }();
-  ASSERT_FALSE(baseline.empty());
-
-  for (const auto engine :
-       {queries::Engine::kFlink, queries::Engine::kSpark,
-        queries::Engine::kApex}) {
-    SCOPED_TRACE(queries::engine_name(engine));
-    kafka::Broker broker;
-    load_topic(broker, kIn, kRecords);
-    broker.create_topic(kOut, kafka::TopicConfig{.partitions = 1})
-        .expect_ok();
-    queries::QueryContext ctx;
-    ctx.broker = &broker;
-    ctx.input_topic = kIn;
-    ctx.output_topic = kOut;
-    ctx.elide_coders = true;
-    ctx.recovery.enabled = true;
-    ctx.recovery.max_restarts = 4;
-    ctx.recovery.backoff_seed = 5;
-
-    FaultRule kill{.point = FaultPoint::kOperatorThrow, .times = 1};
-    int burn = 0;
-    switch (engine) {
-      case queries::Engine::kFlink:
-        // Under elision the whole Beam pipeline chains into one source
-        // vertex, so per-vertex task sites like "ParDo" never probe; the
-        // Beam source's own invoker is the strike point that survives
-        // chaining.
-        kill.site = "beam.source";
-        kill.after_hits = 2;
-        break;
-      case queries::Engine::kSpark:
-        kill.site = "spark.batch";
-        kill.after_hits = 1;
-        burn = 1;
-        break;
-      case queries::Engine::kApex:
-        kill.site = "apex.";
-        kill.after_hits = 1;
-        break;
-    }
-    auto& injector = FaultInjector::instance();
-    injector.arm(5, {kill});
-    for (int i = 0; i < burn; ++i) {
-      try {
-        injector.maybe_throw(FaultPoint::kOperatorThrow, "spark.batch");
-      } catch (const runtime::FaultInjectedError&) {
-      }
-    }
-    const Status status = queries::run_beam(
-        engine, workload::QueryId::kGrep, ctx);
-    const std::uint64_t injected = injector.injected_count();
-    injector.disarm();
-    ASSERT_TRUE(status.is_ok()) << status.to_string();
-    EXPECT_GT(injected, 0u) << "the fault schedule never struck";
-
-    // At-least-once: nothing lost, nothing invented (duplicates allowed).
-    const auto output = read_topic(broker, kOut);
-    std::map<std::string, long> missing;
-    for (const auto& value : baseline) ++missing[value];
-    for (const auto& value : output) --missing[value];
-    long lost = 0;
-    for (const auto& [value, count] : missing) {
-      if (count > 0) lost += count;
-    }
-    EXPECT_EQ(lost, 0) << "elided recovery lost records";
-    EXPECT_EQ(std::set<std::string>(output.begin(), output.end()),
-              std::set<std::string>(baseline.begin(), baseline.end()));
   }
 }
 
