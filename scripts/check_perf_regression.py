@@ -1,51 +1,64 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over BENCH_dataplane.json.
+"""Perf-regression gate over BENCH_dataplane/.
 
-Compares a freshly generated BENCH_dataplane.json against the committed
-baseline and fails on regressions beyond the threshold (default 25%):
+`bench/dataplane <section>` writes one file per section,
+BENCH_dataplane/<section>.json. This script merges each directory's files
+into one document and compares a fresh run against the committed baseline,
+failing on regressions beyond the threshold (default 25%):
 
-  - "setups" (perf_smoke): every (setup, query) records_per_sec.
-  - "scaling" (ext_scaling): every (setup, query, parallelism)
-    records_per_sec. Gated only for keys present in BOTH files, so a
-    baseline regenerated before the sweep existed — or a smoke sweep over
-    a parallelism subset — never fails spuriously; extra coverage on
-    either side is reported as informational.
-  - "async_sinks" (ablation_overheads): every (engine, query, mode)
+  - "setups" (dataplane setups): every (setup, query) records_per_sec.
+  - "scaling" (dataplane scaling): every (setup, query, parallelism)
+    records_per_sec. Gated only for keys present in BOTH directories, so a
+    smoke sweep over a parallelism subset never fails spuriously; extra
+    coverage on either side is reported as informational.
+  - "async_sinks" (dataplane async_sinks): every (engine, query, mode)
     records_per_sec, where mode is one of native_sync / native_async /
     beam_sync / beam_async. Intersecting keys only, like "scaling" — the
-    section rides along in BENCH_dataplane.json and may be absent from
-    older baselines or CI smoke runs at a different record count.
-  - "sustained" (bench/sustained_load): every (setup, query) row gates its
+    section may be absent or run at a different record count.
+  - "sustained" (dataplane sustained): every (setup, query) row gates its
     max sustainable rate (max_rate, drop direction) and its event-time
     latency tail (p99_us, increase direction). Intersecting keys only — the
-    sweep may be absent from older baselines or run at a smoke scale.
+    sweep may be absent or run at a smoke scale.
     Sub-millisecond baseline p99 cells are scheduler-noise dominated and
     are reported informationally instead of gated.
 
 Entries present only in the baseline "setups" section (coverage removed)
-fail; entries present only in the current file (coverage added) pass — new
+fail; entries present only in the current run (coverage added) pass — new
 rows become gated once the baseline is regenerated and committed.
 
-The "profile" section (profile_smoke) is gated absolutely, not against the
-baseline: the armed cost-attribution profiler must stay inside its <2%
+The "profile" section (dataplane profile) is gated absolutely, not against
+the baseline: the armed cost-attribution profiler must stay inside its <2%
 overhead budget, and every profiled setup must attribute non-zero time
 (zero attribution means an engine's execution path fell off the unified
 operator invoker).
 
+The "fusion" and "chaos" sections are not gated; a malformed file in
+either directory still fails the load.
+
 Usage:
-    check_perf_regression.py BASELINE.json CURRENT.json [--threshold 0.25]
+    check_perf_regression.py BASELINE_DIR CURRENT_DIR [--threshold 0.25]
 
 Stdlib only.
 """
 
 import argparse
+import glob
 import json
+import os
 import sys
 
 
-def load_doc(path):
-    with open(path) as f:
-        return json.load(f)
+def load_doc(directory):
+    """Merges every <section>.json in `directory` into one document."""
+    doc = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+        with open(path) as f:
+            section = json.load(f)
+        clash = set(doc) & set(section)
+        if clash:
+            raise SystemExit(f"{path}: keys {sorted(clash)} already loaded")
+        doc.update(section)
+    return doc
 
 
 def setups_rows(doc):

@@ -9,7 +9,7 @@
 //   - per-thread slab flushes race-cleanly against live snapshots (the
 //     TSan job runs this binary).
 // The armed profiler's <2% overhead budget is a timing property, gated by
-// profile_smoke and scripts/check_perf_regression.py rather than here.
+// `dataplane profile` and scripts/check_perf_regression.py rather than here.
 #include <gtest/gtest.h>
 
 #include <atomic>
