@@ -147,7 +147,7 @@ def gate_latency(label, baseline, current, threshold, noise_floor_us=1000.0):
 
 
 def profile_failures(doc, overhead_budget_pct):
-    """Absolute gates on the profile_smoke section (when present): armed
+    """Absolute gates on the dataplane profile section (when present): armed
     profiler overhead under budget, and non-zero attribution per setup."""
     profile = doc.get("profile")
     if not profile:

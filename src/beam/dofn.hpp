@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "beam/element.hpp"
-#include "beam/options.hpp"
 
 namespace dsps::beam {
 
@@ -42,11 +41,6 @@ class DoFn {
   };
 
   virtual ~DoFn() = default;
-
-  /// Runner hook, invoked before setup(): the pipeline-level options
-  /// (Beam's PipelineOptions accessor). DoFns that change behaviour on a
-  /// pipeline flag (e.g. the Kafka writer under async_sinks) read it here.
-  virtual void set_pipeline_options(const PipelineOptions& /*options*/) {}
 
   virtual void setup() {}
   virtual void start_bundle() {}

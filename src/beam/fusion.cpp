@@ -35,10 +35,6 @@ class FusedStageExecutor final : public StageExecutor {
     }
   }
 
-  void configure(const PipelineOptions& options) override {
-    for (auto& member : members_) member->configure(options);
-  }
-
   void start() override {
     for (auto& member : members_) member->start();
     emits_.resize(members_.size() + 1);

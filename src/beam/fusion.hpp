@@ -16,8 +16,9 @@
 //   * multi-consumer outputs (a fan-out point must materialize its output
 //                         once per consumer)
 //
-// The rewrite is opt-in (PipelineOptions{.fuse_stages = true}): the default
-// unfused translation is the paper-faithful plan the figures reproduce.
+// The rewrite is opt-in (`fuse_stages` on the Flink, Spark and Apex runner
+// options): the default unfused translation is the paper-faithful plan the
+// figures reproduce.
 #pragma once
 
 #include <cstddef>

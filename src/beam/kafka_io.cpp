@@ -186,17 +186,13 @@ class KafkaSourceReader final : public SourceReader {
 class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
  public:
   KafkaWriterDoFn(kafka::Broker& broker, KafkaWriteConfig config)
-      : broker_(broker), config_(std::move(config)), async_(config_.async) {}
-
-  void set_pipeline_options(const PipelineOptions& options) override {
-    async_ = config_.async || options.async_sinks;
-  }
+      : broker_(broker), config_(std::move(config)) {}
 
   void setup() override {
     producer_ = std::make_unique<kafka::Producer>(
         broker_, kafka::ProducerConfig{.acks = config_.acks,
                                        .batch_size = config_.batch_size,
-                                       .async = async_});
+                                       .async = config_.async});
   }
 
   void process(ProcessContext& context) override {
@@ -217,7 +213,7 @@ class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
     // The async writer must NOT flush here: batches ship through the
     // background sender at batch_size/linger granularity and the pipeline
     // drains at teardown, which is the whole point of the opt-in.
-    if (producer_ && !async_) producer_->flush().expect_ok();
+    if (producer_ && !config_.async) producer_->flush().expect_ok();
   }
 
   void teardown() override {
@@ -239,7 +235,6 @@ class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
  private:
   kafka::Broker& broker_;
   KafkaWriteConfig config_;
-  bool async_ = false;
   std::unique_ptr<kafka::Producer> producer_;
   std::int64_t written_ = 0;
 };

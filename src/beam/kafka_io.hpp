@@ -84,10 +84,12 @@ struct KafkaWriteConfig {
   kafka::Acks acks = kafka::Acks::kLeader;
   /// Producer-side buffering; flushes also happen at bundle boundaries.
   std::size_t batch_size = 500;
-  /// Force the async pipelined producer for this write regardless of
-  /// PipelineOptions (the options flag is the normal way in:
-  /// PipelineOptions{.async_sinks} reaches the writer through the runner's
-  /// StageExecutor::configure hook).
+  /// Asynchronous pipelined sink: the writer hands batches to the
+  /// producer's background sender and does not flush per bundle; the
+  /// pipeline drains at teardown. Set on the sink config when the graph is
+  /// built, like KafkaReadConfig::bounded on the source. OFF by default: the
+  /// paper's writers produce synchronously, and Fig. 11–13 must keep
+  /// reproducing that behaviour.
   bool async = false;
 };
 

@@ -71,9 +71,8 @@ class BeamApexInput final : public apex::InputOperator {
 /// Stage operator with single-element bundles.
 class BeamApexStage final : public apex::Operator {
  public:
-  BeamApexStage(StageFactory factory, PipelineOptions pipeline_options,
-                const std::string& site)
-      : factory_(std::move(factory)), pipeline_options_(pipeline_options),
+  BeamApexStage(StageFactory factory, const std::string& site)
+      : factory_(std::move(factory)),
         invoker_(site),
         in_(register_input([this](const apex::Tuple& tuple) {
           on_tuple(tuple);
@@ -82,9 +81,6 @@ class BeamApexStage final : public apex::Operator {
 
   void setup(const apex::OperatorContext& /*context*/) override {
     executor_ = factory_();
-    // Translate pipeline-level flags (async_sinks, ...) before user code
-    // initializes in start().
-    executor_->configure(pipeline_options_);
     executor_->start();
   }
 
@@ -110,7 +106,6 @@ class BeamApexStage final : public apex::Operator {
   }
 
   StageFactory factory_;
-  PipelineOptions pipeline_options_;
   runtime::OperatorInvoker invoker_;
   int in_;
   int out_;
@@ -140,10 +135,8 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
     } else {
       apex_id = dag.add_operator(node.name,
                                  [factory = node.stage,
-                                  pipeline_options = options.pipeline,
                                   site = "beam." + node.name] {
-        return std::make_unique<BeamApexStage>(factory, pipeline_options,
-                                               site);
+        return std::make_unique<BeamApexStage>(factory, site);
       });
       const bool terminal = graph.consumers_of(node.id).empty();
       const bool partitionable = node.kind == TransformKind::kParDo &&
@@ -179,7 +172,7 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
 }  // namespace
 
 Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
-  const BeamGraph graph = options_.pipeline.fuse_stages &&
+  const BeamGraph graph = options_.fuse_stages &&
                                   !pipeline.graph().nodes().empty()
                               ? fuse_graph(pipeline.graph()).graph
                               : pipeline.graph();
@@ -224,7 +217,7 @@ Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
 
 Result<std::string> ApexRunner::translate_plan(
     const Pipeline& pipeline) const {
-  const BeamGraph graph = options_.pipeline.fuse_stages &&
+  const BeamGraph graph = options_.fuse_stages &&
                                   !pipeline.graph().nodes().empty()
                               ? fuse_graph(pipeline.graph()).graph
                               : pipeline.graph();

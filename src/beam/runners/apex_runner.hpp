@@ -11,7 +11,6 @@
 //    of Fig. 11 and the §III-C3 discussion.
 #pragma once
 
-#include "beam/options.hpp"
 #include "beam/pipeline.hpp"
 #include "beam/runner.hpp"
 
@@ -30,12 +29,12 @@ struct ApexRunnerOptions {
   /// operator instances; Beam readers are one-shot, so a reattempt re-reads
   /// the bounded input from the beginning (at-least-once).
   RestartHint restart{};
-  /// Portable pipeline-level knobs. With `fuse_stages`, a fused chain
-  /// deploys as ONE container — interior hops neither serialize nor cross
-  /// containers, so the per-hop windowed-value coder cost (the §III-C3
-  /// catastrophe) is paid once per chain instead of once per transform.
-  /// Off by default (paper-faithful translation).
-  PipelineOptions pipeline{};
+  /// Run the fusion pass (beam/fusion.hpp) before translation: a fused
+  /// chain deploys as ONE container — interior hops neither serialize nor
+  /// cross containers, so the per-hop windowed-value coder cost (the
+  /// §III-C3 catastrophe) is paid once per chain instead of once per
+  /// transform. Off by default (paper-faithful translation).
+  bool fuse_stages = false;
 };
 
 class ApexRunner final : public PipelineRunner {

@@ -27,7 +27,6 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
     elements_in[node.id] = 0;
     if (node.kind != TransformKind::kRead) {
       executors[node.id] = node.stage();
-      executors[node.id]->configure(options_.pipeline);
       executors[node.id]->start();
       invokers.emplace(node.id,
                        runtime::OperatorInvoker("beam." + node.name));

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 
-#include "beam/options.hpp"
 #include "beam/pipeline.hpp"
 #include "beam/runner.hpp"
 
@@ -14,10 +13,6 @@ namespace dsps::beam {
 struct DirectRunnerOptions {
   /// Elements per bundle (finish_bundle cadence).
   std::size_t bundle_size = 1000;
-  /// Pipeline-level flags, forwarded to every stage executor. The reference
-  /// runner translates them too so a flagged pipeline can be differentially
-  /// checked against the same flags on an engine runner.
-  PipelineOptions pipeline;
 };
 
 class DirectRunner final : public PipelineRunner {

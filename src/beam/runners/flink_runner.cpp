@@ -50,16 +50,11 @@ class BeamSourceFunction final : public flink::SourceFunction {
 /// elements and finishes the stage at close().
 class BeamStageOperator final : public flink::StreamOperator {
  public:
-  BeamStageOperator(StageFactory factory, std::size_t bundle_size,
-                    PipelineOptions pipeline_options)
-      : factory_(std::move(factory)), bundle_size_(bundle_size),
-        pipeline_options_(pipeline_options) {}
+  BeamStageOperator(StageFactory factory, std::size_t bundle_size)
+      : factory_(std::move(factory)), bundle_size_(bundle_size) {}
 
   void open(const flink::RuntimeContext& /*context*/) override {
     executor_ = factory_();
-    // Translate pipeline-level flags (async_sinks, ...) before user code
-    // initializes in start().
-    executor_->configure(pipeline_options_);
     executor_->start();
     emit_ = [this](Element&& produced) {
       out_->collect(flink::make_elem<Element>(std::move(produced)));
@@ -84,7 +79,6 @@ class BeamStageOperator final : public flink::StreamOperator {
  private:
   StageFactory factory_;
   std::size_t bundle_size_;
-  PipelineOptions pipeline_options_;
   std::unique_ptr<StageExecutor> executor_;
   std::size_t since_bundle_ = 0;
   flink::Collector* out_ = nullptr;
@@ -120,7 +114,7 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
   // fused stage to its source and sink — direct calls end to end, like the
   // native pipeline. What remains of the slowdown is then the structural
   // cost of the abstraction (element boxing), not operator scheduling.
-  if (!options.pipeline.fuse_stages) env.disable_operator_chaining();
+  if (!options.fuse_stages) env.disable_operator_chaining();
 
   std::map<int, int> beam_to_flink;
   std::map<int, int> beam_parallelism;
@@ -142,10 +136,8 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
     } else {
       flink_node.kind = flink::NodeKind::kOperator;
       flink_node.make_operator = [factory = node.stage,
-                                  bundle = options.bundle_size,
-                                  pipeline_options = options.pipeline] {
-        return std::make_unique<BeamStageOperator>(factory, bundle,
-                                                   pipeline_options);
+                                  bundle = options.bundle_size] {
+        return std::make_unique<BeamStageOperator>(factory, bundle);
       };
     }
     const int flink_id = env.add_node(std::move(flink_node));
@@ -200,7 +192,7 @@ Result<PipelineResult> run_once(const BeamGraph& graph,
 /// The graph the runner actually translates: fused when opted in.
 BeamGraph translated_graph(const Pipeline& pipeline,
                            const FlinkRunnerOptions& options) {
-  if (options.pipeline.fuse_stages && !pipeline.graph().nodes().empty()) {
+  if (options.fuse_stages && !pipeline.graph().nodes().empty()) {
     return fuse_graph(pipeline.graph()).graph;
   }
   return pipeline.graph();

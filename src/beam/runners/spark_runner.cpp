@@ -160,16 +160,11 @@ class UnionDStreamNode final : public spark::DStreamNode<Element> {
 class StageIterator final : public spark::Iterator<Element> {
  public:
   StageIterator(const StageFactory& factory, spark::IterPtr<Element> in,
-                std::size_t bundle_size,
-                const PipelineOptions& pipeline_options,
-                const std::string& site)
+                std::size_t bundle_size, const std::string& site)
       : executor_(factory()),
         invoker_(site),
         in_(std::move(in)),
         bundle_size_(bundle_size) {
-    // Translate pipeline-level flags (async_sinks, ...) before user code
-    // initializes in start().
-    executor_->configure(pipeline_options);
     executor_->start();
   }
 
@@ -215,7 +210,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   if (pipeline.graph().nodes().empty()) {
     return Status::failed_precondition("empty pipeline");
   }
-  const BeamGraph graph = options_.pipeline.fuse_stages
+  const BeamGraph graph = options_.fuse_stages
                               ? fuse_graph(pipeline.graph()).graph
                               : pipeline.graph();
   if (graph.contains_stateful()) {
@@ -287,8 +282,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
     translated.emplace(
         node.id,
         input.map_partitions<Element>(
-            [factory = node.stage, counter, site = "beam." + node.name,
-             pipeline_options = options_.pipeline](
+            [factory = node.stage, counter, site = "beam." + node.name](
                 spark::IterPtr<Element> in) -> spark::IterPtr<Element> {
               class CountingIter final : public spark::Iterator<Element> {
                public:
@@ -311,7 +305,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
                   factory,
                   std::make_unique<CountingIter>(std::move(in),
                                                  counter.get()),
-                  /*bundle_size=*/1000, pipeline_options, site);
+                  /*bundle_size=*/1000, site);
             }));
   }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 
-#include "beam/options.hpp"
 #include "beam/pipeline.hpp"
 #include "beam/runner.hpp"
 #include "kafka/broker.hpp"
@@ -27,10 +26,10 @@ struct SparkRunnerOptions {
   /// spark.default.parallelism (§III-A2).
   int parallelism = 1;
   std::int64_t batch_interval_ms = 50;
-  /// Portable pipeline-level knobs. With `fuse_stages`, chains of
+  /// Run the fusion pass (beam/fusion.hpp) before translation: chains of
   /// one-to-one ParDos run as one mapPartitions stage per batch instead of
   /// one per transform. Off by default (paper-faithful translation).
-  PipelineOptions pipeline{};
+  bool fuse_stages = false;
   /// Translated to Spark's micro-batch retry: a failed batch re-runs
   /// against the same cached RDD (same input slice), at-least-once.
   RestartHint restart{};

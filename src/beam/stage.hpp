@@ -14,7 +14,6 @@
 #include "common/bytes.hpp"
 #include "beam/dofn.hpp"
 #include "beam/element.hpp"
-#include "beam/options.hpp"
 
 namespace dsps::beam {
 
@@ -23,11 +22,6 @@ using Emit = std::function<void(Element&&)>;
 class StageExecutor {
  public:
   virtual ~StageExecutor() = default;
-  /// Runner hook, invoked after construction and before start(): hands the
-  /// pipeline-level options to the executor (Beam's PipelineOptions
-  /// accessor). Stage factories are captured at graph build time, so flags
-  /// a runner translates (e.g. async_sinks) reach user code through here.
-  virtual void configure(const PipelineOptions& /*options*/) {}
   virtual void start() {}
   virtual void process(const Element& element, const Emit& emit) = 0;
   /// Bundle boundary: the runner decides how often bundles end. A DoFn that
@@ -78,10 +72,6 @@ class ParDoExecutor final : public StageExecutor {
   explicit ParDoExecutor(DoFnPtr<In, Out> fn) : fn_(std::move(fn)) {
     // Resource-owning DoFns hand every executor instance its own copy.
     if (auto cloned = fn_->clone()) fn_ = std::move(cloned);
-  }
-
-  void configure(const PipelineOptions& options) override {
-    fn_->set_pipeline_options(options);
   }
 
   void start() override {

@@ -34,7 +34,7 @@ std::string to_csv(const MeasurementSet& set);
 /// Empty string when the snapshot records no recovery or fault activity.
 std::string render_recovery_summary(const runtime::MetricsSnapshot& snapshot);
 
-/// One measured point of the scale-out sweep (bench/ext_scaling).
+/// One measured point of the scale-out sweep (bench/dataplane scaling).
 struct ScalingPoint {
   std::string setup;   // "Flink", "Flink Beam", ...
   std::string query;   // "Identity", ...

@@ -65,7 +65,8 @@ void build_pipeline(beam::Pipeline& pipeline, workload::QueryId query,
   output.apply(beam::KafkaIO::write(
       *ctx.broker,
       beam::KafkaWriteConfig{.topic = ctx.output_topic,
-                             .partition = ctx.parallelism > 1 ? -1 : 0}));
+                             .partition = ctx.parallelism > 1 ? -1 : 0,
+                             .async = ctx.async_sinks}));
 }
 
 std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
@@ -77,24 +78,22 @@ std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,
     restart.max_restarts = std::max(0, ctx.recovery.max_restarts);
     restart.backoff = recovery_backoff(ctx.recovery);
   }
-  const beam::PipelineOptions pipeline{.fuse_stages = ctx.fuse_stages,
-                                       .async_sinks = ctx.async_sinks};
   switch (engine) {
     case Engine::kFlink:
       return std::make_unique<beam::FlinkRunner>(
           beam::FlinkRunnerOptions{.parallelism = ctx.parallelism,
-                                   .pipeline = pipeline,
+                                   .fuse_stages = ctx.fuse_stages,
                                    .restart = restart});
     case Engine::kSpark:
       return std::make_unique<beam::SparkRunner>(
           beam::SparkRunnerOptions{.parallelism = ctx.parallelism,
-                                   .pipeline = pipeline,
+                                   .fuse_stages = ctx.fuse_stages,
                                    .restart = restart});
     case Engine::kApex:
       return std::make_unique<beam::ApexRunner>(
           beam::ApexRunnerOptions{.parallelism = ctx.parallelism,
                                   .restart = restart,
-                                  .pipeline = pipeline});
+                                  .fuse_stages = ctx.fuse_stages});
   }
   throw std::invalid_argument("unknown engine");
 }
@@ -116,15 +115,13 @@ Result<std::string> beam_plan(Engine engine, workload::QueryId query,
   switch (engine) {
     case Engine::kFlink:
       return beam::FlinkRunner(
-                 beam::FlinkRunnerOptions{
-                     .parallelism = ctx.parallelism,
-                     .pipeline = {.fuse_stages = ctx.fuse_stages}})
+                 beam::FlinkRunnerOptions{.parallelism = ctx.parallelism,
+                                          .fuse_stages = ctx.fuse_stages})
           .translate_plan(pipeline);
     case Engine::kApex:
       return beam::ApexRunner(
-                 beam::ApexRunnerOptions{
-                     .parallelism = ctx.parallelism,
-                     .pipeline = {.fuse_stages = ctx.fuse_stages}})
+                 beam::ApexRunnerOptions{.parallelism = ctx.parallelism,
+                                         .fuse_stages = ctx.fuse_stages})
           .translate_plan(pipeline);
     case Engine::kSpark:
       return Status::unsupported(

@@ -67,13 +67,14 @@ struct QueryContext {
   std::uint64_t seed = 42;
   RecoveryConfig recovery;
   /// Beam path only: run the fusion optimizer before translation
-  /// (beam::PipelineOptions::fuse_stages). Off by default so every default
+  /// (the runner options' `fuse_stages`). Off by default so every default
   /// run reproduces the paper's unfused plans and slowdown factors; the
   /// native paths ignore it.
   bool fuse_stages = false;
-  /// Asynchronous pipelined sinks: the Beam path translates it to
-  /// beam::PipelineOptions::async_sinks; the native paths switch their
-  /// Kafka sink producers to the background-sender mode. Off by default so
+  /// Asynchronous pipelined sinks: the Beam path sets it on the KafkaIO
+  /// writer's config (beam::KafkaWriteConfig::async) when it builds the
+  /// graph; the native paths switch their Kafka sink producers to the
+  /// background-sender mode. Off by default so
   /// every default run keeps the paper's synchronous writers.
   bool async_sinks = false;
   /// Open-loop mode (the sustained-load harness): sources treat the input

@@ -24,6 +24,7 @@
 #include "kafka/producer.hpp"
 #include "queries/query_factory.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/metrics.hpp"
 #include "workload/streambench.hpp"
 
 namespace dsps {
@@ -279,22 +280,22 @@ TEST(ApexSinkTeardownTest, AsyncSinkDrainsAtTeardownWithCleanStatus) {
 
 enum class RunnerKind { kDirect, kFlink, kSpark, kApex };
 
-std::unique_ptr<beam::PipelineRunner> make_runner(
-    RunnerKind kind, const beam::PipelineOptions& options) {
+std::unique_ptr<beam::PipelineRunner> make_runner(RunnerKind kind,
+                                                  bool fuse) {
   switch (kind) {
     case RunnerKind::kDirect:
       return std::make_unique<beam::DirectRunner>();
     case RunnerKind::kFlink:
       return std::make_unique<beam::FlinkRunner>(
-          beam::FlinkRunnerOptions{.parallelism = 1, .pipeline = options});
+          beam::FlinkRunnerOptions{.parallelism = 1, .fuse_stages = fuse});
     case RunnerKind::kSpark:
       return std::make_unique<beam::SparkRunner>(
           beam::SparkRunnerOptions{.parallelism = 1,
                                    .batch_interval_ms = 10,
-                                   .pipeline = options});
+                                   .fuse_stages = fuse});
     case RunnerKind::kApex:
       return std::make_unique<beam::ApexRunner>(
-          beam::ApexRunnerOptions{.parallelism = 1, .pipeline = options});
+          beam::ApexRunnerOptions{.parallelism = 1, .fuse_stages = fuse});
   }
   throw std::invalid_argument("unknown runner");
 }
@@ -331,9 +332,10 @@ beam::PCollection<Payload> apply_query(
   throw std::invalid_argument("unknown query");
 }
 
-std::vector<std::string> run_query_with(RunnerKind kind,
-                                        const beam::PipelineOptions& options,
-                                        workload::QueryId query) {
+/// Runs `query` on `kind`; `async` goes on the writer's KafkaWriteConfig,
+/// `fuse` on the runner options — the two routes production uses.
+std::vector<std::string> run_query_with(RunnerKind kind, bool async,
+                                        bool fuse, workload::QueryId query) {
   Broker broker;
   load_topic(broker, "in", 400);
   broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
@@ -345,9 +347,9 @@ std::vector<std::string> run_query_with(RunnerKind kind,
           .apply(beam::KafkaIO::without_metadata())
           .apply(beam::Values<Payload>::create<Payload>());
   apply_query(values, query)
-      .apply(
-          beam::KafkaIO::write(broker, beam::KafkaWriteConfig{.topic = "out"}));
-  auto runner = make_runner(kind, options);
+      .apply(beam::KafkaIO::write(
+          broker, beam::KafkaWriteConfig{.topic = "out", .async = async}));
+  auto runner = make_runner(kind, fuse);
   auto result = pipeline.run(*runner);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
   return read_topic_sorted(broker, "out");
@@ -358,16 +360,15 @@ class AsyncDifferentialTest
 
 TEST_P(AsyncDifferentialTest, FusedAsyncMatchesDirectOnEveryRunner) {
   const workload::QueryId query = GetParam();
-  const auto reference =
-      run_query_with(RunnerKind::kDirect, beam::PipelineOptions{}, query);
+  const auto reference = run_query_with(RunnerKind::kDirect, /*async=*/false,
+                                        /*fuse=*/false, query);
   ASSERT_FALSE(reference.empty() && query != workload::QueryId::kGrep);
   for (const RunnerKind kind :
        {RunnerKind::kFlink, RunnerKind::kSpark, RunnerKind::kApex}) {
-    const auto async_only = run_query_with(
-        kind, beam::PipelineOptions{.async_sinks = true}, query);
-    const auto fused_async = run_query_with(
-        kind, beam::PipelineOptions{.fuse_stages = true, .async_sinks = true},
-        query);
+    const auto async_only =
+        run_query_with(kind, /*async=*/true, /*fuse=*/false, query);
+    const auto fused_async =
+        run_query_with(kind, /*async=*/true, /*fuse=*/true, query);
     EXPECT_EQ(async_only, reference) << "async diverged from DirectRunner";
     EXPECT_EQ(fused_async, reference)
         << "fused+async diverged from DirectRunner";
@@ -383,10 +384,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- production query path (ctx.async_sinks through every engine) ------------
 
+/// Batches the async sender has dispatched so far, process-wide. Only the
+/// async producer records kafka.producer.queue_wait_us, so a run that
+/// leaves this flat wrote through synchronous producers only.
+std::uint64_t async_batches_dispatched() {
+  const auto snapshot = runtime::MetricsRegistry::global().snapshot();
+  const auto it = snapshot.histograms.find("kafka.producer.queue_wait_us");
+  return it == snapshot.histograms.end() ? 0 : it->second.count;
+}
+
 TEST(AsyncProductionPathTest, AsyncSinksFlagPreservesQueryOutput) {
   // The deterministic production queries (Sample excluded: its thread-local
   // sampling is seeded per worker thread) through the real factory, async
-  // vs sync, native and Beam, per engine.
+  // vs sync, native and Beam, per engine. The flag must also reach every
+  // sink: async runs dispatch through the background sender, sync runs
+  // never do.
   for (const auto query :
        {workload::QueryId::kIdentity, workload::QueryId::kProjection,
         workload::QueryId::kGrep}) {
@@ -394,6 +406,9 @@ TEST(AsyncProductionPathTest, AsyncSinksFlagPreservesQueryOutput) {
          {queries::Engine::kFlink, queries::Engine::kSpark,
           queries::Engine::kApex}) {
       for (const auto sdk : {queries::Sdk::kNative, queries::Sdk::kBeam}) {
+        const std::string setup = std::string(queries::engine_name(engine)) +
+                                  "/" + queries::sdk_name(sdk) + "/" +
+                                  workload::query_info(query).name;
         std::vector<std::vector<std::string>> outputs;
         for (const bool async : {false, true}) {
           Broker broker;
@@ -405,14 +420,19 @@ TEST(AsyncProductionPathTest, AsyncSinksFlagPreservesQueryOutput) {
           ctx.input_topic = "in";
           ctx.output_topic = "out";
           ctx.async_sinks = async;
+          const std::uint64_t before = async_batches_dispatched();
           const Status status = queries::run_query(engine, sdk, query, ctx);
           ASSERT_TRUE(status.is_ok()) << status.to_string();
+          const std::uint64_t dispatched = async_batches_dispatched() - before;
+          if (async) {
+            EXPECT_GT(dispatched, 0u) << setup << ": async sink stayed sync";
+          } else {
+            EXPECT_EQ(dispatched, 0u) << setup << ": sync sink went async";
+          }
           outputs.push_back(read_topic_sorted(broker, "out"));
         }
         EXPECT_EQ(outputs[1], outputs[0])
-            << queries::engine_name(engine) << "/" << queries::sdk_name(sdk)
-            << "/" << workload::query_info(query).name
-            << ": async output diverged from sync";
+            << setup << ": async output diverged from sync";
       }
     }
   }

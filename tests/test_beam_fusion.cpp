@@ -357,8 +357,8 @@ TEST(FlinkRunnerFusionTest, FusedPlanCollapsesTheRawParDoChain) {
   broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
   Pipeline pipeline;
   grep_pipeline(pipeline, broker);
-  FlinkRunner runner(FlinkRunnerOptions{
-      .parallelism = 1, .pipeline = {.fuse_stages = true}});
+  FlinkRunner runner(
+      FlinkRunnerOptions{.parallelism = 1, .fuse_stages = true});
   auto plan = runner.translate_plan(pipeline);
   ASSERT_TRUE(plan.is_ok());
   // Fig. 13's chain of 5 standalone RawParDos collapses to one fused stage;
@@ -380,8 +380,7 @@ TEST(ApexRunnerFusionTest, FusedPlanDeploysFewerContainers) {
   broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
   Pipeline pipeline;
   grep_pipeline(pipeline, broker);
-  ApexRunner runner(ApexRunnerOptions{
-      .parallelism = 1, .pipeline = {.fuse_stages = true}});
+  ApexRunner runner(ApexRunnerOptions{.parallelism = 1, .fuse_stages = true});
   auto plan = runner.translate_plan(pipeline);
   ASSERT_TRUE(plan.is_ok());
   // source + fused chain + writer = 3 containers instead of 7.
@@ -400,15 +399,14 @@ std::unique_ptr<PipelineRunner> make_runner(RunnerKind kind, bool fuse) {
     case RunnerKind::kDirect:
       return std::make_unique<DirectRunner>();
     case RunnerKind::kFlink:
-      return std::make_unique<FlinkRunner>(FlinkRunnerOptions{
-          .parallelism = 1, .pipeline = {.fuse_stages = fuse}});
+      return std::make_unique<FlinkRunner>(
+          FlinkRunnerOptions{.parallelism = 1, .fuse_stages = fuse});
     case RunnerKind::kSpark:
       return std::make_unique<SparkRunner>(SparkRunnerOptions{
-          .parallelism = 1, .batch_interval_ms = 10,
-          .pipeline = {.fuse_stages = fuse}});
+          .parallelism = 1, .batch_interval_ms = 10, .fuse_stages = fuse});
     case RunnerKind::kApex:
-      return std::make_unique<ApexRunner>(ApexRunnerOptions{
-          .parallelism = 1, .pipeline = {.fuse_stages = fuse}});
+      return std::make_unique<ApexRunner>(
+          ApexRunnerOptions{.parallelism = 1, .fuse_stages = fuse});
   }
   throw std::invalid_argument("unknown runner");
 }
