@@ -32,8 +32,10 @@ LoadGenerator::LoadGenerator(kafka::Broker& broker, LoadGenConfig config)
       .record_count = config_.pool_size, .seed = config_.seed});
   pool_.reserve(config_.pool_size);
   payload_pool_.reserve(config_.pool_size);
+  std::string line;
   for (std::uint64_t i = 0; i < config_.pool_size; ++i) {
-    pool_.push_back(generator.record_at(i).to_line());
+    generator.line_at(i, line);
+    pool_.push_back(line);
     payload_pool_.emplace_back(pool_.back());  // one copy; reused per cycle
   }
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cinttypes>
-#include <cstdio>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -31,6 +29,22 @@ constexpr std::array kDomains = {
     "example.com",   "search.net",   "shopping.org", "travelsite.com",
     "localnews.com", "bigstore.com", "questions.net", "photos.org",
 };
+
+void append_decimal(std::string& out, std::uint64_t value) {
+  char digits[20];
+  std::size_t count = 0;
+  do {
+    digits[count++] = static_cast<char>('0' + value % 10);
+    value /= 10;
+  } while (value != 0);
+  while (count > 0) out += digits[--count];
+}
+
+/// `value` < 100, zero-padded to two digits.
+void append_two_digits(std::string& out, std::uint64_t value) {
+  out += static_cast<char>('0' + value / 10);
+  out += static_cast<char>('0' + value % 10);
+}
 
 }  // namespace
 
@@ -82,50 +96,70 @@ std::uint64_t AolGenerator::grep_match_count() const {
          ((kNeedleResidue % needle_modulus_) < remainder ? 1 : 0);
 }
 
-AolRecord AolGenerator::record_at(std::uint64_t index) const {
+void AolGenerator::line_at(std::uint64_t index, std::string& out) const {
   // A per-record generator keyed on (seed, index) makes records independent
   // of generation order.
   Xoshiro256 rng(config_.seed ^ (index * 0x9E3779B97F4A7C15ULL + 1));
+  out.clear();
 
-  AolRecord record;
-  record.user_id = std::to_string(100000 + rng.next_below(900000));
+  append_decimal(out, 100000 + rng.next_below(900000));  // user id
+  out += '\t';
 
   // 1-4 vocabulary words; the needle is injected deterministically.
   const std::uint64_t word_count = 1 + rng.next_below(4);
-  std::string query;
   for (std::uint64_t w = 0; w < word_count; ++w) {
-    if (w > 0) query += ' ';
-    query += kWords[rng.next_below(kWords.size())];
+    if (w > 0) out += ' ';
+    out += kWords[rng.next_below(kWords.size())];
   }
   if (is_grep_match(index)) {
-    query += ' ';
-    query += config_.grep_needle;
+    out += ' ';
+    out += config_.grep_needle;
   }
-  record.query = std::move(query);
+  out += '\t';
 
-  // AOL log timeframe: March–May 2006.
-  char time_buffer[32];
-  std::snprintf(time_buffer, sizeof time_buffer,
-                "2006-%02" PRIu64 "-%02" PRIu64 " %02" PRIu64 ":%02" PRIu64
-                ":%02" PRIu64,
-                3 + rng.next_below(3), 1 + rng.next_below(28),
-                rng.next_below(24), rng.next_below(60), rng.next_below(60));
-  record.query_time = time_buffer;
+  // AOL log timeframe: March–May 2006. The fields are drawn second first,
+  // one statement each, so the dataset does not depend on the order a
+  // compiler evaluates function arguments in (the digest test pins it).
+  const std::uint64_t second = rng.next_below(60);
+  const std::uint64_t minute = rng.next_below(60);
+  const std::uint64_t hour = rng.next_below(24);
+  const std::uint64_t day = 1 + rng.next_below(28);
+  const std::uint64_t month = 3 + rng.next_below(3);
+  out += "2006-";
+  append_two_digits(out, month);
+  out += '-';
+  append_two_digits(out, day);
+  out += ' ';
+  append_two_digits(out, hour);
+  out += ':';
+  append_two_digits(out, minute);
+  out += ':';
+  append_two_digits(out, second);
+  out += '\t';
 
   // Roughly half the records carry a clicked result.
   if (rng.next_below(2) == 0) {
-    record.item_rank = std::to_string(1 + rng.next_below(10));
-    record.click_url = std::string("http://www.") +
-                       kDomains[rng.next_below(kDomains.size())];
+    append_decimal(out, 1 + rng.next_below(10));  // item rank
+    out += "\thttp://www.";
+    out += kDomains[rng.next_below(kDomains.size())];
+  } else {
+    out += '\t';
   }
-  return record;
+}
+
+AolRecord AolGenerator::record_at(std::uint64_t index) const {
+  std::string line;
+  line_at(index, line);
+  return AolRecord::from_line(line);
 }
 
 std::vector<std::string> AolGenerator::all_lines() const {
   std::vector<std::string> lines;
   lines.reserve(config_.record_count);
+  std::string line;
   for (std::uint64_t i = 0; i < config_.record_count; ++i) {
-    lines.push_back(record_at(i).to_line());
+    line_at(i, line);
+    lines.push_back(line);  // an exact-size copy of the reused buffer
   }
   return lines;
 }

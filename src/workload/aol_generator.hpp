@@ -43,8 +43,14 @@ class AolGenerator {
  public:
   explicit AolGenerator(AolGeneratorConfig config);
 
-  /// Generates record `index` (0-based). Stateless in `this` apart from
-  /// config: any index can be generated independently and deterministically.
+  /// Writes record `index` (0-based) as its tab-separated line into `out`,
+  /// replacing its contents; reusing one buffer makes generation
+  /// allocation-free. Stateless in `this` apart from config: any index can
+  /// be generated independently and deterministically. The one place the
+  /// random draws happen.
+  void line_at(std::uint64_t index, std::string& out) const;
+
+  /// Record `index` parsed from line_at (a convenience for tests).
   AolRecord record_at(std::uint64_t index) const;
 
   /// Generates records [0, config.record_count) as lines.

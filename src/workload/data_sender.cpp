@@ -1,6 +1,7 @@
 #include "workload/data_sender.hpp"
 
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -10,23 +11,9 @@ namespace dsps::workload {
 DataSender::DataSender(kafka::Broker& broker, DataSenderConfig config)
     : broker_(broker), config_(std::move(config)) {}
 
-Result<IngestReport> DataSender::send_lines(
-    const std::vector<std::string>& lines) {
-  return send_impl(lines.size(),
-                   [&lines](std::uint64_t i) { return lines[i]; });
-}
-
-Result<IngestReport> DataSender::send_generated(
-    const AolGenerator& generator) {
-  return send_impl(generator.config().record_count,
-                   [&generator](std::uint64_t i) {
-                     return generator.record_at(i).to_line();
-                   });
-}
-
-Result<IngestReport> DataSender::send_impl(
-    std::uint64_t count,
-    const std::function<std::string(std::uint64_t)>& line_at) {
+template <typename LineAt>
+Result<IngestReport> DataSender::send_loop(std::uint64_t count,
+                                           LineAt&& line_at) {
   kafka::Producer producer(
       broker_, kafka::ProducerConfig{.acks = config_.acks,
                                      .partitioner = config_.partitioner,
@@ -42,7 +29,7 @@ Result<IngestReport> DataSender::send_impl(
     // keeps the paper's in-order single log; N partitions spread evenly.
     Status sent = producer.send(
         config_.topic,
-        kafka::ProducerRecord{.key = {}, .value = line_at(i)});
+        kafka::ProducerRecord{.key = {}, .value = arena_.intern(line_at(i))});
     if (!sent.is_ok()) return sent;
     if (per_record_us > 0.0) {
       const auto target_us =
@@ -56,6 +43,23 @@ Result<IngestReport> DataSender::send_impl(
   if (Status closed = producer.close(); !closed.is_ok()) return closed;
   return IngestReport{.records_sent = count,
                       .duration_ms = watch.elapsed_ms()};
+}
+
+Result<IngestReport> DataSender::send_lines(
+    const std::vector<std::string>& lines) {
+  return send_loop(lines.size(), [&lines](std::uint64_t i) {
+    return std::string_view(lines[i]);
+  });
+}
+
+Result<IngestReport> DataSender::send_generated(
+    const AolGenerator& generator) {
+  std::string line;
+  return send_loop(generator.config().record_count,
+                   [&generator, &line](std::uint64_t i) {
+                     generator.line_at(i, line);
+                     return std::string_view(line);
+                   });
 }
 
 Status create_benchmark_topic(kafka::Broker& broker,

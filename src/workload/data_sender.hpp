@@ -7,13 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/producer.hpp"
+#include "runtime/payload.hpp"
 #include "workload/aol_generator.hpp"
 
 namespace dsps::workload {
@@ -35,6 +35,10 @@ struct IngestReport {
   double duration_ms = 0.0;
 };
 
+/// Every value sent is interned into the sender's PayloadArena, so a run
+/// of small records shares one 64 KiB chunk instead of taking a heap block
+/// each. A stored record keeps its chunk alive after the sender is gone;
+/// the chunk is freed with the last record in it.
 class DataSender {
  public:
   DataSender(kafka::Broker& broker, DataSenderConfig config);
@@ -47,12 +51,14 @@ class DataSender {
   Result<IngestReport> send_generated(const AolGenerator& generator);
 
  private:
-  Result<IngestReport> send_impl(
-      std::uint64_t count,
-      const std::function<std::string(std::uint64_t)>& line_at);
+  /// The one send loop: `line_at(i)` yields record i's line as a view that
+  /// stays valid until the next call.
+  template <typename LineAt>
+  Result<IngestReport> send_loop(std::uint64_t count, LineAt&& line_at);
 
   kafka::Broker& broker_;
   DataSenderConfig config_;
+  runtime::PayloadArena arena_;
 };
 
 /// Creates the benchmark topic exactly as the paper does: one partition,

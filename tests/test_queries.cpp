@@ -56,9 +56,7 @@ class QueryMatrixTest : public ::testing::TestWithParam<Setup> {
     workload::DataSender sender(broker_,
                                 workload::DataSenderConfig{.topic = "in"});
     sender.send_generated(generator).status().expect_ok();
-    for (std::uint64_t i = 0; i < kRecords; ++i) {
-      input_lines_.push_back(generator.record_at(i).to_line());
-    }
+    input_lines_ = generator.all_lines();
   }
 
   Status run(QueryId query) {

@@ -99,6 +99,40 @@ TEST(AolGeneratorTest, AboutHalfTheRecordsHaveClicks) {
   EXPECT_NEAR(clicks / 4000.0, 0.5, 0.05);
 }
 
+TEST(AolGeneratorTest, LineAtMatchesRecordAtAndReplacesTheBuffer) {
+  AolGenerator generator({.record_count = 2000, .seed = 42});
+  std::string line = "stale contents longer than any generated line ...";
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    generator.line_at(i, line);
+    EXPECT_EQ(line, generator.record_at(i).to_line()) << "record " << i;
+  }
+}
+
+// FNV-1a 64 over the first 100,000 lines, each followed by '\n'.
+std::uint64_t dataset_digest(std::uint64_t seed) {
+  AolGenerator generator({.record_count = 100'000, .seed = seed});
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](char c) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  };
+  std::string line;
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    generator.line_at(i, line);
+    for (const char c : line) mix(c);
+    mix('\n');
+  }
+  return hash;
+}
+
+TEST(AolGeneratorTest, DatasetDigestIsPinned) {
+  // The generated bytes are part of every benchmark's input; a change to
+  // the draw order or the formatting must show up here, not as a silent
+  // shift in the figures.
+  EXPECT_EQ(dataset_digest(42), 0xb24fd3ac7c172167ULL);
+  EXPECT_EQ(dataset_digest(1), 0x84e2de5c669e7eabULL);
+}
+
 TEST(AolGeneratorTest, RejectsBadConfig) {
   EXPECT_THROW(AolGenerator({.record_count = 0}), std::invalid_argument);
   EXPECT_THROW(AolGenerator({.record_count = 10, .grep_needle_fraction = 0}),
@@ -124,6 +158,29 @@ TEST(DataSenderTest, SendsAllRecordsInOrder) {
   }
 }
 
+TEST(DataSenderTest, ArenaValuesOutliveTheSender) {
+  // ~55-byte lines: 6,000 records fill several 64 KiB arena chunks.
+  constexpr std::uint64_t kRecords = 6000;
+  kafka::Broker broker;
+  create_benchmark_topic(broker, "in").expect_ok();
+  AolGenerator generator({.record_count = kRecords, .seed = 42});
+  {
+    DataSender sender(broker, DataSenderConfig{.topic = "in"});
+    ASSERT_TRUE(sender.send_generated(generator).is_ok());
+  }  // the sender and its arena are gone; the stored records hold the chunks
+
+  std::vector<kafka::StoredRecord> stored;
+  broker.fetch({"in", 0}, 0, kRecords, stored).status().expect_ok();
+  ASSERT_EQ(stored.size(), kRecords);
+  const auto lines = generator.all_lines();
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(stored[i].value, lines[i]) << "record " << i;
+  }
+  EXPECT_TRUE(stored[0].value.shares_storage_with(stored[1].value));
+  EXPECT_FALSE(
+      stored[0].value.shares_storage_with(stored[kRecords - 1].value));
+}
+
 TEST(DataSenderTest, BenchmarkTopicHasPaperSettings) {
   kafka::Broker broker;
   create_benchmark_topic(broker, "in").expect_ok();
@@ -141,10 +198,13 @@ TEST(DataSenderTest, RateLimitSlowsIngestion) {
   create_benchmark_topic(broker, "in").expect_ok();
   DataSender sender(broker, DataSenderConfig{.topic = "in",
                                              .ingestion_rate = 10'000});
-  std::vector<std::string> lines(200, "line");
-  auto report = sender.send_lines(lines);
+  // 200 records at 10k/s should take ~20ms, through either entry point.
+  auto report = sender.send_lines(std::vector<std::string>(200, "line"));
   ASSERT_TRUE(report.is_ok());
-  // 200 records at 10k/s should take ~20ms.
+  EXPECT_GE(report.value().duration_ms, 15.0);
+  report =
+      sender.send_generated(AolGenerator({.record_count = 200, .seed = 42}));
+  ASSERT_TRUE(report.is_ok());
   EXPECT_GE(report.value().duration_ms, 15.0);
 }
 
