@@ -37,6 +37,27 @@ void BM_AppendBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendBatch)->Arg(10)->Arg(100)->Arg(1000);
 
+// One benchmark setup run's output topic: create, fill with 200k 64-byte
+// records in 500-record producer batches, delete. BM_AppendBatch grows one
+// topic forever; this is the pattern where a deleted topic's memory can
+// serve the next one.
+void BM_AppendFreshTopic(benchmark::State& state) {
+  constexpr int kRecords = 200'000;
+  constexpr int kBatch = 500;
+  kafka::Broker broker;
+  const std::vector<kafka::ProducerRecord> batch(
+      kBatch, kafka::ProducerRecord{.value = std::string(64, 'x')});
+  for (auto _ : state) {
+    broker.create_topic("t", kafka::TopicConfig{.partitions = 1}).expect_ok();
+    for (int sent = 0; sent < kRecords; sent += kBatch) {
+      benchmark::DoNotOptimize(broker.append_batch({"t", 0}, batch, false));
+    }
+    broker.delete_topic("t").expect_ok();
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_AppendFreshTopic);
+
 void BM_AppendWithReplication(benchmark::State& state) {
   kafka::Broker broker;
   broker

@@ -89,7 +89,8 @@ Status Broker::create_topic(const std::string& name,
     replica.reserve(static_cast<std::size_t>(config.partitions));
     for (int p = 0; p < config.partitions; ++p) {
       replica.push_back(
-          std::make_unique<PartitionLog>(config.timestamp_type));
+          std::make_unique<PartitionLog>(config.timestamp_type,
+                                         segment_pool_));
     }
   }
   topics_.emplace(name, std::move(topic));
@@ -97,10 +98,16 @@ Status Broker::create_topic(const std::string& name,
 }
 
 Status Broker::delete_topic(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  if (topics_.erase(name) == 0) {
+  decltype(topics_)::node_type deleted;
+  {
+    std::lock_guard lock(mutex_);
+    deleted = topics_.extract(name);
+  }
+  if (deleted.empty()) {
     return Status::not_found("topic not found: " + name);
   }
+  // The logs return their segments to the pool as `deleted` goes out of
+  // scope, outside the topic-map lock.
   return Status::ok();
 }
 

@@ -141,6 +141,9 @@ class Broker {
   /// Consumer::subscribe_group.
   GroupCoordinator& coordinator() noexcept { return coordinator_; }
 
+  /// The segments every log of this broker draws from and returns to.
+  const SegmentPool& segment_pool() const noexcept { return segment_pool_; }
+
  private:
   struct Topic {
     TopicConfig config;
@@ -156,6 +159,8 @@ class Broker {
   // Guards the topic map, not the logs. Topic creation is rare and lookups
   // dominate (every append/fetch resolves its topic), so readers share.
   mutable std::shared_mutex mutex_;
+  // Declared before topics_ so it outlives every log that returns to it.
+  SegmentPool segment_pool_;
   std::map<std::string, Topic> topics_;
   std::map<std::string, std::map<std::string, std::map<int, std::int64_t>>>
       group_offsets_;  // group -> topic -> partition -> offset

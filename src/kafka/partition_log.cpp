@@ -17,18 +17,84 @@ std::size_t clamp_to_window(std::int64_t offset, std::int64_t log_start,
 
 }  // namespace
 
+Segment SegmentPool::acquire() {
+  {
+    std::lock_guard lock(mutex_);
+    if (!idle_.empty()) {
+      Segment segment = std::move(idle_.back());
+      idle_.pop_back();
+      return segment;
+    }
+  }
+  return std::make_unique<StoredRecord[]>(kSegmentRecords);
+}
+
+void SegmentPool::release(Segment segment) {
+  std::lock_guard lock(mutex_);
+  idle_.push_back(std::move(segment));
+}
+
+std::size_t SegmentPool::idle_segments() const {
+  std::lock_guard lock(mutex_);
+  return idle_.size();
+}
+
+PartitionLog::~PartitionLog() {
+  pop_front_locked(size_);
+  for (Segment& segment : segments_) pool_.release(std::move(segment));
+}
+
+std::int64_t PartitionLog::push_back_locked(const ProducerRecord& record,
+                                            Timestamp timestamp) {
+  if (head_ + size_ == segments_.size() * kSegmentRecords) {
+    segments_.push_back(pool_.acquire());
+  }
+  const std::int64_t offset =
+      log_start_offset_ + static_cast<std::int64_t>(size_);
+  StoredRecord& stored = at_locked(size_++);
+  stored.offset = offset;
+  stored.key = record.key;
+  stored.value = record.value;
+  stored.timestamp = timestamp;
+  retained_bytes_ += record_bytes(stored);
+  return offset;
+}
+
+void PartitionLog::pop_front_locked(std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) at_locked(i) = StoredRecord{};
+  head_ += count;
+  size_ -= count;
+  while (head_ >= kSegmentRecords) {
+    pool_.release(std::move(segments_.front()));
+    segments_.pop_front();
+    head_ -= kSegmentRecords;
+  }
+}
+
+void PartitionLog::copy_out_locked(std::size_t start, std::size_t count,
+                                   std::vector<StoredRecord>& out) const {
+  std::size_t slot = head_ + start;
+  while (count > 0) {
+    const StoredRecord* segment = segments_[slot / kSegmentRecords].get();
+    const std::size_t first = slot % kSegmentRecords;
+    const std::size_t run = std::min(count, kSegmentRecords - first);
+    out.insert(out.end(), segment + first, segment + first + run);
+    slot += run;
+    count -= run;
+  }
+}
+
 void PartitionLog::maybe_trim_locked(Timestamp now) {
   if (retention_.max_bytes <= 0 && retention_.max_age_us <= 0) return;
   std::size_t trim = 0;
   std::int64_t bytes = retained_bytes_;
-  // Once the size bound is exceeded, trim down to ~80% of it so erases
-  // batch up instead of moving the whole vector once per append under
-  // sustained overload.
+  // Once the size bound is exceeded, trim down to ~80% of it so a sustained
+  // overload trims in batches instead of one record per append.
   const std::int64_t target_bytes =
       retention_.max_bytes > 0 ? retention_.max_bytes * 4 / 5 : 0;
   bool size_trimming = false;
-  while (trim < records_.size()) {
-    const StoredRecord& head = records_[trim];
+  while (trim < size_) {
+    const StoredRecord& head = at_locked(trim);
     if (retention_.max_bytes > 0 && bytes > retention_.max_bytes) {
       size_trimming = true;
     } else if (size_trimming && bytes <= target_bytes) {
@@ -41,8 +107,7 @@ void PartitionLog::maybe_trim_locked(Timestamp now) {
     ++trim;
   }
   if (trim == 0) return;
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<std::ptrdiff_t>(trim));
+  pop_front_locked(trim);
   log_start_offset_ += static_cast<std::int64_t>(trim);
   retained_bytes_ = bytes;
 }
@@ -55,14 +120,7 @@ std::int64_t PartitionLog::append(const ProducerRecord& record) {
     const Timestamp stamp = timestamp_type_ == TimestampType::kLogAppendTime
                                 ? wall_clock_now()
                                 : record.create_time;
-    offset = log_start_offset_ + static_cast<std::int64_t>(records_.size());
-    records_.push_back(StoredRecord{
-        .offset = offset,
-        .key = record.key,
-        .value = record.value,
-        .timestamp = stamp,
-    });
-    retained_bytes_ += record_bytes(records_.back());
+    offset = push_back_locked(record, stamp);
     maybe_trim_locked(stamp);
     wake = fetch_waiters_ > 0;
   }
@@ -73,7 +131,7 @@ std::int64_t PartitionLog::append(const ProducerRecord& record) {
 std::int64_t PartitionLog::append_batch(
     const std::vector<ProducerRecord>& records) {
   if (records.empty()) return end_offset() - 1;
-  std::int64_t last_offset;
+  std::int64_t last_offset = 0;
   bool wake;
   {
     std::lock_guard lock(mutex_);
@@ -81,28 +139,12 @@ std::int64_t PartitionLog::append_batch(
     const Timestamp now = timestamp_type_ == TimestampType::kLogAppendTime
                               ? wall_clock_now()
                               : 0;
-    if (records_.size() + records.size() > records_.capacity()) {
-      // Grow geometrically. An exact-size reserve here defeats push_back's
-      // amortization: once the log fills its capacity, every producer flush
-      // reallocates (and moves) the entire log — quadratic in log length.
-      records_.reserve(
-          std::max(records_.capacity() * 2, records_.size() + records.size()));
-    }
     for (const auto& record : records) {
-      const auto offset =
-          log_start_offset_ + static_cast<std::int64_t>(records_.size());
-      records_.push_back(StoredRecord{
-          .offset = offset,
-          .key = record.key,
-          .value = record.value,
-          .timestamp = timestamp_type_ == TimestampType::kLogAppendTime
-                           ? now
-                           : record.create_time,
-      });
-      retained_bytes_ += record_bytes(records_.back());
+      last_offset = push_back_locked(
+          record, timestamp_type_ == TimestampType::kLogAppendTime
+                      ? now
+                      : record.create_time);
     }
-    last_offset =
-        log_start_offset_ + static_cast<std::int64_t>(records_.size()) - 1;
     if (retention_.max_bytes > 0 || retention_.max_age_us > 0) {
       maybe_trim_locked(now != 0 ? now : wall_clock_now());
     }
@@ -116,12 +158,10 @@ std::size_t PartitionLog::fetch(std::int64_t offset, std::size_t max_records,
                                 std::vector<StoredRecord>& out) const {
   std::lock_guard lock(mutex_);
   if (offset < 0) offset = 0;
-  const std::size_t start =
-      clamp_to_window(offset, log_start_offset_, records_.size());
-  if (start >= records_.size()) return 0;
-  const std::size_t n = std::min(max_records, records_.size() - start);
-  out.insert(out.end(), records_.begin() + static_cast<std::ptrdiff_t>(start),
-             records_.begin() + static_cast<std::ptrdiff_t>(start + n));
+  const std::size_t start = clamp_to_window(offset, log_start_offset_, size_);
+  if (start >= size_) return 0;
+  const std::size_t n = std::min(max_records, size_ - start);
+  copy_out_locked(start, n, out);
   return n;
 }
 
@@ -131,21 +171,19 @@ std::size_t PartitionLog::fetch_blocking(std::int64_t offset,
                                          std::vector<StoredRecord>& out) const {
   std::unique_lock lock(mutex_);
   if (offset < 0) offset = 0;
-  std::size_t start = clamp_to_window(offset, log_start_offset_,
-                                      records_.size());
-  if (start >= records_.size() && !closed_) {
+  std::size_t start = clamp_to_window(offset, log_start_offset_, size_);
+  if (start >= size_ && !closed_) {
     ++fetch_waiters_;
     data_arrived_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
-      start = clamp_to_window(offset, log_start_offset_, records_.size());
-      return start < records_.size() || closed_;
+      start = clamp_to_window(offset, log_start_offset_, size_);
+      return start < size_ || closed_;
     });
     --fetch_waiters_;
   }
-  start = clamp_to_window(offset, log_start_offset_, records_.size());
-  if (start >= records_.size()) return 0;
-  const std::size_t n = std::min(max_records, records_.size() - start);
-  out.insert(out.end(), records_.begin() + static_cast<std::ptrdiff_t>(start),
-             records_.begin() + static_cast<std::ptrdiff_t>(start + n));
+  start = clamp_to_window(offset, log_start_offset_, size_);
+  if (start >= size_) return 0;
+  const std::size_t n = std::min(max_records, size_ - start);
+  copy_out_locked(start, n, out);
   return n;
 }
 
@@ -164,7 +202,7 @@ bool PartitionLog::closed() const {
 
 std::int64_t PartitionLog::end_offset() const {
   std::lock_guard lock(mutex_);
-  return log_start_offset_ + static_cast<std::int64_t>(records_.size());
+  return log_start_offset_ + static_cast<std::int64_t>(size_);
 }
 
 std::int64_t PartitionLog::log_start_offset() const {
@@ -185,24 +223,28 @@ std::int64_t PartitionLog::retained_bytes() const {
 
 std::int64_t PartitionLog::offset_for_time(Timestamp timestamp) const {
   std::lock_guard lock(mutex_);
-  const auto it = std::lower_bound(
-      records_.begin(), records_.end(), timestamp,
-      [](const StoredRecord& record, Timestamp t) {
-        return record.timestamp < t;
-      });
-  return log_start_offset_ + (it - records_.begin());
+  std::size_t low = 0;
+  std::size_t high = size_;
+  while (low < high) {
+    const std::size_t mid = low + (high - low) / 2;
+    if (at_locked(mid).timestamp < timestamp) {
+      low = mid + 1;
+    } else {
+      high = mid;
+    }
+  }
+  return log_start_offset_ + static_cast<std::int64_t>(low);
 }
 
 PartitionInfo PartitionLog::info() const {
   std::lock_guard lock(mutex_);
   PartitionInfo info;
-  info.record_count = static_cast<std::int64_t>(records_.size());
+  info.record_count = static_cast<std::int64_t>(size_);
   info.log_start_offset = log_start_offset_;
-  info.log_end_offset =
-      log_start_offset_ + static_cast<std::int64_t>(records_.size());
-  if (!records_.empty()) {
-    info.first_timestamp = records_.front().timestamp;
-    info.last_timestamp = records_.back().timestamp;
+  info.log_end_offset = log_start_offset_ + static_cast<std::int64_t>(size_);
+  if (size_ > 0) {
+    info.first_timestamp = at_locked(0).timestamp;
+    info.last_timestamp = at_locked(size_ - 1).timestamp;
   }
   return info;
 }

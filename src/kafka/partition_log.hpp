@@ -1,8 +1,11 @@
-// One partition's append-only log.
+// One partition's append-only log, stored in fixed-size record segments.
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -28,6 +31,37 @@ struct RetentionConfig {
   std::int64_t max_age_us = 0;  // record age bound (LogAppendTime clock)
 };
 
+/// Record slots per log segment. A log grows and shrinks one whole segment
+/// at a time, so an append never reallocates or moves the stored records.
+inline constexpr std::size_t kSegmentRecords = 1024;
+
+/// A fixed block of kSegmentRecords record slots.
+using Segment = std::unique_ptr<StoredRecord[]>;
+
+/// Recycles segments among the logs of one broker. A segment comes back
+/// with every slot reset to an empty record, so an idle segment holds no
+/// payload alive; its pages stay resident, so the next topic appends into
+/// warm memory instead of faulting in fresh pages. Thread-safe.
+class SegmentPool {
+ public:
+  SegmentPool() = default;
+  SegmentPool(const SegmentPool&) = delete;
+  SegmentPool& operator=(const SegmentPool&) = delete;
+
+  /// An idle segment, or a new one when none is idle.
+  Segment acquire();
+
+  /// Takes back a segment whose slots are all empty records.
+  void release(Segment segment);
+
+  /// Segments waiting for reuse.
+  std::size_t idle_segments() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<Segment> idle_;
+};
+
 /// Thread-safe append-only record log with blocking fetch.
 ///
 /// With retention armed the head of the log is trimmed on append; offsets
@@ -35,10 +69,16 @@ struct RetentionConfig {
 /// retained offset — the *log start offset* — moves forward and fetches
 /// below it are out of range (the consumer resets to the log start, as a
 /// real client's auto.offset.reset=earliest does).
+///
+/// Records live in segments drawn from `pool`, which must outlive the log.
+/// A trim resets the trimmed records at once (dropping their payload
+/// references) and returns every emptied segment to the pool; destroying
+/// the log returns all of its segments.
 class PartitionLog {
  public:
-  explicit PartitionLog(TimestampType timestamp_type)
-      : timestamp_type_(timestamp_type) {}
+  PartitionLog(TimestampType timestamp_type, SegmentPool& pool)
+      : timestamp_type_(timestamp_type), pool_(pool) {}
+  ~PartitionLog();
 
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
@@ -96,20 +136,48 @@ class PartitionLog {
     return static_cast<std::int64_t>(record.key.size() + record.value.size());
   }
 
+  /// The record at `index` within the retained window (0 = log start).
+  /// Caller holds mutex_.
+  StoredRecord& at_locked(std::size_t index) noexcept {
+    const std::size_t slot = head_ + index;
+    return segments_[slot / kSegmentRecords][slot % kSegmentRecords];
+  }
+  const StoredRecord& at_locked(std::size_t index) const noexcept {
+    const std::size_t slot = head_ + index;
+    return segments_[slot / kSegmentRecords][slot % kSegmentRecords];
+  }
+
+  /// Stores `record` with `timestamp` at the tail, taking a segment from the
+  /// pool when the last one is full. Returns its offset. Caller holds mutex_.
+  std::int64_t push_back_locked(const ProducerRecord& record,
+                                Timestamp timestamp);
+
+  /// Resets the `count` oldest records and returns every emptied segment to
+  /// the pool. Caller holds mutex_.
+  void pop_front_locked(std::size_t count);
+
+  /// Appends `count` records from window index `start` to `out`. Caller
+  /// holds mutex_.
+  void copy_out_locked(std::size_t start, std::size_t count,
+                       std::vector<StoredRecord>& out) const;
+
   /// Trims the head while either retention bound is exceeded. Trims down to
-  /// ~80% of max_bytes so the vector erase amortizes instead of moving the
-  /// whole log on every append. Caller holds mutex_.
+  /// ~80% of max_bytes, so a sustained overload trims in batches that free
+  /// whole segments rather than one record per append. Caller holds mutex_.
   void maybe_trim_locked(Timestamp now);
 
   const TimestampType timestamp_type_;
+  SegmentPool& pool_;
   mutable std::mutex mutex_;
   mutable std::condition_variable data_arrived_;
   mutable int fetch_waiters_ = 0;  // appenders notify only when someone waits
   bool closed_ = false;
   RetentionConfig retention_;
-  std::int64_t log_start_offset_ = 0;  // offset of records_.front()
+  std::int64_t log_start_offset_ = 0;  // offset of at_locked(0)
   std::int64_t retained_bytes_ = 0;
-  std::vector<StoredRecord> records_;
+  std::deque<Segment> segments_;
+  std::size_t head_ = 0;  // slot of the log start in segments_.front()
+  std::size_t size_ = 0;  // retained records
 };
 
 }  // namespace dsps::kafka

@@ -47,6 +47,25 @@ IterPtr<T> iter_from_vector(std::vector<T> values) {
   return std::make_unique<VectorIterator<T>>(std::move(values));
 }
 
+/// Iterates a shared vector in place, returning a copy of each element.
+/// The iterator holds a reference to the vector, so it stays valid after
+/// every other owner lets go.
+template <typename T>
+class SliceIterator final : public Iterator<T> {
+ public:
+  explicit SliceIterator(std::shared_ptr<const std::vector<T>> values)
+      : values_(std::move(values)) {}
+
+  std::optional<T> next() override {
+    if (index_ >= values_->size()) return std::nullopt;
+    return (*values_)[index_++];
+  }
+
+ private:
+  std::shared_ptr<const std::vector<T>> values_;
+  std::size_t index_ = 0;
+};
+
 /// Drains an iterator into a vector.
 template <typename T>
 std::vector<T> drain(Iterator<T>& iterator) {

@@ -58,19 +58,24 @@ template <typename T>
 class ParallelCollectionRDD final : public RDD<T> {
  public:
   explicit ParallelCollectionRDD(std::vector<std::vector<T>> parts)
-      : parts_(std::move(parts)) {}
+      : parts_(std::make_shared<const std::vector<std::vector<T>>>(
+            std::move(parts))) {}
 
-  int partitions() const override { return static_cast<int>(parts_.size()); }
+  int partitions() const override { return static_cast<int>(parts_->size()); }
   std::vector<std::shared_ptr<BaseRDD>> dependencies() const override {
     return {};
   }
   IterPtr<T> compute(int split) const override {
-    // Copy the slice: an RDD is immutable and recomputable.
-    return iter_from_vector(parts_.at(static_cast<std::size_t>(split)));
+    // Walk the slice in place: the partition is never moved from, so a
+    // recompute (a batch retry) yields the same rows. The iterator shares
+    // ownership of the storage and outlives the RDD if it must.
+    const std::vector<T>& slice = parts_->at(static_cast<std::size_t>(split));
+    return std::make_unique<SliceIterator<T>>(
+        std::shared_ptr<const std::vector<T>>(parts_, &slice));
   }
 
  private:
-  std::vector<std::vector<T>> parts_;
+  std::shared_ptr<const std::vector<std::vector<T>>> parts_;
 };
 
 template <typename T, typename R>

@@ -35,19 +35,26 @@ class SparkContext {
 
   const SparkConf& conf() const noexcept { return conf_; }
 
-  /// Creates a leaf RDD by splitting `data` into `num_partitions` slices.
+  /// Creates a leaf RDD by splitting `data` into `num_partitions` contiguous
+  /// slices. One partition takes `data` whole, without touching an element.
   template <typename T>
   RDDPtr<T> parallelize(std::vector<T> data, int num_partitions) {
     require(num_partitions >= 1, "need at least one partition");
     std::vector<std::vector<T>> parts(
         static_cast<std::size_t>(num_partitions));
-    const std::size_t per_part =
-        (data.size() + static_cast<std::size_t>(num_partitions) - 1) /
-        static_cast<std::size_t>(num_partitions);
-    std::size_t index = 0;
-    for (auto& value : data) {
-      parts[per_part == 0 ? 0 : index / per_part].push_back(std::move(value));
-      ++index;
+    if (num_partitions == 1) {
+      parts[0] = std::move(data);
+    } else {
+      const std::size_t per_part =
+          (data.size() + static_cast<std::size_t>(num_partitions) - 1) /
+          static_cast<std::size_t>(num_partitions);
+      for (auto& part : parts) part.reserve(per_part);
+      std::size_t index = 0;
+      for (auto& value : data) {
+        parts[per_part == 0 ? 0 : index / per_part].push_back(
+            std::move(value));
+        ++index;
+      }
     }
     return std::make_shared<ParallelCollectionRDD<T>>(std::move(parts));
   }

@@ -1,5 +1,6 @@
 #include "spark/streaming_context.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -57,15 +58,17 @@ class KafkaDirectInputDStream final : public DStreamNode<Payload>,
         if (!end.is_ok()) continue;
         auto& position = positions_[static_cast<std::size_t>(p)];
         while (position < end.value()) {
-          std::vector<kafka::StoredRecord> fetched;
           const auto n = broker_.fetch(
               tp, position,
-              static_cast<std::size_t>(end.value() - position), fetched);
+              std::min(StreamingContext::kDirectFetchRecords,
+                       static_cast<std::size_t>(end.value() - position)),
+              fetched_);
           if (!n.is_ok() || n.value() == 0) break;
-          for (auto& record : fetched) {
+          for (auto& record : fetched_) {
             // The row shares the broker's storage — no copy per record.
             claimed.push_back(std::move(record.value));
           }
+          fetched_.clear();
           position += static_cast<std::int64_t>(n.value());
         }
       }
@@ -108,6 +111,8 @@ class KafkaDirectInputDStream final : public DStreamNode<Payload>,
   const bool until_sealed_;
   mutable std::mutex mutex_;
   std::vector<std::int64_t> positions_;
+  // One fetch chunk, reused by every batch; empty between fetches.
+  std::vector<kafka::StoredRecord> fetched_;
   std::size_t last_batch_records_ = 0;
   BatchId cached_batch_ = -1;
   RDDPtr<Payload> cached_;

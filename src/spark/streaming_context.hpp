@@ -42,6 +42,10 @@ class StreamingContext {
     return batch_interval_ms_;
   }
 
+  /// Records the direct stream fetches per broker request: a batch claims
+  /// its offset range in chunks of this size through one reused buffer.
+  static constexpr std::size_t kDirectFetchRecords = 4096;
+
   /// Direct Kafka stream (the receiver-less kafka010 style): each batch
   /// reads the offset range that arrived since the previous batch and slices
   /// it into `spark.default.parallelism` partitions. Rows are refcounted

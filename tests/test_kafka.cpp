@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "kafka/broker.hpp"
@@ -252,6 +254,164 @@ TEST(BrokerTest, OffsetForTimeOnEmptyPartitionIsZero) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
   EXPECT_EQ(broker.offset_for_time({"t", 0}, 12345).value(), 0);
+}
+
+// --- segmented log ---------------------------------------------------------------
+
+// Appends `count` records valued "0", "1", ... in producer-sized batches.
+void append_numbered(Broker& broker, const std::string& topic,
+                     std::size_t count) {
+  std::vector<ProducerRecord> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(ProducerRecord{.value = std::to_string(i)});
+    if (batch.size() == 500 || i + 1 == count) {
+      broker.append_batch({topic, 0}, batch, false).status().expect_ok();
+      batch.clear();
+    }
+  }
+}
+
+TEST(SegmentLogTest, FetchAcrossSegmentBoundary) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  append_numbered(broker, "t", kSegmentRecords + 100);
+  const auto from = static_cast<std::int64_t>(kSegmentRecords) - 50;
+  std::vector<StoredRecord> out;
+  const auto n = broker.fetch({"t", 0}, from, 100, out);
+  ASSERT_TRUE(n.is_ok());
+  ASSERT_EQ(n.value(), 100u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::int64_t offset = from + static_cast<std::int64_t>(i);
+    EXPECT_EQ(out[i].offset, offset);
+    EXPECT_EQ(out[i].value, std::to_string(offset));
+  }
+}
+
+TEST(SegmentLogTest, OffsetForTimeAcrossSegments) {
+  Broker broker;
+  broker
+      .create_topic("t", TopicConfig{.partitions = 1,
+                                     .timestamp_type =
+                                         TimestampType::kCreateTime})
+      .expect_ok();
+  // Record i carries CreateTime 10 * (i + 1), over three full segments.
+  const std::size_t count = 3 * kSegmentRecords + 10;
+  std::vector<ProducerRecord> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(ProducerRecord{
+        .value = "x", .create_time = static_cast<Timestamp>(10 * (i + 1))});
+  }
+  broker.append_batch({"t", 0}, batch, false).status().expect_ok();
+  for (const std::size_t i :
+       {std::size_t{0}, kSegmentRecords - 1, kSegmentRecords,
+        2 * kSegmentRecords + 1, 3 * kSegmentRecords, count - 1}) {
+    const auto stamp = static_cast<Timestamp>(10 * (i + 1));
+    const auto want = static_cast<std::int64_t>(i);
+    EXPECT_EQ(broker.offset_for_time({"t", 0}, stamp).value(), want);
+    EXPECT_EQ(broker.offset_for_time({"t", 0}, stamp - 5).value(), want);
+  }
+  EXPECT_EQ(broker
+                .offset_for_time({"t", 0},
+                                 static_cast<Timestamp>(10 * (count + 1)))
+                .value(),
+            static_cast<std::int64_t>(count));
+}
+
+TEST(SegmentLogTest, RetentionTrimAcrossSegmentsKeepsExactBounds) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  const std::size_t count = 3 * kSegmentRecords + 5;
+  const std::string value(16, 'v');
+  broker
+      .append_batch({"t", 0},
+                    std::vector<ProducerRecord>(count,
+                                                ProducerRecord{.value = value}),
+                    false)
+      .status()
+      .expect_ok();
+  // Over the bound, a trim runs down to 80% of it: with 16-byte records
+  // that keeps exactly `kept` records and frees two whole segments.
+  const std::int64_t max_bytes = 16 * static_cast<std::int64_t>(kSegmentRecords);
+  const std::int64_t kept = max_bytes * 4 / 5 / 16;
+  const std::int64_t log_start = static_cast<std::int64_t>(count) - kept;
+  broker.set_retention("t", RetentionConfig{.max_bytes = max_bytes})
+      .expect_ok();
+
+  const PartitionInfo info = broker.partition_info({"t", 0}).value();
+  EXPECT_EQ(info.log_start_offset, log_start);
+  EXPECT_EQ(info.log_end_offset, static_cast<std::int64_t>(count));
+  EXPECT_EQ(info.record_count, kept);
+  EXPECT_EQ(broker.retained_bytes("t"), kept * 16);
+  EXPECT_EQ(broker.segment_pool().idle_segments(),
+            static_cast<std::size_t>(log_start) / kSegmentRecords);
+  ASSERT_GE(broker.segment_pool().idle_segments(), 2u);
+
+  std::vector<StoredRecord> out;
+  broker.fetch({"t", 0}, 0, count, out).status().expect_ok();
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kept));
+  EXPECT_EQ(out.front().offset, log_start);
+  EXPECT_EQ(out.back().offset, static_cast<std::int64_t>(count) - 1);
+}
+
+TEST(SegmentLogTest, DeleteAndTrimDropPayloadReferences) {
+  Broker broker;
+  const Payload held(std::string(64, 'h'));
+  const Payload other(std::string(64, 'o'));
+  const long held_refs = held.owner().use_count();
+  const long other_refs = other.owner().use_count();
+
+  broker.create_topic("deleted", single_partition()).expect_ok();
+  broker
+      .append_batch({"deleted", 0},
+                    std::vector<ProducerRecord>(kSegmentRecords + 10,
+                                                ProducerRecord{.value = held}),
+                    false)
+      .status()
+      .expect_ok();
+  EXPECT_GT(held.owner().use_count(), held_refs);
+  broker.delete_topic("deleted").expect_ok();
+  EXPECT_EQ(held.owner().use_count(), held_refs);
+
+  // 600 `held` records, then 600 `other` ones; the trim keeps the newest
+  // 560, so every `held` record goes while its segment stays in use.
+  broker.create_topic("trimmed", single_partition()).expect_ok();
+  for (const Payload& value : {held, other}) {
+    broker
+        .append_batch({"trimmed", 0},
+                      std::vector<ProducerRecord>(
+                          600, ProducerRecord{.value = value}),
+                      false)
+        .status()
+        .expect_ok();
+  }
+  broker.set_retention("trimmed", RetentionConfig{.max_bytes = 64 * 700})
+      .expect_ok();
+  EXPECT_EQ(broker.partition_info({"trimmed", 0}).value().record_count, 560);
+  EXPECT_EQ(held.owner().use_count(), held_refs);
+  EXPECT_EQ(other.owner().use_count(), other_refs + 560);
+}
+
+TEST(SegmentLogTest, TopicCreatedAfterDeleteReusesPooledSegments) {
+  Broker broker;
+  EXPECT_EQ(broker.segment_pool().idle_segments(), 0u);
+  broker.create_topic("first", single_partition()).expect_ok();
+  append_numbered(broker, "first", 2 * kSegmentRecords + 10);  // 3 segments
+  EXPECT_EQ(broker.segment_pool().idle_segments(), 0u);
+  broker.delete_topic("first").expect_ok();
+  EXPECT_EQ(broker.segment_pool().idle_segments(), 3u);
+
+  broker.create_topic("second", single_partition()).expect_ok();
+  append_numbered(broker, "second", 2 * kSegmentRecords);
+  EXPECT_EQ(broker.segment_pool().idle_segments(), 1u);
+  std::vector<StoredRecord> out;
+  broker.fetch({"second", 0}, 0, 2 * kSegmentRecords, out)
+      .status()
+      .expect_ok();
+  ASSERT_EQ(out.size(), 2 * kSegmentRecords);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].offset, static_cast<std::int64_t>(i));
+    EXPECT_EQ(out[i].value, std::to_string(i));
+  }
 }
 
 // --- replication --------------------------------------------------------------

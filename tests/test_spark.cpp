@@ -5,8 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <set>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "spark/kafka_io.hpp"
 #include "spark/streaming_context.hpp"
@@ -29,6 +30,40 @@ TEST(RddTest, ParallelizeSplitsEvenly) {
   auto collected = sc.collect(rdd);
   std::sort(collected.begin(), collected.end());
   EXPECT_EQ(collected, ints(100));
+}
+
+std::vector<std::string> words(int n) {
+  std::vector<std::string> v;
+  for (int i = 0; i < n; ++i) v.push_back("row-" + std::to_string(i));
+  return v;
+}
+
+TEST(RddTest, ParallelizeSinglePartitionKeepsOrderAndContent) {
+  SparkContext sc(SparkConf{.default_parallelism = 1});
+  auto rdd = sc.parallelize(words(1000), 1);
+  EXPECT_EQ(rdd->partitions(), 1);
+  EXPECT_EQ(sc.collect(rdd), words(1000));
+}
+
+TEST(RddTest, ComputingAPartitionTwiceYieldsTheSameRows) {
+  // A batch retry recomputes the same partition; walking it must not
+  // consume the stored rows.
+  SparkContext sc(SparkConf{.default_parallelism = 2});
+  auto rdd = sc.parallelize(words(10), 2);
+  const std::vector<std::string> first = drain(*rdd->compute(1));
+  const std::vector<std::string> second = drain(*rdd->compute(1));
+  EXPECT_EQ(first, (std::vector<std::string>{"row-5", "row-6", "row-7",
+                                             "row-8", "row-9"}));
+  EXPECT_EQ(second, first);
+}
+
+TEST(RddTest, PartitionIteratorOutlivesItsRdd) {
+  SparkContext sc(SparkConf{.default_parallelism = 2});
+  auto rdd = sc.parallelize(words(6), 2);
+  IterPtr<std::string> iter = rdd->compute(0);
+  rdd.reset();  // the iterator now holds the only reference to the rows
+  EXPECT_EQ(drain(*iter),
+            (std::vector<std::string>{"row-0", "row-1", "row-2"}));
 }
 
 TEST(RddTest, MapIsLazyUntilAction) {
@@ -226,6 +261,36 @@ TEST(DStreamTest, KafkaDirectStreamProcessesBatches) {
   });
   ASSERT_TRUE(ssc.run_bounded().is_ok());
   EXPECT_EQ(seen.load(), 100);
+}
+
+TEST(DStreamTest, DirectStreamBatchLargerThanFetchChunkClaimsEachRecordOnce) {
+  kafka::Broker broker;
+  broker.create_topic("in", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  const std::size_t count = 3 * StreamingContext::kDirectFetchRecords + 7;
+  std::vector<kafka::ProducerRecord> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(kafka::ProducerRecord{.value = std::to_string(i)});
+  }
+  broker.append_batch({"in", 0}, batch, false).status().expect_ok();
+
+  StreamingContext ssc(SparkConf{.default_parallelism = 1}, 10);
+  std::vector<std::vector<kafka::Payload>> batches;
+  ssc.kafka_direct_stream(broker, "in")
+      .foreach_rdd([&batches](SparkContext& sc,
+                              const RDDPtr<kafka::Payload>& rdd) {
+        batches.push_back(sc.collect(rdd));
+      });
+  ASSERT_TRUE(ssc.run_bounded().is_ok());
+  ASSERT_FALSE(batches.empty());
+  // Everything was stored before the first batch, so that batch claims
+  // the whole range across four fetch chunks.
+  ASSERT_EQ(batches.front().size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(batches.front()[i], std::to_string(i));
+  }
+  for (std::size_t b = 1; b < batches.size(); ++b) {
+    EXPECT_TRUE(batches[b].empty());
+  }
 }
 
 TEST(DStreamTest, KafkaReceiverStreamProcessesBatches) {
