@@ -133,6 +133,29 @@ void BM_ProducerSendBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ProducerSendBatched)->Arg(1)->Arg(100)->Arg(1000);
 
+// The producer as every sink and the ingest path configure it: default
+// batch_size and linger, so send() also tests the linger deadline. The
+// benches above set linger_us = 0 and never take that branch. The value is
+// one shared Payload, so a send costs a refcount bump rather than a copy, and
+// the topic is recreated per iteration as in BM_AppendFreshTopic.
+void BM_ProducerSendDefaultConfig(benchmark::State& state) {
+  constexpr int kRecords = 200'000;
+  const kafka::Payload value(std::string(64, 'x'));
+  kafka::Broker broker;
+  broker.set_rtt_us(0);
+  for (auto _ : state) {
+    broker.create_topic("t", kafka::TopicConfig{.partitions = 1}).expect_ok();
+    kafka::Producer producer(broker, kafka::ProducerConfig{});
+    for (int i = 0; i < kRecords; ++i) {
+      producer.send("t", 0, kafka::ProducerRecord{.value = value}).expect_ok();
+    }
+    producer.close().expect_ok();
+    broker.delete_topic("t").expect_ok();
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_ProducerSendDefaultConfig)->Unit(benchmark::kMillisecond);
+
 // --- sync vs async producer under simulated RTT ------------------------------
 //
 // The pair below is the microbench view of the PR's sink ablation: same

@@ -114,12 +114,13 @@ Status Producer::send(const std::string& topic, int partition,
                       ProducerRecord record) {
   if (closed_) return Status::closed("producer is closed");
   Buffer& buffer = buffer_for(topic, partition);
-  if (buffer.records.empty()) buffer.oldest_buffered_us = steady_clock_us();
+  if (buffer.records.empty()) buffer.linger.start();
   buffer.records.push_back(std::move(record));
   records_sent_.fetch_add(1, std::memory_order_relaxed);
-  if (buffer.records.size() >= config_.batch_size ||
+  const std::size_t buffered = buffer.records.size();
+  if (buffered >= config_.batch_size ||
       (config_.linger_us > 0 &&
-       steady_clock_us() - buffer.oldest_buffered_us >= config_.linger_us)) {
+       buffer.linger.expired(buffered, config_.linger_us))) {
     return ship_buffer(buffer);
   }
   return Status::ok();

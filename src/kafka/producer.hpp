@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/record.hpp"
@@ -55,7 +56,13 @@ struct ProducerConfig {
   /// Maximum microseconds a buffered record may wait before send() forces a
   /// flush (Kafka's linger.ms, scaled to our microsecond timestamps).
   /// Keeps low-volume outputs (e.g. the Grep query's ~0.3%) flowing out
-  /// during execution instead of all at close().
+  /// during execution instead of all at close(). send() tests the linger by
+  /// the BatchDeadline stride rule, not on every record:
+  ///  * a buffer of fewer than 16 records when its linger passes ships at
+  ///    the first send() after the linger;
+  ///  * a buffer that reached 16 records before its linger passed ships at
+  ///    most 15 records after it (at 500 us, only at >= 32k records/s).
+  /// Shipping at `batch_size`, flush() and close() do not depend on it.
   std::int64_t linger_us = 500;
   /// Send retries per flush (Kafka's `retries`): a flush that fails with a
   /// retryable error (broker unavailability window) is re-attempted up to
@@ -161,7 +168,7 @@ class Producer {
   struct Buffer {
     TopicPartition tp;
     std::vector<ProducerRecord> records;
-    std::int64_t oldest_buffered_us = 0;  // steady clock; 0 = empty
+    BatchDeadline linger;                 // started at the first record
     std::shared_ptr<SendAck::State> ack;  // completion for the open batch
   };
 

@@ -737,5 +737,34 @@ TEST(ClockTest, TimestampDeltaSeconds) {
   EXPECT_DOUBLE_EQ(timestamp_delta_seconds(250'000), 0.25);
 }
 
+TEST(ClockTest, BatchDeadlineIsDueOnEveryRecordThenOncePerStride) {
+  constexpr std::size_t stride = BatchDeadline::kStride;
+  ASSERT_EQ(stride, 16u);
+  for (std::size_t records = 1; records <= stride; ++records) {
+    EXPECT_TRUE(BatchDeadline::due(records)) << records;
+  }
+  for (std::size_t records = stride + 1; records <= 8 * stride; ++records) {
+    EXPECT_EQ(BatchDeadline::due(records), records % stride == 0) << records;
+  }
+}
+
+TEST(ClockTest, BatchDeadlineExpiresOnFirstDueRecordAfterBudget) {
+  BatchDeadline deadline;
+  deadline.start();
+  EXPECT_FALSE(deadline.expired(1, 1'000'000));
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  // Small batches are checked on every record.
+  EXPECT_TRUE(deadline.expired(5, 1000));
+  EXPECT_TRUE(deadline.expired(16, 1000));
+  // Past the stride only multiples of it read the clock.
+  for (std::size_t records = 17; records < 32; ++records) {
+    EXPECT_FALSE(deadline.expired(records, 1000)) << records;
+  }
+  EXPECT_TRUE(deadline.expired(32, 1000));
+  // A restart opens a fresh budget.
+  deadline.start();
+  EXPECT_FALSE(deadline.expired(32, 1'000'000));
+}
+
 }  // namespace
 }  // namespace dsps

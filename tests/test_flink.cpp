@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "flink/environment.hpp"
 #include "flink/kafka_connectors.hpp"
@@ -256,6 +258,49 @@ TEST(FlinkRuntimeTest, SlotSharingAllowsDeepPipelines) {
       .for_each([collected](const int& v) { collected->add(v); });
   EXPECT_TRUE(env.execute().is_ok());
   EXPECT_EQ(collected->sorted(), iota(10));
+}
+
+TEST(FlinkRuntimeTest, SparseUnchainedEdgeFlushesMidStream) {
+  // Two records 2 ms apart on an unchained edge: the second emit finds the
+  // first past the 500 us buffer timeout and ships both. The source then
+  // waits for the sink to hold them before it returns, so a router that held
+  // records until end-of-stream would leave the wait to time out.
+  class SparseSource final : public SourceFunction {
+   public:
+    SparseSource(std::shared_ptr<Collected> collected,
+                 std::shared_ptr<std::atomic<bool>> flushed)
+        : collected_(std::move(collected)), flushed_(std::move(flushed)) {}
+    void run(SourceContext& context) override {
+      context.collect(make_elem<int>(0));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      context.collect(make_elem<int>(1));
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (std::chrono::steady_clock::now() < give_up) {
+        if (collected_->sorted().size() == 2) {
+          flushed_->store(true);
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+
+   private:
+    std::shared_ptr<Collected> collected_;
+    std::shared_ptr<std::atomic<bool>> flushed_;
+  };
+
+  StreamExecutionEnvironment env;
+  env.disable_operator_chaining();
+  auto collected = std::make_shared<Collected>();
+  auto flushed = std::make_shared<std::atomic<bool>>(false);
+  env.add_source<int>([collected, flushed] {
+       return std::make_unique<SparseSource>(collected, flushed);
+     }).for_each([collected](const int& v) { collected->add(v); });
+  EXPECT_EQ(build_job_graph(env.graph(), false).vertices.size(), 2u);
+  ASSERT_TRUE(env.execute().is_ok());
+  EXPECT_TRUE(flushed->load()) << "router held the records until EOS";
+  EXPECT_EQ(collected->sorted(), iota(2));
 }
 
 // --- keyed streams ---------------------------------------------------------------

@@ -477,6 +477,25 @@ TEST(ProducerTest, LingerForcesEarlyFlush) {
   EXPECT_EQ(broker.end_offset({"t", 0}).value(), 2);
 }
 
+TEST(ProducerTest, DenseBatchShipsWithinOneStrideOfItsLinger) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  Producer producer(broker,
+                    ProducerConfig{.batch_size = 1000, .linger_us = 1000});
+  for (int i = 1; i <= 20; ++i) {
+    producer.send("t", 0, ProducerRecord{.value = "v"}).expect_ok();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  // Past 16 buffered records the linger is read once per 16 records: the
+  // expired batch waits for record 32 rather than shipping at record 21.
+  for (int i = 21; i <= 31; ++i) {
+    producer.send("t", 0, ProducerRecord{.value = "v"}).expect_ok();
+    EXPECT_EQ(broker.end_offset({"t", 0}).value(), 0) << "record " << i;
+  }
+  producer.send("t", 0, ProducerRecord{.value = "v"}).expect_ok();
+  EXPECT_EQ(broker.end_offset({"t", 0}).value(), 32);
+}
+
 TEST(ProducerTest, KeyHashPartitioning) {
   Broker broker;
   broker.create_topic("t", TopicConfig{.partitions = 4}).expect_ok();
