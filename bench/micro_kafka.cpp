@@ -108,9 +108,14 @@ void BM_ConsumerPollLoop(benchmark::State& state) {
   for (auto _ : state) {
     kafka::Consumer consumer(broker,
                              kafka::ConsumerConfig{.max_poll_records = 1000});
-    consumer.subscribe("t").expect_ok();
+    consumer.subscribe("t", /*bounded=*/true).expect_ok();
     std::size_t total = 0;
-    while (!consumer.at_end()) total += consumer.poll(0).size();
+    kafka::FetchBatch batch;
+    kafka::FetchState fetch_state = kafka::FetchState::kOk;
+    while (fetch_state != kafka::FetchState::kClosed) {
+      fetch_state = consumer.poll_batch(0, batch);
+      total += batch.size();
+    }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * 50000);

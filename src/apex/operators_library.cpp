@@ -17,32 +17,16 @@ void KafkaPayloadInput::setup(const OperatorContext& context) {
       broker_,
       kafka::ConsumerConfig{.group_id = config_.group_id,
                             .max_poll_records = config_.max_poll_records});
-  const auto partitions = broker_.partition_count(config_.topic);
-  partitions.status().expect_ok();
-  for (int p = 0; p < partitions.value(); ++p) {
-    // Partitioned input: each physical instance reads its own slice of the
-    // topic (instance i of n takes partitions p where p % n == i).
-    if (context.partition_count > 1 &&
-        p % context.partition_count != context.partition_index) {
-      continue;
-    }
-    const kafka::TopicPartition tp{config_.topic, p};
-    std::int64_t start = 0;
-    if (!config_.group_id.empty()) {
-      const std::int64_t committed =
-          broker_.committed_offset(config_.group_id, tp);
-      if (committed >= 0) start = committed;
-    }
-    consumer_->assign(tp, start).expect_ok();
-    const auto end = broker_.end_offset(tp);
-    end.status().expect_ok();
-    bounded_end_.push_back(end.value());
-  }
+  // Partitioned input: each physical instance reads its own slice.
+  consumer_
+      ->subscribe(config_.topic, config_.bounded,
+                  kafka::Shard{.index = context.partition_index,
+                               .count = context.partition_count})
+      .expect_ok();
 }
 
 bool KafkaPayloadInput::emit_tuples(std::size_t budget) {
   std::size_t emitted = 0;
-  bool broker_closed = false;
   kafka::FetchBatch batch;
   // Open-loop mode polls with a short timeout instead of 0: when the input
   // is momentarily caught up the operator parks on the broker's fetch
@@ -51,26 +35,17 @@ bool KafkaPayloadInput::emit_tuples(std::size_t budget) {
   while (emitted < budget) {
     const kafka::FetchState state =
         consumer_->poll_batch(emitted == 0 ? poll_timeout_ms : 0, batch);
-    broker_closed = state == kafka::FetchState::kClosed;
-    if (batch.empty()) break;
     for (auto& record : batch.records) {
       // The record's value is already a refcounted slice of the broker's
       // storage; moving it into the tuple copies no bytes.
       emit(out_, make_tuple_of<Payload>(std::move(record.value)));
       ++emitted;
     }
-    if (broker_closed) break;
+    // kClosed: that was the final batch, stop scheduling this input.
+    if (state == kafka::FetchState::kClosed) return false;
+    if (batch.empty()) break;
   }
-  if (broker_closed) return false;  // sealed/shutdown: that was the final batch
-  if (!config_.bounded) {
-    // Unbounded: stay scheduled until the topic is sealed and drained.
-    return !consumer_->at_sealed_end();
-  }
-  const auto positions = consumer_->positions();
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (positions[i].second < bounded_end_[i]) return true;
-  }
-  return false;
+  return true;
 }
 
 void KafkaPayloadInput::begin_window(WindowId window) {
@@ -118,8 +93,7 @@ KafkaPayloadOutput::KafkaPayloadOutput(kafka::Broker& broker, Config config)
 
 void KafkaPayloadOutput::setup(const OperatorContext& context) {
   producer_ = std::make_unique<kafka::Producer>(
-      broker_, kafka::ProducerConfig{.acks = config_.acks,
-                                     .batch_size = config_.batch_size,
+      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size,
                                      .async = config_.async});
   partition_ = config_.partition;
   if (partition_ < 0) {
@@ -138,9 +112,8 @@ void KafkaPayloadOutput::on_tuple(const Tuple& tuple) {
 }
 
 void KafkaPayloadOutput::end_window() {
-  // Apex output operators typically flush at window boundaries; with
-  // batch_size == 1 every tuple has already gone out synchronously. The
-  // async producer instead hands the window's batches to its sender without
+  // Apex output operators typically flush at window boundaries. The async
+  // producer instead hands the window's batches to its sender without
   // stalling the operator thread on the ack round-trip; the drain happens
   // at teardown. A flush failure that outlived the producer's internal
   // retries fails this window: the supervisor converts the throw into the

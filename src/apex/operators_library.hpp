@@ -22,9 +22,9 @@
 
 namespace dsps::apex {
 
-/// Bounded Kafka input: reads the whole topic as it stood at setup and
-/// finishes. Output port 0 emits runtime::Payload tuples sharing the
-/// broker's storage.
+/// Kafka input: each physical instance reads its partition slice until the
+/// consumer reports the end of input (kafka::Consumer::subscribe). Output
+/// port 0 emits runtime::Payload tuples sharing the broker's storage.
 class KafkaPayloadInput final : public InputOperator {
  public:
   struct Config {
@@ -36,9 +36,9 @@ class KafkaPayloadInput final : public InputOperator {
     /// outputs those offsets produced — at-least-once on relaunch.
     std::string group_id;
     std::size_t max_poll_records = 2048;
-    /// false = open-loop mode: ignore the end offsets snapshotted at setup
-    /// and keep the operator scheduled until the topic is sealed
-    /// (Broker::seal_topic) and fully drained.
+    /// true = read the topic as it stood at setup and finish; false =
+    /// open-loop mode: stay scheduled until the topic is sealed
+    /// (Broker::seal_topic) and the slice is drained.
     bool bounded = true;
   };
 
@@ -71,7 +71,6 @@ class KafkaPayloadInput final : public InputOperator {
   Config config_;
   int out_;
   std::unique_ptr<kafka::Consumer> consumer_;
-  std::vector<std::int64_t> bounded_end_;
   WindowId current_window_ = 0;
   std::vector<WindowOffsets> uncommitted_;  // per closed, not-yet-committed window
 };
@@ -86,9 +85,7 @@ class KafkaPayloadOutput final : public Operator {
     /// the topic's partition count) so partitioned outputs write to
     /// disjoint logs.
     int partition = 0;
-    kafka::Acks acks = kafka::Acks::kLeader;
-    /// 1 = synchronous per-tuple produce (how the generic Beam writer
-    /// behaves on this runner); the native operator batches.
+    /// Producer batch size; the operator also flushes at every window end.
     std::size_t batch_size = 500;
     /// Asynchronous pipelined producer: end_window() becomes a non-blocking
     /// batch handoff to the background sender instead of a full drain; the

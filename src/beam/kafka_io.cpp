@@ -63,53 +63,28 @@ class ProducerRecordStubCoder final : public Coder {
   }
 };
 
-/// Bounded reader over all partitions of a topic (sharded by partition).
+/// Reads one shard's partition slice until the consumer reports the end
+/// of input (kafka::Consumer::subscribe).
 class KafkaSourceReader final : public SourceReader {
  public:
   KafkaSourceReader(kafka::Broker& broker, const KafkaReadConfig& config,
                     int shard, int num_shards)
-      : broker_(broker), config_(config), shard_(shard),
-        num_shards_(num_shards) {}
+      : broker_(broker), config_(config),
+        shard_{.index = shard, .count = num_shards} {}
 
   void open() override {
     consumer_ = std::make_unique<kafka::Consumer>(
-        broker_, kafka::ConsumerConfig{.group_id = config_.group_id,
-                                       .max_poll_records = 1000});
-    const auto partitions = broker_.partition_count(config_.topic);
-    partitions.status().expect_ok();
-    for (int p = 0; p < partitions.value(); ++p) {
-      if (p % num_shards_ != shard_) continue;
-      const kafka::TopicPartition tp{config_.topic, p};
-      std::int64_t start = 0;
-      if (config_.resume_from_group && !config_.group_id.empty()) {
-        const std::int64_t committed =
-            broker_.committed_offset(config_.group_id, tp);
-        if (committed >= 0) start = committed;
-      }
-      consumer_->assign(tp, start).expect_ok();
-      const auto end = broker_.end_offset(tp);
-      end.status().expect_ok();
-      bounded_end_.push_back(end.value());
-    }
+        broker_, kafka::ConsumerConfig{.max_poll_records = 1000});
+    consumer_->subscribe(config_.topic, config_.bounded, shard_).expect_ok();
   }
 
   bool advance(Element& out) override {
     while (buffer_index_ >= batch_.records.size()) {
-      if (done()) {
-        commit_if_due(/*force=*/true);
-        return false;
-      }
+      // kClosed comes with the final batch; once that is drained the next
+      // poll returns kClosed at once with nothing.
       const kafka::FetchState state = consumer_->poll_batch(5, batch_);
       buffer_index_ = 0;
-      commit_if_due(/*force=*/false);
-      if (state == kafka::FetchState::kClosed && batch_.empty()) {
-        // Broker mid-shutdown: the final batch was empty, stop reading.
-        return false;
-      }
-      if (batch_.empty() && done()) {
-        commit_if_due(/*force=*/true);
-        return false;
-      }
+      if (state == kafka::FetchState::kClosed && batch_.empty()) return false;
     }
     auto& record = batch_.records[buffer_index_++];
     // The raw element: the full record with metadata, stamped with the
@@ -131,54 +106,25 @@ class KafkaSourceReader final : public SourceReader {
 
   ReadNow advance_now(Element& out) override {
     if (buffer_index_ >= batch_.records.size()) {
-      if (done()) {
-        commit_if_due(/*force=*/true);
-        return ReadNow::kDone;
-      }
       // One non-blocking fetch: a micro-batch runner calling this must not
       // park inside the batch it is assembling.
       const kafka::FetchState state = consumer_->poll_batch(0, batch_);
       buffer_index_ = 0;
-      commit_if_due(/*force=*/false);
       if (batch_.empty()) {
-        if (state == kafka::FetchState::kClosed) {
-          commit_if_due(/*force=*/true);
-          return ReadNow::kDone;
-        }
-        return ReadNow::kIdle;
+        return state == kafka::FetchState::kClosed ? ReadNow::kDone
+                                                   : ReadNow::kIdle;
       }
     }
     return advance(out) ? ReadNow::kRecord : ReadNow::kDone;
   }
 
  private:
-  bool done() const {
-    if (!config_.bounded) return false;
-    const auto positions = consumer_->positions();
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      if (positions[i].second < bounded_end_[i]) return false;
-    }
-    return true;
-  }
-
-  void commit_if_due(bool force) {
-    if (!config_.resume_from_group || config_.group_id.empty()) return;
-    if (!force && ++batches_since_commit_ < config_.commit_every_batches) {
-      return;
-    }
-    consumer_->commit();
-    batches_since_commit_ = 0;
-  }
-
   kafka::Broker& broker_;
   KafkaReadConfig config_;
-  int shard_;
-  int num_shards_;
+  kafka::Shard shard_;
   std::unique_ptr<kafka::Consumer> consumer_;
-  std::vector<std::int64_t> bounded_end_;
   kafka::FetchBatch batch_;
   std::size_t buffer_index_ = 0;
-  int batches_since_commit_ = 0;
 };
 
 /// The writer DoFn: produces at process() time, flushes at bundle
@@ -190,9 +136,7 @@ class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
 
   void setup() override {
     producer_ = std::make_unique<kafka::Producer>(
-        broker_, kafka::ProducerConfig{.acks = config_.acks,
-                                       .batch_size = config_.batch_size,
-                                       .async = config_.async});
+        broker_, kafka::ProducerConfig{.async = config_.async});
   }
 
   void process(ProcessContext& context) override {

@@ -62,17 +62,9 @@ struct CoderTraits<ProducerRecordStub> {
 
 struct KafkaReadConfig {
   std::string topic;
+  /// true = read the topic as it stood when the reader opened; false =
+  /// read until the topic is sealed and drained (open loop).
   bool bounded = true;
-  /// Offset bookkeeping à la Kafka auto-commit: when `group_id` is set and
-  /// `resume_from_group` is true, readers start from the group's committed
-  /// offsets and commit every `commit_every_batches` fetched batches. Like
-  /// auto-commit, offsets can run ahead of downstream flushes, so a crash
-  /// may skip in-flight records on resume; the Beam *recovery* path
-  /// therefore restarts with a fresh group (full replay, at-least-once),
-  /// and this knob exists for incremental-rerun scenarios. Off by default.
-  std::string group_id;
-  bool resume_from_group = false;
-  int commit_every_batches = 4;
 };
 
 struct KafkaWriteConfig {
@@ -81,9 +73,6 @@ struct KafkaWriteConfig {
   /// over the topic's partitions), so parallel writer instances spread their
   /// output instead of contending on one partition log.
   int partition = 0;
-  kafka::Acks acks = kafka::Acks::kLeader;
-  /// Producer-side buffering; flushes also happen at bundle boundaries.
-  std::size_t batch_size = 500;
   /// Asynchronous pipelined sink: the writer hands batches to the
   /// producer's background sender and does not flush per bundle; the
   /// pipeline drains at teardown. Set on the sink config when the graph is

@@ -8,6 +8,13 @@
 
 namespace dsps::flink {
 
+namespace {
+
+/// Polls between checkpoint barriers when the source has a coordinator.
+constexpr int kCheckpointIntervalPolls = 4;
+
+}  // namespace
+
 void KafkaStringSource::open(const RuntimeContext& context) {
   subtask_index_ = context.subtask_index;
   fault_site_ = "flink.source." + config_.topic;
@@ -15,33 +22,20 @@ void KafkaStringSource::open(const RuntimeContext& context) {
       broker_, kafka::ConsumerConfig{.group_id = config_.group_id,
                                      .max_poll_records =
                                          config_.max_poll_records});
-  const auto partition_count = broker_.partition_count(config_.topic);
-  partition_count.status().expect_ok();
-  for (int p = 0; p < partition_count.value(); ++p) {
-    if (p % context.parallelism != context.subtask_index) continue;
-    const kafka::TopicPartition tp{config_.topic, p};
-    std::int64_t start = 0;
-    if (config_.resume_from_group && !config_.group_id.empty()) {
-      const std::int64_t committed =
-          broker_.committed_offset(config_.group_id, tp);
-      if (committed >= 0) start = committed;
-    }
-    consumer_->assign(tp, start).expect_ok();
-    assigned_.push_back(tp);
-    const auto end = broker_.end_offset(tp);
-    end.status().expect_ok();
-    bounded_end_.push_back(config_.bounded ? end.value() : -1);
-  }
+  consumer_
+      ->subscribe(config_.topic, config_.bounded,
+                  kafka::Shard{.index = context.subtask_index,
+                               .count = context.parallelism})
+      .expect_ok();
 }
 
 void KafkaStringSource::run(SourceContext& context) {
-  if (assigned_.empty()) return;  // surplus subtask: nothing to read
   std::size_t uncommitted = 0;
   try {
     run_loop(context, uncommitted);
   } catch (...) {
     // Everything emitted past the last commit re-reads on the restart.
-    if (config_.resume_from_group || config_.checkpoint != nullptr) {
+    if (!config_.group_id.empty() || config_.checkpoint != nullptr) {
       runtime::MetricsRegistry::global()
           .counter("flink.recovery.replayed_records")
           .add(uncommitted);
@@ -53,68 +47,40 @@ void KafkaStringSource::run(SourceContext& context) {
 void KafkaStringSource::run_loop(SourceContext& context,
                                  std::size_t& uncommitted) {
   runtime::OperatorInvoker invoker(fault_site_);
-  int polls_since_commit = 0;
   int polls_since_barrier = 0;
   kafka::FetchBatch batch;
-  bool broker_closed = false;
   while (!context.cancelled()) {
     // A fault here models an operator throw anywhere in this chain: the
     // records of the open epoch have not been checkpointed yet, so the
     // restart replays them from the last committed offset.
     invoker.maybe_fault();
-    const kafka::FetchState state = invoker.broker_rtt(
-        [&] { return consumer_->poll_batch(config_.poll_timeout_ms, batch); });
-    broker_closed = state == kafka::FetchState::kClosed;
+    const bool closed =
+        invoker.broker_rtt([&] {
+          return consumer_->poll_batch(config_.poll_timeout_ms, batch);
+        }) == kafka::FetchState::kClosed;
     for (auto& record : batch.records) {
       // Zero-copy hand-off: the Payload shares the broker's storage all the
       // way down the operator chain.
       context.collect(make_elem<kafka::Payload>(std::move(record.value)));
     }
     uncommitted += batch.records.size();
-    const bool barrier_due =
-        config_.checkpoint != nullptr &&
-        ++polls_since_barrier >= config_.checkpoint_interval_polls;
-    if (barrier_due) {
-      // Epoch boundary: flush this chain's sinks, then commit offsets.
-      // Order matters — output must be durable before the input positions
-      // that produced it are, or a crash in between loses records.
-      invoker.checkpoint([&] {
-        config_.checkpoint->barrier(subtask_index_);
-        consumer_->commit();
-      });
-      uncommitted = 0;
-      polls_since_barrier = 0;
-    } else if (config_.resume_from_group &&
-               ++polls_since_commit >= config_.commit_every_polls) {
-      if (config_.checkpoint == nullptr) {
-        invoker.checkpoint([&] { consumer_->commit(); });
-        uncommitted = 0;
-      }
-      polls_since_commit = 0;
-    }
-    bool done = broker_closed;
-    if (config_.bounded && !done) {
-      done = true;
-      const auto positions = consumer_->positions();
-      for (std::size_t i = 0; i < positions.size(); ++i) {
-        if (positions[i].second < bounded_end_[i]) {
-          done = false;
-          break;
-        }
-      }
-    }
-    if (done) {
-      if (config_.checkpoint != nullptr) {
+    if (config_.checkpoint != nullptr) {
+      if (closed || ++polls_since_barrier >= kCheckpointIntervalPolls) {
+        // Epoch boundary: flush this chain's sinks, then commit offsets.
+        // Order matters — output must be durable before the input positions
+        // that produced it are, or a crash in between loses records.
         invoker.checkpoint([&] {
           config_.checkpoint->barrier(subtask_index_);
           consumer_->commit();
         });
-      } else if (config_.resume_from_group) {
-        invoker.checkpoint([&] { consumer_->commit(); });
+        uncommitted = 0;
+        polls_since_barrier = 0;
       }
+    } else if (!config_.group_id.empty()) {
+      invoker.checkpoint([&] { consumer_->commit(); });
       uncommitted = 0;
-      return;
     }
+    if (closed) return;
   }
   // Cancelled mid-stream: leave the last committed offset as the recovery
   // point (records after it replay on restart — at-least-once).
@@ -122,8 +88,7 @@ void KafkaStringSource::run_loop(SourceContext& context,
 
 void KafkaStringSink::open(const RuntimeContext& context) {
   producer_ = std::make_unique<kafka::Producer>(
-      broker_, kafka::ProducerConfig{.acks = config_.acks,
-                                     .batch_size = config_.batch_size,
+      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size,
                                      .async = config_.async});
   partition_ = config_.partition;
   if (partition_ < 0) {

@@ -1,7 +1,9 @@
 // MiniKafka connectors for Flink-sim (the FlinkKafkaConsumer/Producer
-// analogues). The bounded source captures the end offsets at open() and
-// finishes when it reaches them — the benchmark pre-loads the input topic,
-// so bounded semantics match the paper's measurement window.
+// analogues). The source reads its subtask's partition slice until the
+// consumer reports the end of input (kafka::Consumer::subscribe): the end
+// offsets recorded at open() when bounded — the benchmark pre-loads the
+// input topic, so this matches the paper's measurement window — or the
+// sealed, drained topic in open loop.
 #pragma once
 
 #include <memory>
@@ -17,23 +19,20 @@ namespace dsps::flink {
 
 struct KafkaSourceConfig {
   std::string topic;
-  std::string group_id = "flink-source";
+  /// At-least-once recovery: with a group the source resumes from the
+  /// group's committed offsets and commits after every poll. A job
+  /// restarted after a crash re-reads at most the uncommitted tail (some
+  /// records may be emitted twice — at-least-once, like a Kafka consumer
+  /// without transactional sinks). Empty = no group: start at offset 0.
+  std::string group_id;
   bool bounded = true;
   std::size_t max_poll_records = 1000;
   std::int64_t poll_timeout_ms = 50;
-  /// At-least-once recovery: when true, resume from the consumer group's
-  /// committed offsets and commit after every `commit_every_polls` polls.
-  /// A job restarted after a crash re-reads at most the uncommitted tail
-  /// (some records may be emitted twice — at-least-once, like a Kafka
-  /// consumer without transactional sinks).
-  bool resume_from_group = false;
-  int commit_every_polls = 1;
-  /// Barrier-style checkpointing: when set, every `checkpoint_interval_polls`
+  /// Barrier-style checkpointing: when set, every kCheckpointIntervalPolls
   /// polls the source runs a barrier (committing its chain's sink epochs via
   /// the coordinator) and then commits its own offsets. Requires the sink of
   /// the same chain to share the coordinator — see KafkaSinkConfig.
   std::shared_ptr<CheckpointCoordinator> checkpoint;
-  int checkpoint_interval_polls = 4;
 };
 
 /// Emits record values as kafka::Payload elements (refcounted slices of the
@@ -55,8 +54,6 @@ class KafkaStringSource final : public SourceFunction {
   kafka::Broker& broker_;
   KafkaSourceConfig config_;
   std::unique_ptr<kafka::Consumer> consumer_;
-  std::vector<std::int64_t> bounded_end_;  // per assigned partition
-  std::vector<kafka::TopicPartition> assigned_;
   int subtask_index_ = 0;
   std::string fault_site_;  // precomputed: no per-poll allocation
 };
@@ -67,7 +64,6 @@ struct KafkaSinkConfig {
   /// partition count), so parallel sink subtasks write to disjoint
   /// partition logs instead of serializing on one log mutex.
   int partition = 0;
-  kafka::Acks acks = kafka::Acks::kLeader;
   std::size_t batch_size = 500;
   /// Barrier participation: when set, the sink registers with the
   /// coordinator so the source's barrier makes its output durable before

@@ -1,5 +1,7 @@
 #include "kafka/consumer.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "runtime/fault.hpp"
@@ -25,7 +27,7 @@ Consumer::Consumer(Broker& broker, ConsumerConfig config)
 
 Consumer::~Consumer() {
   if (group_mode_) {
-    broker_.coordinator().leave(config_.group_id, group_topic_, member_id_);
+    broker_.coordinator().leave(config_.group_id, topic_, member_id_);
   }
 }
 
@@ -40,7 +42,7 @@ Status Consumer::subscribe_group(const std::string& topic) {
   if (!partitions.is_ok()) return partitions.status();
   member_id_ = broker_.coordinator().join(config_.group_id, topic,
                                           partitions.value());
-  group_topic_ = topic;
+  topic_ = topic;
   group_mode_ = true;
   // First assignment lands at the next poll via sync_group().
   return Status::ok();
@@ -49,8 +51,9 @@ Status Consumer::subscribe_group(const std::string& topic) {
 Status Consumer::leave_group() {
   if (!group_mode_) return Status::ok();
   commit();
-  broker_.coordinator().leave(config_.group_id, group_topic_, member_id_);
+  broker_.coordinator().leave(config_.group_id, topic_, member_id_);
   group_mode_ = false;
+  topic_.clear();
   assignments_.clear();
   next_partition_ = 0;
   seen_generation_ = -1;
@@ -60,7 +63,7 @@ Status Consumer::leave_group() {
 void Consumer::sync_group() {
   auto& coordinator = broker_.coordinator();
   const auto view =
-      coordinator.sync(config_.group_id, group_topic_, member_id_);
+      coordinator.sync(config_.group_id, topic_, member_id_);
   if (view.generation == seen_generation_) return;
   seen_generation_ = view.generation;
 
@@ -68,7 +71,7 @@ void Consumer::sync_group() {
   // (the caller is between polls), so the position is safe to make durable.
   // Commit first, release second — the new owner starts exactly there.
   for (const int p : view.revoked) {
-    const TopicPartition tp{group_topic_, p};
+    const TopicPartition tp{topic_, p};
     for (std::size_t i = 0; i < assignments_.size(); ++i) {
       if (!(assignments_[i].tp == tp)) continue;
       broker_.commit_offset(config_.group_id, tp, assignments_[i].position);
@@ -76,12 +79,12 @@ void Consumer::sync_group() {
                          static_cast<std::ptrdiff_t>(i));
       break;
     }
-    coordinator.release(config_.group_id, group_topic_, member_id_, p);
+    coordinator.release(config_.group_id, topic_, member_id_, p);
   }
 
   // Adopt newly granted partitions at their committed offsets.
   for (const int p : view.owned) {
-    const TopicPartition tp{group_topic_, p};
+    const TopicPartition tp{topic_, p};
     bool already = false;
     for (const auto& assignment : assignments_) {
       if (assignment.tp == tp) {
@@ -98,10 +101,16 @@ void Consumer::sync_group() {
   next_partition_ = 0;
 }
 
-Status Consumer::subscribe(const std::string& topic) {
+Status Consumer::subscribe(const std::string& topic, bool bounded,
+                           Shard shard) {
+  if (shard.count < 1 || shard.index < 0 || shard.index >= shard.count) {
+    return Status::invalid_argument("shard index out of range");
+  }
   auto partitions = broker_.partition_count(topic);
   if (!partitions.is_ok()) return partitions.status();
-  for (int p = 0; p < partitions.value(); ++p) {
+  topic_ = topic;
+  bounded_ = bounded;
+  for (int p = shard.index; p < partitions.value(); p += shard.count) {
     const TopicPartition tp{topic, p};
     std::int64_t offset = 0;
     if (!config_.group_id.empty()) {
@@ -109,66 +118,16 @@ Status Consumer::subscribe(const std::string& topic) {
           broker_.committed_offset(config_.group_id, tp);
       if (committed >= 0) offset = committed;
     }
-    assignments_.push_back(Assignment{.tp = tp, .position = offset});
+    std::int64_t end = kUntilSealed;
+    if (bounded) {
+      const auto end_offset = broker_.end_offset(tp);
+      if (!end_offset.is_ok()) return end_offset.status();
+      end = end_offset.value();
+    }
+    assignments_.push_back(
+        Assignment{.tp = tp, .position = offset, .end = end});
   }
   return Status::ok();
-}
-
-Status Consumer::assign(const TopicPartition& tp, std::int64_t offset) {
-  if (!broker_.topic_exists(tp.topic)) {
-    return Status::not_found("topic not found: " + tp.topic);
-  }
-  assignments_.push_back(Assignment{.tp = tp, .position = offset});
-  return Status::ok();
-}
-
-std::vector<ConsumedRecord> Consumer::poll(std::int64_t timeout_ms) {
-  std::vector<ConsumedRecord> out;
-  if (group_mode_) sync_group();
-  if (assignments_.empty()) return out;
-
-  std::vector<StoredRecord> fetched;
-  // First pass: non-blocking round-robin over assignments.
-  for (std::size_t i = 0; i < assignments_.size(); ++i) {
-    auto& assignment = assignments_[next_partition_];
-    next_partition_ = (next_partition_ + 1) % assignments_.size();
-    fetched.clear();
-    const auto fetched_count =
-        broker_.fetch(assignment.tp, assignment.position,
-                      config_.max_poll_records - out.size(), fetched);
-    if (fetched_count.is_ok() && fetched_count.value() > 0) {
-      // Advance past the last *actual* offset: a retention-trimmed head
-      // clamps the fetch forward, and += count would lag behind forever.
-      assignment.position = fetched.back().offset + 1;
-      for (auto& record : fetched) {
-        out.push_back(ConsumedRecord{.tp = assignment.tp,
-                                     .offset = record.offset,
-                                     .key = std::move(record.key),
-                                     .value = std::move(record.value),
-                                     .timestamp = record.timestamp});
-      }
-      if (out.size() >= config_.max_poll_records) return out;
-    }
-  }
-  if (!out.empty() || timeout_ms <= 0) return out;
-
-  // Nothing available: block on the first assignment for the timeout.
-  auto& assignment = assignments_.front();
-  fetched.clear();
-  const auto fetched_count = broker_.fetch_blocking(
-      assignment.tp, assignment.position, config_.max_poll_records,
-      timeout_ms, fetched);
-  if (fetched_count.is_ok() && !fetched.empty()) {
-    assignment.position = fetched.back().offset + 1;
-    for (auto& record : fetched) {
-      out.push_back(ConsumedRecord{.tp = assignment.tp,
-                                   .offset = record.offset,
-                                   .key = std::move(record.key),
-                                   .value = std::move(record.value),
-                                   .timestamp = record.timestamp});
-    }
-  }
-  return out;
 }
 
 FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
@@ -177,7 +136,18 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
   runtime::Watchdog::pet();
   if (group_mode_) sync_group();
   if (assignments_.empty()) {
-    return broker_.shutting_down() ? FetchState::kClosed : FetchState::kOk;
+    // An empty open-loop slice parks until its topic is sealed: the fetch
+    // waits past the end of partition 0 and copies nothing. A group member
+    // without partitions returns at once, so a grant is picked up promptly.
+    if (drained_state() == FetchState::kClosed) return FetchState::kClosed;
+    if (group_mode_ || topic_.empty() || timeout_ms <= 0) {
+      return FetchState::kOk;
+    }
+    runtime::Watchdog::IdleScope idle;
+    (void)broker_.fetch_blocking({topic_, 0},
+                                 std::numeric_limits<std::int64_t>::max(), 0,
+                                 timeout_ms, out.records);
+    return drained_state();
   }
   runtime::FaultInjector::instance().maybe_stall(
       runtime::FaultPoint::kSlowConsumer, assignments_.front().tp.topic);
@@ -207,9 +177,10 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
     for (std::size_t i = 0; i < assignments_.size(); ++i) {
       auto& assignment = assignments_[next_partition_];
       next_partition_ = (next_partition_ + 1) % assignments_.size();
-      const auto fetched_count =
-          broker_.fetch(assignment.tp, assignment.position,
-                        config_.max_poll_records, out.records);
+      const std::size_t limit = fetch_limit(assignment);
+      if (limit == 0) continue;
+      const auto fetched_count = broker_.fetch(
+          assignment.tp, assignment.position, limit, out.records);
       if (fetched_count.is_ok() && fetched_count.value() > 0) {
         return finish_batch(assignment);
       }
@@ -220,27 +191,55 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
   if (drained_state() == FetchState::kClosed) return FetchState::kClosed;
   if (timeout_ms <= 0) return FetchState::kOk;
 
-  // Nothing available: block on the first assignment for the timeout —
-  // idle-input time, attributed as queue_wait, not broker cost, and marked
-  // watchdog-idle (a legitimate block, not a stall).
+  // Nothing available: block on the first unfinished assignment for the
+  // timeout — idle-input time, attributed as queue_wait, not broker cost,
+  // and marked watchdog-idle (a legitimate block, not a stall).
   // Broker shutdown / topic seal interrupts the wait via
   // PartitionLog::close().
-  auto& assignment = assignments_.front();
+  auto& assignment = *std::find_if(
+      assignments_.begin(), assignments_.end(),
+      [this](const Assignment& a) { return fetch_limit(a) > 0; });
   runtime::Watchdog::IdleScope idle;
   runtime::ScopedStage wait(runtime::Stage::kQueueWait,
                             runtime::ScopedStage::Mode::kAlways, fetch_op());
-  const auto fetched_count = broker_.fetch_blocking(
-      assignment.tp, assignment.position, config_.max_poll_records, timeout_ms,
-      out.records);
+  const auto fetched_count =
+      broker_.fetch_blocking(assignment.tp, assignment.position,
+                             fetch_limit(assignment), timeout_ms, out.records);
   if (fetched_count.is_ok() && fetched_count.value() > 0) {
     return finish_batch(assignment);
   }
   return drained_state();
 }
 
+std::size_t Consumer::fetch_limit(const Assignment& assignment) const {
+  if (assignment.end == kUntilSealed) return config_.max_poll_records;
+  if (assignment.position >= assignment.end) return 0;
+  return std::min(config_.max_poll_records,
+                  static_cast<std::size_t>(assignment.end -
+                                           assignment.position));
+}
+
+bool Consumer::finished() const {
+  if (assignments_.empty()) {
+    // Group members wait for partitions; an unsubscribed consumer never
+    // ends on its own.
+    if (group_mode_ || topic_.empty()) return false;
+    return bounded_ || broker_.topic_sealed(topic_);
+  }
+  for (const auto& assignment : assignments_) {
+    if (assignment.end != kUntilSealed) {
+      if (assignment.position < assignment.end) return false;
+      continue;
+    }
+    if (!broker_.partition_sealed(assignment.tp)) return false;
+    const auto end = broker_.end_offset(assignment.tp);
+    if (!end.is_ok() || assignment.position < end.value()) return false;
+  }
+  return true;
+}
+
 FetchState Consumer::drained_state() const {
-  if (broker_.shutting_down()) return FetchState::kClosed;
-  if (at_sealed_end()) return FetchState::kClosed;
+  if (broker_.shutting_down() || finished()) return FetchState::kClosed;
   return FetchState::kOk;
 }
 
@@ -282,24 +281,6 @@ std::vector<std::pair<TopicPartition, std::int64_t>> Consumer::positions()
     out.emplace_back(assignment.tp, assignment.position);
   }
   return out;
-}
-
-bool Consumer::at_end() const {
-  for (const auto& assignment : assignments_) {
-    const auto end = broker_.end_offset(assignment.tp);
-    if (!end.is_ok() || assignment.position < end.value()) return false;
-  }
-  return true;
-}
-
-bool Consumer::at_sealed_end() const {
-  if (assignments_.empty()) return false;
-  for (const auto& assignment : assignments_) {
-    if (!broker_.partition_sealed(assignment.tp)) return false;
-    const auto end = broker_.end_offset(assignment.tp);
-    if (!end.is_ok() || assignment.position < end.value()) return false;
-  }
-  return true;
 }
 
 }  // namespace dsps::kafka

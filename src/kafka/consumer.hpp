@@ -1,5 +1,7 @@
-// MiniKafka consumer: manual-assignment polling with optional consumer-group
-// offset commits (used by the engines' replay-on-restart recovery hooks).
+// MiniKafka consumer: the one read contract every engine reader shares —
+// partition slice, start offset and end of input — with optional
+// consumer-group offset commits (used by the engines' replay-on-restart
+// recovery hooks) and cooperative group subscription.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +13,6 @@
 #include "kafka/record.hpp"
 
 namespace dsps::kafka {
-
-/// A record as returned by Consumer::poll (adds its origin partition).
-struct ConsumedRecord {
-  TopicPartition tp;
-  std::int64_t offset = 0;
-  Payload key;
-  Payload value;
-  Timestamp timestamp = 0;
-};
 
 /// One contiguous fetch from a single partition, as returned by
 /// Consumer::poll_batch. Records keep the broker's StoredRecord layout, so
@@ -34,6 +27,14 @@ struct FetchBatch {
   std::size_t size() const noexcept { return records.size(); }
 };
 
+/// The slice of a topic one reader owns: shard `index` of `count` reads the
+/// partitions p with p % count == index. With more shards than partitions
+/// the surplus shards own nothing (Kafka semantics).
+struct Shard {
+  int index = 0;
+  int count = 1;
+};
+
 struct ConsumerConfig {
   /// Optional consumer group for offset commits; empty = no group.
   std::string group_id;
@@ -41,14 +42,13 @@ struct ConsumerConfig {
 };
 
 /// Outcome of a poll_batch call. kClosed means no further data will ever
-/// arrive — the broker is mid-shutdown, or every assigned partition's topic
-/// was sealed (Broker::seal_topic) and fully consumed: the batch in `out`
-/// (possibly partial, possibly empty) is the final one and must still be
-/// processed. kOutOfRange means the consumer had fallen behind a
-/// retention-trimmed log head and was auto-reset to the log start (the
-/// auto.offset.reset=earliest behaviour); the batch holds valid records
-/// from the reset position and the gap is counted in
-/// `kafka.consumer.out_of_range_resets`. Marked [[nodiscard]] so every call
+/// arrive — the broker is mid-shutdown, or the subscribed slice reached its
+/// end of input (see Consumer::subscribe): the batch in `out` (possibly
+/// partial, possibly empty) is the final one and must still be processed.
+/// kOutOfRange means the consumer had fallen behind a retention-trimmed log
+/// head and was auto-reset to the log start (the auto.offset.reset=earliest
+/// behaviour); the batch holds valid records from the reset position and
+/// the gap is counted in `kafka.consumer.out_of_range_resets`. Marked [[nodiscard]] so every call
 /// site decides what shutdown means for it.
 enum class [[nodiscard]] FetchState {
   kOk,
@@ -67,9 +67,17 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
-  /// Assigns all partitions of `topic`, starting from the committed offset
-  /// of the consumer group (or 0 without a group / commit).
-  Status subscribe(const std::string& topic);
+  /// Assigns this reader's slice of `topic` (see Shard). Each partition
+  /// starts at the consumer group's committed offset, or at 0 without a
+  /// group or commit. The slice's end of input — the one rule every engine
+  /// reader stops on — is:
+  ///  - bounded: each partition's end offset as it stands now; records
+  ///    appended after subscribe() are never read;
+  ///  - open loop: the topic is sealed (Broker::seal_topic) and every
+  ///    partition of the slice is drained.
+  /// An empty slice follows the same rule: it ends at once when bounded and
+  /// at the seal in open loop.
+  Status subscribe(const std::string& topic, bool bounded, Shard shard = {});
 
   /// Coordinator-managed group subscription (requires a group_id): joins
   /// the consumer group for `topic`; partitions arrive via the sticky
@@ -88,21 +96,14 @@ class Consumer {
   /// True while subscribe_group() membership is active.
   bool in_group() const noexcept { return group_mode_; }
 
-  /// Assigns exactly one partition.
-  Status assign(const TopicPartition& tp, std::int64_t offset);
-
-  /// Polls all assigned partitions; blocks up to `timeout_ms` when no data
-  /// is immediately available. Returns the records (possibly empty).
-  std::vector<ConsumedRecord> poll(std::int64_t timeout_ms);
-
-  /// Batch-native poll: round-robins over the assignments and returns the
-  /// first non-empty contiguous fetch (up to `max_poll_records`) from a
-  /// single partition, advancing that partition's position past the batch.
-  /// Unlike poll(), records are not re-wrapped one by one — callers that
-  /// want the values can move them straight out of the batch. Blocks up to
-  /// `timeout_ms` when nothing is immediately available — unless the broker
-  /// is mid-shutdown, in which case the call returns immediately with
-  /// whatever is fetchable and reports FetchState::kClosed.
+  /// Round-robins over the assignments and returns the first non-empty
+  /// contiguous fetch (up to `max_poll_records`) from a single partition,
+  /// advancing that partition's position past the batch; callers move the
+  /// values straight out of the batch. Returns kClosed together with the
+  /// batch that reaches the slice's end of input, and kClosed with an empty
+  /// batch — at once, without blocking — once the slice is finished (or
+  /// empty and finished) or the broker is mid-shutdown. Otherwise blocks up
+  /// to `timeout_ms` when nothing is immediately available.
   FetchState poll_batch(std::int64_t timeout_ms, FetchBatch& out);
 
   /// Moves the position of `tp` to `offset`.
@@ -114,34 +115,41 @@ class Consumer {
   /// Current fetch position per assigned partition.
   std::vector<std::pair<TopicPartition, std::int64_t>> positions() const;
 
-  /// True once every assigned partition is fully consumed *right now*.
-  bool at_end() const;
-
-  /// True when every assigned partition's log is sealed/closed AND fully
-  /// consumed — the open-loop termination condition (Apex's unbounded input
-  /// operator polls this to decide whether to stay scheduled).
-  bool at_sealed_end() const;
-
  private:
+  /// Assignment::end of a partition read until its topic is sealed.
+  static constexpr std::int64_t kUntilSealed = -1;
+
   struct Assignment {
     TopicPartition tp;
     std::int64_t position = 0;
+    /// Bounded reads: the end offset recorded at subscribe().
+    std::int64_t end = kUntilSealed;
   };
 
   /// Applies the coordinator's current view: commits + releases revoked
   /// partitions, adopts newly granted ones at their committed offsets.
   void sync_group();
 
-  /// kClosed when no more data can arrive (shutdown or sealed-and-drained).
+  /// Records the next fetch from `assignment` may return: a bounded read
+  /// never fetches past its recorded end (0 once it got there).
+  std::size_t fetch_limit(const Assignment& assignment) const;
+
+  /// True once the slice reached its end of input (see subscribe()).
+  bool finished() const;
+
+  /// kClosed when no more data can arrive (shutdown or finished()).
   FetchState drained_state() const;
 
   Broker& broker_;
   ConsumerConfig config_;
   std::vector<Assignment> assignments_;
+  // The subscribed topic (either subscribe call); subscribe() also keeps
+  // its rule, since an empty slice has no assignment to carry it.
+  std::string topic_;
+  bool bounded_ = false;
   std::size_t next_partition_ = 0;  // round-robin over assignments
   // Group-subscription state (subscribe_group).
   bool group_mode_ = false;
-  std::string group_topic_;
   std::string member_id_;
   std::int64_t seen_generation_ = -1;
 };

@@ -68,7 +68,7 @@ flink::StreamExecutionEnvironment build_environment(
     // durable before the source commits the offsets that produced it.
     // `exactly_once` additionally buffers sink epochs, so a crash discards
     // uncommitted output instead of duplicating it on replay.
-    source_config.resume_from_group = true;
+    source_config.group_id = "flink-source";
     source_config.checkpoint = checkpoint;
     sink_config.checkpoint = checkpoint;
     sink_config.transactional = ctx.recovery.exactly_once;

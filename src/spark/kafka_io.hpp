@@ -1,6 +1,5 @@
-// Kafka output helper for DStreams: one producer per partition task, with
-// configurable batching (the native sink batches; the Beam runner's generic
-// writer is configured per-record by the Apex runner — see beam/runners).
+// Kafka output helper for DStreams: one producer per partition task,
+// batching with the ProducerConfig defaults.
 #pragma once
 
 #include <memory>
@@ -17,8 +16,6 @@ struct KafkaWriteConfig {
   /// Output partition; -1 = auto (the task's split index modulo the topic's
   /// partition count), so parallel write tasks land on disjoint logs.
   int partition = 0;
-  kafka::Acks acks = kafka::Acks::kLeader;
-  std::size_t batch_size = 500;
   /// Asynchronous pipelined producer: sends hand batches to a background
   /// sender; the close() at the end of the task drains everything, so the
   /// batch is durable by the time it commits (Spark's output-op contract).
@@ -43,9 +40,7 @@ inline void write_to_kafka(const DStream<kafka::Payload>& stream,
           // Pulling the iterator drives the whole pipelined stage, so
           // records reach the broker while upstream work is happening.
           kafka::Producer producer(
-              broker, kafka::ProducerConfig{.acks = config.acks,
-                                            .batch_size = config.batch_size,
-                                            .async = config.async});
+              broker, kafka::ProducerConfig{.async = config.async});
           while (auto value = iter->next()) {
             producer
                 .send(config.topic, partition,

@@ -6,12 +6,14 @@
 // 3 engines x {native, Beam} run open-loop under synthetic overload with
 // shedding off — output multisets
 // must exactly equal an unthrottled DirectRunner run over the same input —
-// and a drop_oldest run's shed count must match the missing records.
+// and a drop_oldest run's shed count must match the missing records. All six
+// setups also finish open-loop when a reader owns no input partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -157,7 +159,8 @@ TEST(Retention, ConsumerBehindTrimmedHeadSeesOutOfRange) {
   }
   const auto before = runtime::MetricsRegistry::global().snapshot();
   kafka::Consumer consumer(broker, kafka::ConsumerConfig{});
-  consumer.assign({"ret", 0}, 0).expect_ok();  // offset 0 is long gone
+  // No group: the read starts at offset 0, which is long gone.
+  consumer.subscribe("ret", /*bounded=*/false).expect_ok();
   kafka::FetchBatch batch;
   const kafka::FetchState state = consumer.poll_batch(0, batch);
   EXPECT_EQ(state, kafka::FetchState::kOutOfRange);
@@ -422,6 +425,60 @@ TEST(ThrottledDifferential, DropOldestShedCountMatchesMissingRecords) {
   // missing count equals the shed count.
   EXPECT_EQ(run.output.size(), run.report.admitted);
   EXPECT_EQ(kRecords - run.output.size(), run.report.shed);
+}
+
+// --- surplus shards in open loop ---------------------------------------------
+
+/// Parallelism 2 over a 1-partition input topic sealed before the run: one
+/// reader per engine owns no partition. Its empty slice must end at the seal
+/// like any other, so every setup finishes with output == input. Each run
+/// has its own deadline; a hang fails in seconds, then the broker shutdown
+/// unblocks the stuck reader so the test can still join it.
+TEST(OpenLoopSurplusShard, AllSetupsFinishOverSealedInput) {
+  constexpr int kLines = 500;
+  constexpr auto kDeadline = std::chrono::seconds(10);
+  for (const auto engine : {Engine::kFlink, Engine::kSpark, Engine::kApex}) {
+    for (const auto sdk : {Sdk::kNative, Sdk::kBeam}) {
+      SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
+                   queries::sdk_name(sdk));
+      kafka::Broker broker;
+      workload::create_benchmark_topic(broker, kIn).expect_ok();
+      workload::create_benchmark_topic(broker, kOut).expect_ok();
+      std::vector<kafka::ProducerRecord> batch;
+      std::vector<std::string> input;
+      for (int i = 0; i < kLines; ++i) {
+        input.push_back("line-" + std::to_string(i));
+        batch.push_back(kafka::ProducerRecord{.value = input.back()});
+      }
+      broker.append_batch({kIn, 0}, batch, false).status().expect_ok();
+      broker.seal_topic(kIn).expect_ok();
+      std::sort(input.begin(), input.end());
+
+      queries::QueryContext ctx;
+      ctx.broker = &broker;
+      ctx.input_topic = kIn;
+      ctx.output_topic = kOut;
+      ctx.parallelism = 2;
+      ctx.open_loop = true;
+      std::promise<Status> done;
+      std::future<Status> status = done.get_future();
+      std::thread engine_thread([&] {
+        done.set_value(
+            queries::run_query(engine, sdk, QueryId::kIdentity, ctx));
+      });
+      const bool finished =
+          status.wait_for(kDeadline) == std::future_status::ready;
+      if (!finished) broker.begin_shutdown();
+      engine_thread.join();
+      if (!finished) {
+        ADD_FAILURE() << "run did not finish within the deadline";
+        continue;
+      }
+      const Status engine_status = status.get();
+      EXPECT_TRUE(engine_status.is_ok()) << engine_status.message();
+      EXPECT_EQ(sorted_output(broker, kOut), input);
+    }
+  }
 }
 
 }  // namespace

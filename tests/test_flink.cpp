@@ -491,9 +491,7 @@ TEST(FlinkKafkaTest, CrashRestartRecoveryIsAtLeastOnce) {
                                         .group_id = "recovery-group",
                                         .bounded = false,
                                         .max_poll_records = 50,
-                                        .poll_timeout_ms = 5,
-                                        .resume_from_group = true,
-                                        .commit_every_polls = 1};
+                                        .poll_timeout_ms = 5};
 
   // First incarnation: cancel once some output exists.
   {

@@ -573,86 +573,79 @@ TEST(ProducerTest, AcksNoneSkipsRttWait) {
 
 // --- consumer -------------------------------------------------------------------
 
-TEST(ConsumerTest, SubscribeAndPollAll) {
-  Broker broker;
-  broker.create_topic("t", single_partition()).expect_ok();
-  for (int i = 0; i < 25; ++i) {
-    broker.append({"t", 0}, ProducerRecord{.value = std::to_string(i)}, false)
+/// Appends `count` records valued "0".."count-1" to partition `p` of "t".
+void append_numbered(Broker& broker, int count, int p = 0) {
+  for (int i = 0; i < count; ++i) {
+    broker.append({"t", p}, ProducerRecord{.value = std::to_string(i)}, false)
         .status()
         .expect_ok();
   }
-  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 10});
-  consumer.subscribe("t").expect_ok();
-  std::vector<std::string> seen;
-  while (!consumer.at_end()) {
-    for (const auto& record : consumer.poll(0)) seen.push_back(record.value.str());
-  }
-  ASSERT_EQ(seen.size(), 25u);
-  for (int i = 0; i < 25; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], std::to_string(i));
 }
 
-TEST(ConsumerTest, PollRespectsMaxPollRecords) {
+/// Drains a consumer until kClosed; returns the values in read order.
+std::vector<std::string> drain_values(Consumer& consumer) {
+  std::vector<std::string> seen;
+  FetchBatch batch;
+  FetchState state = FetchState::kOk;
+  while (state != FetchState::kClosed) {
+    state = consumer.poll_batch(0, batch);
+    for (const auto& record : batch.records) {
+      seen.push_back(record.value.str());
+    }
+  }
+  return seen;
+}
+
+TEST(ConsumerTest, BoundedSubscribeReadsAllInOrder) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  for (int i = 0; i < 30; ++i) {
-    broker.append({"t", 0}, ProducerRecord{.value = "v"}, false)
-        .status()
-        .expect_ok();
+  append_numbered(broker, 25);
+  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 10});
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  const std::vector<std::string> seen = drain_values(consumer);
+  ASSERT_EQ(seen.size(), 25u);
+  for (int i = 0; i < 25; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], std::to_string(i));
   }
+}
+
+TEST(ConsumerTest, PollBatchRespectsMaxPollRecords) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  append_numbered(broker, 30);
   Consumer consumer(broker, ConsumerConfig{.max_poll_records = 7});
-  consumer.subscribe("t").expect_ok();
-  EXPECT_EQ(consumer.poll(0).size(), 7u);
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  FetchBatch batch;
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
+  EXPECT_EQ(batch.size(), 7u);
 }
 
 TEST(ConsumerTest, SeekRewinds) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  for (int i = 0; i < 5; ++i) {
-    broker.append({"t", 0}, ProducerRecord{.value = std::to_string(i)}, false)
-        .status()
-        .expect_ok();
-  }
+  append_numbered(broker, 5);
   Consumer consumer(broker);
-  consumer.subscribe("t").expect_ok();
-  (void)consumer.poll(0);
+  consumer.subscribe("t", /*bounded=*/false).expect_ok();
+  FetchBatch batch;
+  (void)consumer.poll_batch(0, batch);
   consumer.seek({"t", 0}, 2).expect_ok();
-  const auto records = consumer.poll(0);
-  ASSERT_FALSE(records.empty());
-  EXPECT_EQ(records[0].value, "2");
-}
-
-TEST(ConsumerTest, MultiPartitionRoundRobinReadsEverything) {
-  Broker broker;
-  broker.create_topic("t", TopicConfig{.partitions = 3}).expect_ok();
-  for (int p = 0; p < 3; ++p) {
-    for (int i = 0; i < 10; ++i) {
-      broker.append({"t", p}, ProducerRecord{.value = "v"}, false)
-          .status()
-          .expect_ok();
-    }
-  }
-  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 100});
-  consumer.subscribe("t").expect_ok();
-  std::size_t total = 0;
-  while (!consumer.at_end()) total += consumer.poll(0).size();
-  EXPECT_EQ(total, 30u);
+  (void)consumer.poll_batch(0, batch);
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(batch.base_offset, 2);
+  EXPECT_EQ(batch.records[0].value, "2");
 }
 
 TEST(ConsumerTest, PollBatchAdvancesOffsetsPerBatch) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  for (int i = 0; i < 25; ++i) {
-    broker.append({"t", 0}, ProducerRecord{.value = std::to_string(i)}, false)
-        .status()
-        .expect_ok();
-  }
+  append_numbered(broker, 25);
   Consumer consumer(broker, ConsumerConfig{.max_poll_records = 10});
-  consumer.subscribe("t").expect_ok();
+  consumer.subscribe("t", /*bounded=*/false).expect_ok();
 
   std::int64_t expected_offset = 0;
   std::vector<std::string> seen;
   FetchBatch batch;
-  while (!consumer.at_end()) {
+  while (expected_offset < 25) {
     EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
     ASSERT_FALSE(batch.empty());
     EXPECT_EQ(batch.tp, (TopicPartition{"t", 0}));
@@ -670,7 +663,8 @@ TEST(ConsumerTest, PollBatchAdvancesOffsetsPerBatch) {
   for (int i = 0; i < 25; ++i) {
     EXPECT_EQ(seen[static_cast<std::size_t>(i)], std::to_string(i));
   }
-  // Drained: a further non-blocking batch poll returns an empty batch.
+  // Drained but unsealed: a further non-blocking poll returns an empty
+  // batch and the read stays open.
   EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
   EXPECT_TRUE(batch.empty());
 }
@@ -678,19 +672,17 @@ TEST(ConsumerTest, PollBatchAdvancesOffsetsPerBatch) {
 TEST(ConsumerTest, PollBatchRoundRobinsPartitions) {
   Broker broker;
   broker.create_topic("t", TopicConfig{.partitions = 3}).expect_ok();
-  for (int p = 0; p < 3; ++p) {
-    for (int i = 0; i < 10; ++i) {
-      broker.append({"t", p}, ProducerRecord{.value = "v"}, false)
-          .status()
-          .expect_ok();
-    }
-  }
-  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 100});
-  consumer.subscribe("t").expect_ok();
+  for (int p = 0; p < 3; ++p) append_numbered(broker, 10, p);
+  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 4});
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
   std::size_t total = 0;
+  std::vector<int> partition_order;
   FetchBatch batch;
-  while (!consumer.at_end()) {
-    EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
+  FetchState state = FetchState::kOk;
+  while (state != FetchState::kClosed) {
+    state = consumer.poll_batch(0, batch);
+    if (batch.empty()) continue;
+    partition_order.push_back(batch.tp.partition);
     // Each batch is contiguous records of a single partition.
     for (const auto& record : batch.records) {
       EXPECT_EQ(record.offset - batch.base_offset,
@@ -699,41 +691,43 @@ TEST(ConsumerTest, PollBatchRoundRobinsPartitions) {
     total += batch.size();
   }
   EXPECT_EQ(total, 30u);
+  // Round-robin: consecutive batches come from consecutive partitions.
+  ASSERT_GE(partition_order.size(), 3u);
+  EXPECT_EQ(partition_order[0], 0);
+  EXPECT_EQ(partition_order[1], 1);
+  EXPECT_EQ(partition_order[2], 2);
 }
 
 TEST(ConsumerTest, GroupOffsetsResumeAfterRestart) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  for (int i = 0; i < 10; ++i) {
-    broker.append({"t", 0}, ProducerRecord{.value = std::to_string(i)}, false)
-        .status()
-        .expect_ok();
-  }
+  append_numbered(broker, 10);
   {
     Consumer consumer(broker, ConsumerConfig{.group_id = "g",
                                              .max_poll_records = 4});
-    consumer.subscribe("t").expect_ok();
-    EXPECT_EQ(consumer.poll(0).size(), 4u);
+    consumer.subscribe("t", /*bounded=*/true).expect_ok();
+    FetchBatch batch;
+    EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
+    EXPECT_EQ(batch.size(), 4u);
     consumer.commit();
   }
   // "Restarted" consumer in the same group resumes at the commit.
   Consumer resumed(broker, ConsumerConfig{.group_id = "g",
                                           .max_poll_records = 100});
-  resumed.subscribe("t").expect_ok();
-  const auto records = resumed.poll(0);
+  resumed.subscribe("t", /*bounded=*/true).expect_ok();
+  const std::vector<std::string> records = drain_values(resumed);
   ASSERT_EQ(records.size(), 6u);
-  EXPECT_EQ(records[0].value, "4");
+  EXPECT_EQ(records[0], "4");
 }
 
 TEST(ConsumerTest, NoGroupStartsAtZero) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  broker.append({"t", 0}, ProducerRecord{.value = "a"}, false)
-      .status()
-      .expect_ok();
+  append_numbered(broker, 1);
+  broker.commit_offset("g", {"t", 0}, 1);  // some group's commit: ignored
   Consumer consumer(broker);
-  consumer.subscribe("t").expect_ok();
-  EXPECT_EQ(consumer.poll(0)[0].value, "a");
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  EXPECT_EQ(drain_values(consumer), std::vector<std::string>{"0"});
 }
 
 TEST(ConsumerTest, CommittedOffsetQueries) {
@@ -748,7 +742,147 @@ TEST(ConsumerTest, CommittedOffsetQueries) {
 TEST(ConsumerTest, SubscribeUnknownTopicFails) {
   Broker broker;
   Consumer consumer(broker);
-  EXPECT_EQ(consumer.subscribe("missing").code(), StatusCode::kNotFound);
+  EXPECT_EQ(consumer.subscribe("missing", /*bounded=*/true).code(),
+            StatusCode::kNotFound);
+}
+
+// --- the read contract: slice, start offset, end of input -------------------------
+
+TEST(ConsumerContractTest, BoundedReadClosesWithTheBatchReachingTheEnd) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  append_numbered(broker, 10);
+  Consumer consumer(broker, ConsumerConfig{.max_poll_records = 6});
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  // Appended after subscribe: beyond the recorded end, never read.
+  append_numbered(broker, 5);
+
+  FetchBatch batch;
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
+  EXPECT_EQ(batch.size(), 6u);
+  // The batch that reaches offset 10 carries kClosed and stops there.
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kClosed);
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_EQ(batch.records.back().offset, 9);
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kClosed);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(consumer.positions().front().second, 10);
+}
+
+TEST(ConsumerContractTest, FinishedConsumerReturnsAtOnceDespiteTimeout) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  append_numbered(broker, 3);
+  Consumer consumer(broker);
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  EXPECT_EQ(drain_values(consumer).size(), 3u);
+  FetchBatch batch;
+  Stopwatch watch;
+  EXPECT_EQ(consumer.poll_batch(/*timeout_ms=*/10'000, batch),
+            FetchState::kClosed);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_LT(watch.elapsed_ms(), 1000.0);
+
+  // Open loop: sealed and drained is just as final.
+  Consumer open(broker);
+  open.subscribe("t", /*bounded=*/false).expect_ok();
+  broker.seal_topic("t").expect_ok();
+  EXPECT_EQ(drain_values(open).size(), 3u);
+  Stopwatch open_watch;
+  EXPECT_EQ(open.poll_batch(/*timeout_ms=*/10'000, batch),
+            FetchState::kClosed);
+  EXPECT_LT(open_watch.elapsed_ms(), 1000.0);
+}
+
+TEST(ConsumerContractTest, EmptyBoundedSliceIsClosedAtOnce) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  append_numbered(broker, 3);
+  // Shard 1 of 2 over one partition owns nothing.
+  Consumer consumer(broker);
+  consumer.subscribe("t", /*bounded=*/true, Shard{.index = 1, .count = 2})
+      .expect_ok();
+  EXPECT_TRUE(consumer.positions().empty());
+  FetchBatch batch;
+  Stopwatch watch;
+  EXPECT_EQ(consumer.poll_batch(/*timeout_ms=*/10'000, batch),
+            FetchState::kClosed);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_LT(watch.elapsed_ms(), 1000.0);
+}
+
+TEST(ConsumerContractTest, EmptyOpenSliceReadsOkUntilSealThenClosed) {
+  Broker broker;
+  broker.create_topic("t", single_partition()).expect_ok();
+  Consumer consumer(broker);
+  consumer.subscribe("t", /*bounded=*/false, Shard{.index = 1, .count = 2})
+      .expect_ok();
+  FetchBatch batch;
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
+  // Appends to partitions it does not own neither end nor feed the slice.
+  append_numbered(broker, 3);
+  EXPECT_EQ(consumer.poll_batch(/*timeout_ms=*/5, batch), FetchState::kOk);
+  EXPECT_TRUE(batch.empty());
+
+  // A blocked poll wakes on the seal instead of sleeping out its timeout.
+  FetchState state = FetchState::kOk;
+  std::thread poller(
+      [&] { state = consumer.poll_batch(/*timeout_ms=*/10'000, batch); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Stopwatch watch;
+  broker.seal_topic("t").expect_ok();
+  poller.join();
+  EXPECT_EQ(state, FetchState::kClosed);
+  EXPECT_LT(watch.elapsed_ms(), 5000.0);
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(ConsumerContractTest, ShardOwnsPartitionsModuloCount) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 7}).expect_ok();
+  for (int count = 1; count <= 4; ++count) {
+    std::vector<int> owners(7, 0);
+    for (int index = 0; index < count; ++index) {
+      Consumer consumer(broker);
+      consumer.subscribe("t", /*bounded=*/true,
+                         Shard{.index = index, .count = count})
+          .expect_ok();
+      for (const auto& [tp, position] : consumer.positions()) {
+        EXPECT_EQ(tp.partition % count, index);
+        ++owners[static_cast<std::size_t>(tp.partition)];
+      }
+    }
+    // Every partition has exactly one owner.
+    EXPECT_EQ(owners, std::vector<int>(7, 1)) << "count " << count;
+  }
+  Consumer consumer(broker);
+  EXPECT_EQ(consumer.subscribe("t", true, Shard{.index = 2, .count = 2})
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ConsumerContractTest, ResumesFromCommittedOffsetsOnlyWithAGroup) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 2}).expect_ok();
+  append_numbered(broker, 10, 0);
+  append_numbered(broker, 10, 1);
+  broker.commit_offset("g", {"t", 0}, 4);
+  broker.commit_offset("g", {"t", 1}, 7);
+
+  Consumer grouped(broker, ConsumerConfig{.group_id = "g"});
+  grouped.subscribe("t", /*bounded=*/true, Shard{.index = 1, .count = 2})
+      .expect_ok();
+  ASSERT_EQ(grouped.positions().size(), 1u);
+  EXPECT_EQ(grouped.positions().front().second, 7);
+  EXPECT_EQ(drain_values(grouped),
+            (std::vector<std::string>{"7", "8", "9"}));
+
+  Consumer ungrouped(broker);
+  ungrouped.subscribe("t", /*bounded=*/true).expect_ok();
+  for (const auto& [tp, position] : ungrouped.positions()) {
+    EXPECT_EQ(position, 0) << "p" << tp.partition;
+  }
+  EXPECT_EQ(drain_values(ungrouped).size(), 20u);
 }
 
 // --- producer/consumer integration ------------------------------------------------
@@ -764,14 +898,12 @@ TEST(KafkaIntegrationTest, ProducerToConsumerEndToEnd) {
   producer.close().expect_ok();
 
   Consumer consumer(broker, ConsumerConfig{.max_poll_records = 128});
-  consumer.subscribe("t").expect_ok();
-  int expected = 0;
-  while (!consumer.at_end()) {
-    for (const auto& record : consumer.poll(0)) {
-      EXPECT_EQ(record.value, std::to_string(expected++));
-    }
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  const std::vector<std::string> seen = drain_values(consumer);
+  ASSERT_EQ(seen.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], std::to_string(i));
   }
-  EXPECT_EQ(expected, 1000);
 }
 
 // --- broker shutdown / drain semantics ---------------------------------------------
@@ -785,7 +917,7 @@ TEST(BrokerShutdownTest, PollBatchDrainsThenReportsClosed) {
         .expect_ok();
   }
   Consumer consumer(broker);
-  consumer.subscribe("t").expect_ok();
+  consumer.subscribe("t", /*bounded=*/false).expect_ok();
   broker.begin_shutdown();
 
   // Stored records stay fetchable: the final batch still delivers them.
@@ -821,7 +953,7 @@ TEST(BrokerShutdownTest, ShutdownWakesBlockedPollBatch) {
   FetchState state = FetchState::kOk;
   std::thread poller([&] {
     Consumer consumer(broker);
-    consumer.subscribe("t").expect_ok();
+    consumer.subscribe("t", /*bounded=*/false).expect_ok();
     FetchBatch batch;
     polling.store(true);
     state = consumer.poll_batch(/*timeout_ms=*/10'000, batch);
@@ -861,11 +993,9 @@ TEST(ProducerTest, RetriesThroughInjectedBrokerOutage) {
   EXPECT_GT(producer.send_retries(), 0u);
   EXPECT_GT(injector.injected_count(), 0u);
   Consumer consumer(broker);
-  consumer.subscribe("t").expect_ok();
-  const auto records = consumer.poll(0);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].value, "first");
-  EXPECT_EQ(records[1].value, "second");
+  consumer.subscribe("t", /*bounded=*/true).expect_ok();
+  EXPECT_EQ(drain_values(consumer),
+            (std::vector<std::string>{"first", "second"}));
 }
 
 TEST(ProducerTest, SurfacesUnavailableAfterRetryExhaustion) {

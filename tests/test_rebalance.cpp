@@ -38,12 +38,13 @@ void produce_round_robin(Broker& broker, const std::string& topic, int count) {
 /// Record identity across consumers: (partition, offset).
 using RecordId = std::pair<int, std::int64_t>;
 
-std::vector<RecordId> drain_ids(std::vector<ConsumedRecord>& sink,
-                                const std::vector<ConsumedRecord>& records) {
+/// One poll_batch: the identities of the records it delivered.
+std::vector<RecordId> drain_ids(Consumer& consumer, std::int64_t timeout_ms) {
+  FetchBatch batch;
+  (void)consumer.poll_batch(timeout_ms, batch);
   std::vector<RecordId> ids;
-  for (const auto& record : records) {
-    ids.emplace_back(record.tp.partition, record.offset);
-    sink.push_back(record);
+  for (const auto& record : batch.records) {
+    ids.emplace_back(batch.tp.partition, record.offset);
   }
   return ids;
 }
@@ -159,11 +160,14 @@ TEST(ConsumerGroupTest, SingleConsumerDrainsAllPartitions) {
   produce_round_robin(broker, "t", 400);
   Consumer consumer(broker, ConsumerConfig{.group_id = "g"});
   consumer.subscribe_group("t").expect_ok();
-  std::vector<ConsumedRecord> out;
-  while (out.size() < 400u) {
-    for (auto& record : consumer.poll(10)) out.push_back(std::move(record));
+  std::size_t consumed = 0;
+  while (consumed < 400u) consumed += drain_ids(consumer, 10).size();
+  EXPECT_EQ(consumed, 400u);
+  // Every partition's position reached its end offset.
+  ASSERT_EQ(consumer.positions().size(), 4u);
+  for (const auto& [tp, position] : consumer.positions()) {
+    EXPECT_EQ(position, broker.end_offset(tp).value()) << "p" << tp.partition;
   }
-  EXPECT_TRUE(consumer.at_end());
 }
 
 TEST(ConsumerGroupTest, RebalanceMidStreamLosesAndDuplicatesNothing) {
@@ -178,18 +182,19 @@ TEST(ConsumerGroupTest, RebalanceMidStreamLosesAndDuplicatesNothing) {
   Consumer a(broker, ConsumerConfig{.group_id = "g"});
   a.subscribe_group("t").expect_ok();
 
-  std::vector<ConsumedRecord> consumed;
+  std::size_t consumed = 0;
   std::set<RecordId> seen;
   std::size_t duplicates = 0;
   auto account = [&](const std::vector<RecordId>& ids) {
+    consumed += ids.size();
     for (const auto& id : ids) {
       if (!seen.insert(id).second) ++duplicates;
     }
   };
 
   // Phase 1: A alone, roughly a quarter of the stream.
-  while (consumed.size() < static_cast<std::size_t>(kRecords) / 4) {
-    account(drain_ids(consumed, a.poll(10)));
+  while (consumed < static_cast<std::size_t>(kRecords) / 4) {
+    account(drain_ids(a, 10));
   }
 
   // Phase 2: B joins; both drain concurrently (interleaved polls — the
@@ -197,17 +202,17 @@ TEST(ConsumerGroupTest, RebalanceMidStreamLosesAndDuplicatesNothing) {
   {
     Consumer b(broker, ConsumerConfig{.group_id = "g"});
     b.subscribe_group("t").expect_ok();
-    while (consumed.size() < static_cast<std::size_t>(kRecords) / 2) {
-      account(drain_ids(consumed, a.poll(0)));
-      account(drain_ids(consumed, b.poll(0)));
+    while (consumed < static_cast<std::size_t>(kRecords) / 2) {
+      account(drain_ids(a, 0));
+      account(drain_ids(b, 0));
     }
     // Phase 3: B leaves gracefully (commits, then hands partitions back).
     b.leave_group().expect_ok();
   }
 
   // Phase 4: A finishes the stream alone.
-  while (consumed.size() < static_cast<std::size_t>(kRecords)) {
-    account(drain_ids(consumed, a.poll(10)));
+  while (consumed < static_cast<std::size_t>(kRecords)) {
+    account(drain_ids(a, 10));
   }
 
   EXPECT_EQ(duplicates, 0u);
@@ -238,18 +243,14 @@ TEST(ConsumerGroupTest, CrashLeaveReplaysUncommittedTail) {
     doomed.subscribe_group("t").expect_ok();
     // Both sync in and consume a little; neither commits.
     for (int i = 0; i < 4; ++i) {
-      for (const auto& r : survivor.poll(0)) {
-        seen.insert({r.tp.partition, r.offset});
-      }
+      for (const auto& id : drain_ids(survivor, 0)) seen.insert(id);
       // Dropped on the floor: the crash loses this consumer's progress.
-      (void)doomed.poll(0);
+      (void)drain_ids(doomed, 0);
     }
   }  // doomed "crashes"
 
   while (seen.size() < 200u) {
-    for (const auto& r : survivor.poll(10)) {
-      seen.insert({r.tp.partition, r.offset});
-    }
+    for (const auto& id : drain_ids(survivor, 10)) seen.insert(id);
   }
   // No loss: every offset of both partitions was seen by *someone alive*.
   for (int p = 0; p < 2; ++p) {
