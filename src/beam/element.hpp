@@ -6,9 +6,13 @@
 //
 // The envelope itself is kept lean so the measured overhead is the *model's*
 // (the extra translated operators, the coder hops, the per-record writer),
-// not accidental allocator traffic: hot payload types live inline in a
-// variant instead of a heap-boxed std::any, and the window set stores the
-// ubiquitous single-window case without allocating.
+// not accidental allocator traffic: every payload type the translated
+// queries move — KafkaIO's KafkaRecord and ProducerRecordStub included —
+// lives inline in a variant instead of a heap-boxed std::any, and the
+// window set stores the ubiquitous single-window case without allocating.
+// Moving an Element of these types never allocates; whether the box around
+// it does is the runner's business (the Flink runner reuses solely owned
+// boxes, beam/runners/flink_runner.cpp).
 #pragma once
 
 #include <algorithm>
@@ -64,10 +68,36 @@ concept KvElement = requires {
   typename T::value_t;
 };
 
+/// A consumed record with its metadata (KafkaIO.read()'s element type).
+/// Key and value are refcounted payload slices of the broker's storage —
+/// the envelope and coder hops stay (the measured abstraction cost), but
+/// the record bytes themselves are not copied until a coder materializes
+/// them at a serialized boundary.
+struct KafkaRecord {
+  std::string topic;
+  int partition = 0;
+  std::int64_t offset = 0;
+  Timestamp timestamp = 0;
+  runtime::Payload key;
+  runtime::Payload value;
+
+  friend bool operator==(const KafkaRecord&, const KafkaRecord&) = default;
+};
+
+/// What KafkaIO's ToProducerRecord emits and its KafkaWriter consumes.
+struct ProducerRecordStub {
+  runtime::Payload key;
+  runtime::Payload value;
+
+  friend bool operator==(const ProducerRecordStub&,
+                         const ProducerRecordStub&) = default;
+};
+
 /// Type-erased element payload. The payload types the translated queries
-/// move in bulk — refcounted Payload slices, strings, KV pairs, and the
-/// numeric scalars — are stored inline in a variant; any other type falls
-/// back to std::any, paying the heap boxing every payload used to pay.
+/// move in bulk — refcounted Payload slices, strings, KV pairs, KafkaIO's
+/// record types and the numeric scalars — are stored inline in a variant;
+/// any other type falls back to std::any, paying the heap boxing every
+/// payload used to pay.
 class Value {
  public:
   Value() = default;
@@ -120,6 +150,8 @@ class Value {
       std::is_same_v<T, KV<std::string, std::string>> ||
       std::is_same_v<T, runtime::Payload> ||
       std::is_same_v<T, KV<runtime::Payload, runtime::Payload>> ||
+      std::is_same_v<T, KafkaRecord> ||
+      std::is_same_v<T, ProducerRecordStub> ||
       std::is_same_v<T, std::int64_t> || std::is_same_v<T, double>;
 
   template <typename T>
@@ -134,7 +166,8 @@ class Value {
 
   std::variant<std::monostate, std::string, KV<std::string, std::string>,
                runtime::Payload, KV<runtime::Payload, runtime::Payload>,
-               std::int64_t, double, std::any>
+               KafkaRecord, ProducerRecordStub, std::int64_t, double,
+               std::any>
       storage_;
 };
 
@@ -195,6 +228,11 @@ struct Element {
   WindowSet windows;
   PaneInfo pane{};
 };
+
+// The inline KafkaRecord sets the size. Keep it bounded: Spark's bounded
+// source holds whole shards of Elements in memory at once, so every byte
+// here is multiplied by the input size.
+static_assert(sizeof(Element) <= 208);
 
 template <typename T>
 Element make_element(T value,

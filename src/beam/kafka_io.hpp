@@ -25,31 +25,8 @@
 
 namespace dsps::beam {
 
-/// A consumed record with its metadata (KafkaIO.read()'s element type).
-/// Key and value are refcounted payload slices of the broker's storage —
-/// the envelope and coder hops stay (the measured abstraction cost), but
-/// the record bytes themselves are not copied until a coder materializes
-/// them at a serialized boundary.
-struct KafkaRecord {
-  std::string topic;
-  int partition = 0;
-  std::int64_t offset = 0;
-  Timestamp timestamp = 0;
-  runtime::Payload key;
-  runtime::Payload value;
-
-  friend bool operator==(const KafkaRecord&, const KafkaRecord&) = default;
-};
-
-/// What ToProducerRecord emits and KafkaWriter consumes.
-struct ProducerRecordStub {
-  runtime::Payload key;
-  runtime::Payload value;
-
-  friend bool operator==(const ProducerRecordStub&,
-                         const ProducerRecordStub&) = default;
-};
-
+// KafkaRecord and ProducerRecordStub are declared in beam/element.hpp, so
+// an Element stores them inline instead of in a heap-boxed std::any.
 template <>
 struct CoderTraits<KafkaRecord> {
   static CoderPtr of();

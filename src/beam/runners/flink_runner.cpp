@@ -48,6 +48,12 @@ class BeamSourceFunction final : public flink::SourceFunction {
 
 /// Operator wrapping a StageExecutor; ends bundles every `bundle_size`
 /// elements and finishes the stage at close().
+///
+/// Element boxes are recycled: once the executor is done with an input, a
+/// box this operator solely owns becomes the spare that the next output is
+/// move-assigned into, so a 1:1 stage allocates no box of its own and only
+/// the source does. A box that another consumer still holds (a producer
+/// with several out-edges shares one box among them) is never written.
 class BeamStageOperator final : public flink::StreamOperator {
  public:
   BeamStageOperator(StageFactory factory, std::size_t bundle_size)
@@ -57,7 +63,12 @@ class BeamStageOperator final : public flink::StreamOperator {
     executor_ = factory_();
     executor_->start();
     emit_ = [this](Element&& produced) {
-      out_->collect(flink::make_elem<Element>(std::move(produced)));
+      if (!spare_) {
+        out_->collect(flink::make_elem<Element>(std::move(produced)));
+        return;
+      }
+      *static_cast<Element*>(spare_.get()) = std::move(produced);
+      out_->collect(std::move(spare_));  // leaves spare_ empty
     };
   }
 
@@ -68,6 +79,7 @@ class BeamStageOperator final : public flink::StreamOperator {
       since_bundle_ = 0;
       executor_->bundle_boundary(emit_);
     }
+    recycle(std::move(element));
   }
 
   void close(flink::Collector& out) override {
@@ -77,12 +89,24 @@ class BeamStageOperator final : public flink::StreamOperator {
   }
 
  private:
+  void recycle(flink::Elem&& box) {
+    if (box.use_count() != 1) return;
+    // use_count() is only a relaxed load. Copying the box and dropping the
+    // copy ends in an acquire-release decrement of the same count, which
+    // synchronizes with every other holder's release decrement: their reads
+    // of the element happen before our writes. (An acquire fence would do
+    // the same, but ThreadSanitizer does not model fences.)
+    (void)flink::Elem(box);
+    spare_ = std::move(box);
+  }
+
   StageFactory factory_;
   std::size_t bundle_size_;
   std::unique_ptr<StageExecutor> executor_;
   std::size_t since_bundle_ = 0;
   flink::Collector* out_ = nullptr;
   Emit emit_;
+  flink::Elem spare_;  // a solely owned box, free for the next output
 };
 
 const char* translated_name(const TransformNode& node) {

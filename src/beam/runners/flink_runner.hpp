@@ -6,7 +6,8 @@
 // "PTransformTranslation.UnknownRawPTransform", the read expansion as
 // "Flat Map", and every other transform as "ParDoTranslation.RawParDo".
 // Elements cross a channel between every pair of stages, boxed in the full
-// windowed-value envelope.
+// windowed-value envelope; only the source allocates boxes, and each stage
+// reuses the boxes of inputs it solely owns for its outputs.
 #pragma once
 
 #include <cstddef>

@@ -52,12 +52,7 @@ class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
       for (int shard = 0; shard < parallelism_; ++shard) {
         auto reader = factory_(shard, parallelism_);
         reader->open();
-        Element element;
-        while (reader->advance(element)) {
-          shards[static_cast<std::size_t>(shard)].push_back(
-              std::move(element));
-          element = Element{};
-        }
+        shards[static_cast<std::size_t>(shard)] = read_bounded_shard(*reader);
         reader->close();
       }
       exhausted_ = true;  // bounded readers are one-shot
@@ -205,6 +200,17 @@ class StageIterator final : public spark::Iterator<Element> {
 };
 
 }  // namespace
+
+std::vector<Element> read_bounded_shard(SourceReader& reader) {
+  std::vector<Element> shard;
+  shard.reserve(reader.size_hint());
+  Element element;
+  while (reader.advance(element)) {
+    shard.push_back(std::move(element));
+    element = Element{};
+  }
+  return shard;
+}
 
 Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   if (pipeline.graph().nodes().empty()) {

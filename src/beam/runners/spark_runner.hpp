@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "beam/pipeline.hpp"
 #include "beam/runner.hpp"
@@ -34,6 +35,13 @@ struct SparkRunnerOptions {
   /// against the same cached RDD (same input slice), at-least-once.
   RestartHint restart{};
 };
+
+/// Reads an opened bounded reader to its end into one shard vector, as the
+/// runner's bounded source does for each shard in the first batch. The
+/// vector is reserved from the reader's size_hint(): a shard holds every
+/// Element of its slice at once, and growing it by doubling would leave up
+/// to half its capacity unused.
+std::vector<Element> read_bounded_shard(SourceReader& reader);
 
 class SparkRunner final : public PipelineRunner {
  public:

@@ -57,6 +57,11 @@ class SourceReader {
   virtual ReadNow advance_now(Element& out) {
     return advance(out) ? ReadNow::kRecord : ReadNow::kDone;
   }
+  /// Elements an opened reader has left to yield, or 0 if unknown (always
+  /// for unbounded sources). Like Beam's BoundedSource
+  /// getEstimatedSizeBytes, runners may size buffers from it; it never
+  /// limits what advance() returns.
+  virtual std::size_t size_hint() const { return 0; }
   virtual void close() {}
 };
 

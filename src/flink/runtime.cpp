@@ -45,7 +45,7 @@ class Router {
         staged_at_(this->channels_.size()),
         producer_subtask_(producer_subtask) {}
 
-  void emit(const Elem& element) {
+  void emit(Elem element) {
     std::size_t index = 0;
     switch (mode_) {
       case PartitionMode::kForward:
@@ -60,7 +60,7 @@ class Router {
     }
     auto& stage = pending_[index];
     if (stage.empty()) staged_at_[index].start();
-    stage.push_back(Envelope{element, false});
+    stage.push_back(Envelope{std::move(element), false});
     if (stage.size() >= kBatchSize ||
         staged_at_[index].expired(stage.size(), kFlushTimeoutUs)) {
       flush_channel(index);
@@ -124,6 +124,9 @@ class Router {
 };
 
 /// Tail of a chain: counts records out and forwards to all out-routers.
+/// Every router but the last gets a shared reference to the element; the
+/// last one takes the chain's own, so a single out-edge hands its consumer
+/// the box with no other holder.
 class ChainTail final : public Collector {
  public:
   ChainTail(std::vector<std::unique_ptr<Router>>* routers,
@@ -132,7 +135,12 @@ class ChainTail final : public Collector {
 
   void collect(Elem element) override {
     records_out_.add(1);
-    for (auto& router : *routers_) router->emit(element);
+    auto& routers = *routers_;
+    if (routers.empty()) return;
+    for (std::size_t i = 0; i + 1 < routers.size(); ++i) {
+      routers[i]->emit(element);
+    }
+    routers.back()->emit(std::move(element));
   }
 
  private:

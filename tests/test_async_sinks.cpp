@@ -517,7 +517,9 @@ TEST(AsyncProductionPathTest, FlinkTransactionalExactlyOnceSurvivesAsync) {
     const std::uint64_t injected = injector.injected_count();
     if (chaos) injector.disarm();
     ASSERT_TRUE(status.is_ok()) << status.to_string();
-    if (chaos) EXPECT_GT(injected, 0u) << "the kill never struck";
+    if (chaos) {
+      EXPECT_GT(injected, 0u) << "the kill never struck";
+    }
     outputs.push_back(read_topic_sorted(broker, "out"));
   }
   EXPECT_EQ(outputs[1], outputs[0])

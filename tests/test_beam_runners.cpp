@@ -394,6 +394,57 @@ TEST(FlinkRunnerTest, BundleSizeDoesNotAffectResults) {
   EXPECT_EQ(outputs[1], outputs[2]);
 }
 
+/// read -> a -> {b -> sink, c -> sink}. On the Flink runner `a` has two
+/// out-edges, so b and c share each of its element boxes; neither may
+/// recycle a box the other still reads. Returns the sorted outputs of b
+/// and c.
+std::vector<std::vector<std::string>> run_fan_out(const RunnerCase& param) {
+  kafka::Broker broker;
+  load_topic(broker, "in", 3000);
+  for (const char* topic : {"out-b", "out-c"}) {
+    broker.create_topic(topic, kafka::TopicConfig{.partitions = 1})
+        .expect_ok();
+  }
+  Pipeline pipeline;
+  auto a =
+      pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
+          .apply(KafkaIO::without_metadata())
+          .apply(Values<runtime::Payload>::create<runtime::Payload>())
+          .apply(MapElements<runtime::Payload, runtime::Payload>::via(
+              [](const runtime::Payload& s) { return s.slice(6, s.size()); },
+              "a"));
+  a.apply(MapElements<runtime::Payload, std::string>::via(
+           [](const runtime::Payload& s) { return "b:" + s.str(); }, "b"))
+      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out-b"}));
+  a.apply(MapElements<runtime::Payload, std::string>::via(
+           [](const runtime::Payload& s) {
+             std::string reversed(s.view().rbegin(), s.view().rend());
+             return "c:" + reversed;
+           },
+           "c"))
+      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out-c"}));
+  auto runner = make_runner(param);
+  const auto result = pipeline.run(*runner);
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  std::vector<std::vector<std::string>> outputs;
+  for (const char* topic : {"out-b", "out-c"}) {
+    auto values = read_topic(broker, topic);
+    std::sort(values.begin(), values.end());
+    outputs.push_back(std::move(values));
+  }
+  return outputs;
+}
+
+TEST(FlinkRunnerTest, FanOutConsumersNeverShareARecycledBox) {
+  const auto expected = run_fan_out({RunnerKind::kDirect, 1, ""});
+  ASSERT_EQ(expected[0].size(), 3000u);
+  ASSERT_EQ(expected[1].size(), 3000u);
+  for (const int parallelism : {1, 2}) {
+    EXPECT_EQ(run_fan_out({RunnerKind::kFlink, parallelism, ""}), expected)
+        << "parallelism " << parallelism;
+  }
+}
+
 TEST(RunnerEquivalenceTest, AllRunnersAgreeWithDirectReference) {
   // One fixture, five runners, byte-identical sorted outputs.
   std::vector<std::vector<std::string>> outputs;
