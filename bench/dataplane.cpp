@@ -1019,7 +1019,6 @@ std::int64_t vm_rss_kb() {
 struct OverloadResult {
   double offered_rate = 0.0;
   double achieved_rate = 0.0;
-  std::uint64_t shed = 0;
   std::uint64_t throttle_waits = 0;
   std::uint64_t overload_transitions = 0;
   std::uint64_t watchdog_stalls = 0;
@@ -1029,9 +1028,9 @@ struct OverloadResult {
 };
 
 /// A probe at `factor` x the measured knee with the full protection layer
-/// armed: CreditGate (policy from STREAMSHIM_SHED_POLICY), log retention,
-/// and the stall watchdog. Demonstrates that offered load above capacity
-/// yields bounded memory and a throttled/shed admitted stream.
+/// armed: CreditGate, log retention, and the stall watchdog. Demonstrates
+/// that offered load above capacity yields bounded memory and a throttled
+/// admitted stream.
 OverloadResult run_overload_probe(Engine engine, Sdk sdk,
                                   const SweepConfig& sweep, double knee_rate,
                                   double factor) {
@@ -1039,7 +1038,7 @@ OverloadResult run_overload_probe(Engine engine, Sdk sdk,
   result.offered_rate = factor * knee_rate;
 
   auto& gate = runtime::CreditGate::instance();
-  gate.arm(runtime::CreditGate::Config{.shed = runtime::shed_policy_from_env()});
+  gate.arm(runtime::CreditGate::Config{});
   auto& watchdog = runtime::Watchdog::instance();
   watchdog.arm(runtime::Watchdog::Config{.deadline_ms = 5'000});
   const std::uint64_t stalls_before = watchdog.stalls_detected();
@@ -1089,7 +1088,6 @@ OverloadResult run_overload_probe(Engine engine, Sdk sdk,
     result.ok = gen_report.is_ok() && engine_status.is_ok();
     if (gen_report.is_ok()) {
       result.achieved_rate = gen_report.value().achieved_rate;
-      result.shed = gen_report.value().shed;
     }
   }
 
@@ -1157,10 +1155,9 @@ Outcome section_sustained() {
     overload =
         run_overload_probe(Engine::kFlink, Sdk::kNative, sweep, knee, 2.0);
     std::printf(
-        "  offered %.0f ev/s -> admitted %.0f ev/s, shed %llu, "
+        "  offered %.0f ev/s -> admitted %.0f ev/s, "
         "throttle_waits %llu, rss +%lld kB, retained %lld B, stalls %llu\n",
         overload.offered_rate, overload.achieved_rate,
-        static_cast<unsigned long long>(overload.shed),
         static_cast<unsigned long long>(overload.throttle_waits),
         static_cast<long long>(overload.rss_delta_kb),
         static_cast<long long>(overload.retained_bytes),
@@ -1171,7 +1168,6 @@ Outcome section_sustained() {
   const Json overload_json = Json::object(
       {{"offered_rate", Json::fixed(overload.offered_rate, 0)},
        {"achieved_rate", Json::fixed(overload.achieved_rate, 0)},
-       {"shed", overload.shed},
        {"throttle_waits", overload.throttle_waits},
        {"transitions", overload.overload_transitions},
        {"watchdog_stalls", overload.watchdog_stalls},
@@ -1194,8 +1190,6 @@ Outcome section_soak() {
                                            {Engine::kSpark, Sdk::kBeam},
                                            {Engine::kApex, Sdk::kNative}};
   const std::int64_t rss_budget_kb = env_i64("STREAMSHIM_SOAK_RSS_KB", 786'432);
-  const bool shed_expected =
-      runtime::shed_policy_from_env() != runtime::ShedPolicy::kNone;
   bool ok = true;
   for (const auto& [engine, sdk] : combos) {
     double knee = kStartRate;
@@ -1215,14 +1209,12 @@ Outcome section_soak() {
     const OverloadResult overload =
         run_overload_probe(engine, sdk, sweep, knee, 1.2);
     const bool combo_ok = overload.ok && overload.watchdog_stalls == 0 &&
-                          (shed_expected || overload.shed == 0) &&
                           (overload.rss_delta_kb < rss_budget_kb);
     std::printf(
-        "%-7s %-7s offered %.0f -> %.0f ev/s, shed %llu, stalls %llu, "
+        "%-7s %-7s offered %.0f -> %.0f ev/s, stalls %llu, "
         "rss +%lld kB  %s\n",
         queries::engine_name(engine), queries::sdk_name(sdk),
         overload.offered_rate, overload.achieved_rate,
-        static_cast<unsigned long long>(overload.shed),
         static_cast<unsigned long long>(overload.watchdog_stalls),
         static_cast<long long>(overload.rss_delta_kb),
         combo_ok ? "ok" : "FAILED");

@@ -173,9 +173,9 @@ class Value {
 
 /// The window set of one element. Nearly every element lives in exactly one
 /// window — the global window until a WindowInto reassigns it — so that
-/// case is stored inline and never allocates. A multi-window assignment
-/// (sliding windows) spills all windows to a vector, keeping iteration
-/// contiguous either way.
+/// case is stored inline and never allocates. A multi-window set (a
+/// WindowFn may assign several) spills all windows to a vector, keeping
+/// iteration contiguous either way.
 class WindowSet {
  public:
   /// A fresh element belongs to the global window, as in Beam.

@@ -2,8 +2,8 @@
 // single-producer / single-consumer ring-buffer fast path.
 //
 // These are the backbone of every inter-task channel in the engine
-// simulators: Flink-sim network channels between unchained tasks, Spark-sim
-// receiver block queues, Apex-sim inter-container streams. Close semantics
+// simulators: Flink-sim network channels between unchained tasks and
+// Apex-sim inter-container streams. Close semantics
 // model end-of-stream: after close(), pops drain the remaining items and
 // then fail.
 //

@@ -88,14 +88,9 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
     while (batch.size() < config_.batch_size &&
            report.offered < config_.records) {
       const std::uint64_t seq = report.offered++;
-      // Backpressure: with shedding off, wait for the overload to clear
-      // (the open-loop harness measures the resulting admitted-rate drop);
-      // with a shed policy, drop instead and count it.
-      if (gate.should_throttle() &&
-          gate.shed_policy() == runtime::ShedPolicy::kNone) {
-        gate.throttle_wait(stop);
-      }
-      if (!gate.admit(seq)) continue;
+      // Backpressure: wait for the overload to clear (the open-loop harness
+      // measures the resulting admitted-rate drop).
+      gate.throttle_wait(stop);
       batch.push_back(kafka::ProducerRecord{
           .key = {}, .value = payload_pool_[pool_index(seq)]});
       const std::int64_t elapsed = steady_clock_us() - start_us;
@@ -116,7 +111,6 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
     }
   }
 
-  report.shed = gate.shed_count();
   report.duration_seconds =
       static_cast<double>(steady_clock_us() - start_us) / 1e6;
   report.achieved_rate =

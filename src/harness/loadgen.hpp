@@ -5,9 +5,8 @@
 // offers records at a target rate while the engine under test is running,
 // optionally with bursts and a skewed choice over a pregenerated payload
 // pool. Offered records pass through the runtime::CreditGate before they
-// are appended: with shedding off the generator throttles (blocks) while
-// any pressure source is overloaded; with STREAMSHIM_SHED_POLICY set it
-// sheds instead and the report carries the count.
+// are appended: the generator throttles (blocks) while any pressure source
+// is overloaded, and never drops a record.
 //
 // The payload pool is cycled deterministically (pool_index), so a bench
 // can reconstruct exactly which line the i-th admitted record carried —
@@ -51,7 +50,6 @@ struct LoadGenConfig {
 struct LoadGenReport {
   std::uint64_t offered = 0;   // records presented to the gate
   std::uint64_t admitted = 0;  // records actually appended
-  std::uint64_t shed = 0;      // rejected by the shed policy
   double duration_seconds = 0.0;
   /// admitted / duration: < target_rate when the gate throttled the run.
   double achieved_rate = 0.0;

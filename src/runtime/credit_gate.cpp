@@ -3,17 +3,9 @@
 #include <chrono>
 #include <thread>
 
-#include "common/env.hpp"
 #include "runtime/metrics.hpp"
 
 namespace dsps::runtime {
-
-ShedPolicy shed_policy_from_env() {
-  const std::string policy = env_string("STREAMSHIM_SHED_POLICY", "none");
-  if (policy == "drop_oldest") return ShedPolicy::kDropOldest;
-  if (policy == "sample") return ShedPolicy::kSample;
-  return ShedPolicy::kNone;
-}
 
 CreditGate& CreditGate::instance() {
   static CreditGate gate;
@@ -27,7 +19,6 @@ void CreditGate::arm(Config config) {
     source->overloaded.store(false, std::memory_order_relaxed);
   }
   overloaded_.store(0, std::memory_order_relaxed);
-  shed_.store(0, std::memory_order_relaxed);
   armed_.store(true, std::memory_order_relaxed);
 }
 
@@ -72,29 +63,6 @@ void CreditGate::throttle_wait(const std::function<bool()>& stop) {
     if (stop && stop()) return;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-}
-
-void CreditGate::note_shed() {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry::global().counter("backpressure.shed_records").add(1);
-}
-
-bool CreditGate::admit(std::uint64_t seq) {
-  if (!should_throttle()) return true;
-  switch (config_.shed) {
-    case ShedPolicy::kNone:
-      return true;  // caller throttles via throttle_wait()
-    case ShedPolicy::kDropOldest:
-      note_shed();
-      return false;
-    case ShedPolicy::kSample:
-      // Deterministic 1-in-2 while overloaded: keeps the admitted stream
-      // reproducible for a given offered sequence.
-      if ((seq & 1) == 0) return true;
-      note_shed();
-      return false;
-  }
-  return true;
 }
 
 std::vector<std::string> CreditGate::overloaded_sources() const {

@@ -6,10 +6,9 @@
 // their fill fraction as it changes. A source crossing the high watermark
 // marks itself overloaded; dropping under the low watermark clears it. The
 // gate is "closed" while any source is overloaded — rate-controlled
-// generators consult admit()/throttle_wait() before appending, so offered
-// load above capacity turns into bounded queues plus either throttling
-// (default) or explicit load shedding (STREAMSHIM_SHED_POLICY=drop_oldest|
-// sample, off by default so the paper figures stay closed-loop faithful).
+// generators call throttle_wait() before appending, so offered load above
+// capacity turns into bounded queues plus throttling: every offered record
+// is still appended, only later.
 //
 // When disarmed (the default) set_fill() and should_throttle() are a single
 // relaxed atomic load, so the per-push cost in the engine hot paths is nil
@@ -26,31 +25,20 @@
 
 namespace dsps::runtime {
 
-enum class ShedPolicy {
-  kNone,        // throttle the source instead of dropping
-  kDropOldest,  // drop the record at the head of the offered stream
-  kSample,      // keep a deterministic 1-in-2 sample while overloaded
-};
-
-/// Parses STREAMSHIM_SHED_POLICY (none|drop_oldest|sample; default none).
-ShedPolicy shed_policy_from_env();
-
 class CreditGate {
  public:
   struct Config {
     double high_watermark = 0.80;  // fill fraction that opens overload
     double low_watermark = 0.50;   // fill fraction that clears it
-    ShedPolicy shed = ShedPolicy::kNone;
   };
 
   static CreditGate& instance();
 
-  /// Installs the config and arms the gate. Clears the overload state and
-  /// the shed/throttle counters.
+  /// Installs the config and arms the gate. Clears the overload state.
   void arm(Config config);
 
-  /// Disarms: sources return to their zero-cost path and admit() always
-  /// admits. Registered sources stay valid.
+  /// Disarms: sources return to their zero-cost path and throttle_wait()
+  /// never blocks. Registered sources stay valid.
   void disarm();
 
   bool armed() const noexcept { return armed_.load(std::memory_order_relaxed); }
@@ -104,30 +92,15 @@ class CreditGate {
   /// happened.
   void throttle_wait(const std::function<bool()>& stop = {});
 
-  /// Admission control for rate-controlled sources. Returns true to admit
-  /// the `seq`-th offered record. With shedding off this never rejects
-  /// (callers pair it with throttle_wait()); drop_oldest rejects every
-  /// record offered while overloaded; sample keeps every second one.
-  bool admit(std::uint64_t seq);
-
-  /// Records shed since the last arm().
-  std::uint64_t shed_count() const noexcept {
-    return shed_.load(std::memory_order_relaxed);
-  }
-
-  ShedPolicy shed_policy() const noexcept { return config_.shed; }
-
   /// Names of the currently overloaded sources (diagnostics).
   std::vector<std::string> overloaded_sources() const;
 
  private:
   CreditGate() = default;
   void update(Source::State& state, double fill) noexcept;
-  void note_shed();
 
   std::atomic<bool> armed_{false};
   std::atomic<int> overloaded_{0};
-  std::atomic<std::uint64_t> shed_{0};
   Config config_;
   mutable std::mutex mutex_;  // guards sources_
   std::vector<std::unique_ptr<Source::State>> sources_;

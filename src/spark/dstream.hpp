@@ -25,10 +25,6 @@ class InputDStreamBase {
   virtual bool drained() const = 0;
   /// Records contributed to the most recent batch.
   virtual std::size_t last_batch_records() const = 0;
-  /// Stop accepting new records (graceful shutdown). After this returns,
-  /// everything the input ever accepted is visible to the next batch —
-  /// StreamingContext::stop() runs one final drain batch to deliver it.
-  virtual void stop_input() {}
 };
 
 template <typename T>
@@ -114,11 +110,6 @@ class DStream {
     return derive<R>(std::move(fn));
   }
 
-  /// Sliding window over batches (Spark Streaming's window()): each output
-  /// batch is the union of the last `window_batches` input batch RDDs,
-  /// advancing one batch at a time.
-  DStream<T> window(int window_batches) const;
-
   /// Registers an output operation; defined in streaming_context.hpp.
   void foreach_rdd(
       std::function<void(SparkContext&, const RDDPtr<T>&)> action) const;
@@ -136,49 +127,6 @@ class DStream {
   StreamingContext* context_;
   std::shared_ptr<DStreamNode<T>> node_;
 };
-
-/// Windowed stream node: remembers the last `window_batches` parent RDDs
-/// and unions them per batch.
-template <typename T>
-class WindowedDStreamNode final : public DStreamNode<T> {
- public:
-  WindowedDStreamNode(std::shared_ptr<DStreamNode<T>> parent,
-                      int window_batches)
-      : parent_(std::move(parent)), window_batches_(window_batches) {
-    require(window_batches >= 1, "window must cover at least one batch");
-  }
-
-  RDDPtr<T> rdd_for(BatchId batch, SparkContext& context) override {
-    std::lock_guard lock(mutex_);
-    if (batch == cached_batch_ && cached_) return cached_;
-    // Materialize any batches we skipped (outputs may sample batches).
-    for (BatchId b = last_seen_ + 1; b <= batch; ++b) {
-      history_.push_back(parent_->rdd_for(b, context));
-      if (static_cast<int>(history_.size()) > window_batches_) {
-        history_.erase(history_.begin());
-      }
-    }
-    last_seen_ = std::max(last_seen_, batch);
-    cached_ = std::make_shared<UnionRDD<T>>(history_);
-    cached_batch_ = batch;
-    return cached_;
-  }
-
- private:
-  std::shared_ptr<DStreamNode<T>> parent_;
-  const int window_batches_;
-  std::mutex mutex_;
-  std::vector<RDDPtr<T>> history_;
-  BatchId last_seen_ = -1;
-  BatchId cached_batch_ = -1;
-  RDDPtr<T> cached_;
-};
-
-template <typename T>
-DStream<T> DStream<T>::window(int window_batches) const {
-  return DStream<T>(context_, std::make_shared<WindowedDStreamNode<T>>(
-                                  node_, window_batches));
-}
 
 /// Pair-stream helper: reduce_by_key over each batch.
 template <typename K, typename V>

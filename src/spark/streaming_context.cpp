@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/clock.hpp"
-#include "common/queue.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/invoker.hpp"
 
@@ -118,139 +117,6 @@ class KafkaDirectInputDStream final : public DStreamNode<Payload>,
   RDDPtr<Payload> cached_;
 };
 
-/// Receiver-based Kafka input: a dedicated receiver thread pulls blocks of
-/// records from the broker into an SPSC ring-buffer block queue (receiver
-/// thread = producer, batch generator = consumer); rdd_for drains whatever
-/// blocks have arrived since the previous batch. The receiver thread is a
-/// supervised TaskRuntime worker; stop_input() halts it *before* the final
-/// drain batch pops the queue, so every accepted block is delivered exactly
-/// once on a graceful stop.
-class KafkaReceiverInputDStream final : public DStreamNode<Payload>,
-                                        public InputDStreamBase {
- public:
-  static constexpr std::size_t kBlockRecords = 512;
-  static constexpr std::size_t kBlockQueueCapacity = 64;
-
-  KafkaReceiverInputDStream(kafka::Broker& broker, std::string topic,
-                            int parallelism)
-      : broker_(broker),
-        topic_(std::move(topic)),
-        parallelism_(parallelism),
-        blocks_(kBlockQueueCapacity) {
-    receiver_task_ = runtime_.spawn("spark-receiver", [this] { receive(); });
-  }
-
-  ~KafkaReceiverInputDStream() override {
-    stop_requested_.store(true);
-    blocks_.close();
-    runtime_.wait(receiver_task_);
-  }
-
-  RDDPtr<Payload> rdd_for(BatchId batch, SparkContext& sc) override {
-    std::lock_guard lock(mutex_);
-    if (batch == cached_batch_ && cached_) return cached_;
-
-    std::vector<Payload> claimed;
-    std::vector<Payload> block;
-    while (blocks_.try_pop(block) == QueuePopResult::kOk) {
-      claimed.insert(claimed.end(), std::make_move_iterator(block.begin()),
-                     std::make_move_iterator(block.end()));
-      block.clear();
-    }
-    last_batch_records_ = claimed.size();
-    cached_ = sc.parallelize(std::move(claimed), parallelism_);
-    cached_batch_ = batch;
-    return cached_;
-  }
-
-  bool drained() const override {
-    if (blocks_.size() > 0) return false;
-    const auto partitions = broker_.partition_count(topic_);
-    if (!partitions.is_ok()) return true;
-    std::lock_guard lock(positions_mutex_);
-    for (int p = 0; p < partitions.value(); ++p) {
-      const auto end = broker_.end_offset({topic_, p});
-      if (!end.is_ok()) continue;
-      const std::int64_t position =
-          static_cast<std::size_t>(p) < positions_.size()
-              ? positions_[static_cast<std::size_t>(p)]
-              : 0;
-      if (position < end.value()) return false;
-    }
-    return true;
-  }
-
-  std::size_t last_batch_records() const override {
-    std::lock_guard lock(mutex_);
-    return last_batch_records_;
-  }
-
-  void stop_input() override {
-    // Stop fetching but do NOT close the block queue: blocks the receiver
-    // already accepted stay poppable for the final drain batch. Joining the
-    // receiver here makes "accepted" a fixed set before the drain runs.
-    stop_requested_.store(true);
-    runtime_.wait(receiver_task_);
-  }
-
- private:
-  void receive() {
-    std::vector<kafka::StoredRecord> fetched;
-    while (!stop_requested_.load(std::memory_order_relaxed)) {
-      const auto partitions = broker_.partition_count(topic_);
-      bool got_data = false;
-      if (partitions.is_ok()) {
-        {
-          std::lock_guard lock(positions_mutex_);
-          positions_.resize(static_cast<std::size_t>(partitions.value()), 0);
-        }
-        for (int p = 0; p < partitions.value(); ++p) {
-          std::int64_t position;
-          {
-            std::lock_guard lock(positions_mutex_);
-            position = positions_[static_cast<std::size_t>(p)];
-          }
-          fetched.clear();
-          const auto n = [&] {
-            runtime::ScopedStage fetch_stage(
-                runtime::Stage::kBrokerRtt,
-                runtime::ScopedStage::Mode::kAlways);
-            return broker_.fetch({topic_, p}, position, kBlockRecords, fetched);
-          }();
-          if (!n.is_ok() || n.value() == 0) continue;
-          std::vector<Payload> block;
-          block.reserve(fetched.size());
-          for (auto& record : fetched) block.push_back(std::move(record.value));
-          if (!blocks_.push(std::move(block))) return;  // queue closed
-          {
-            std::lock_guard lock(positions_mutex_);
-            positions_[static_cast<std::size_t>(p)] +=
-                static_cast<std::int64_t>(n.value());
-          }
-          got_data = true;
-        }
-      }
-      if (!got_data) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  }
-
-  kafka::Broker& broker_;
-  const std::string topic_;
-  const int parallelism_;
-  mutable SpscRingQueue<std::vector<Payload>> blocks_;
-  runtime::TaskRuntime runtime_{"spark-receiver"};
-  runtime::TaskRuntime::TaskId receiver_task_ = 0;
-  std::atomic<bool> stop_requested_{false};
-  mutable std::mutex mutex_;            // guards the batch cache
-  mutable std::mutex positions_mutex_;  // guards receiver positions
-  std::vector<std::int64_t> positions_;
-  std::size_t last_batch_records_ = 0;
-  BatchId cached_batch_ = -1;
-  RDDPtr<Payload> cached_;
-};
-
 }  // namespace
 
 StreamingContext::StreamingContext(SparkConf conf,
@@ -280,14 +146,6 @@ DStream<Payload> StreamingContext::kafka_direct_stream(
     kafka::Broker& broker, const std::string& topic, bool until_sealed) {
   auto node = std::make_shared<KafkaDirectInputDStream>(
       broker, topic, conf_.default_parallelism, until_sealed);
-  register_input(node);
-  return DStream<Payload>(this, node);
-}
-
-DStream<Payload> StreamingContext::kafka_receiver_stream(
-    kafka::Broker& broker, const std::string& topic) {
-  auto node = std::make_shared<KafkaReceiverInputDStream>(
-      broker, topic, conf_.default_parallelism);
   register_input(node);
   return DStream<Payload>(this, node);
 }
@@ -390,10 +248,8 @@ void StreamingContext::stop() {
   if (generator_spawned_) {
     runtime_.wait(generator_task_);
     generator_spawned_ = false;
-    // Graceful drain: freeze the inputs' accepted sets, then deliver them
-    // in one final batch. Without this, a receiver block accepted between
-    // the last timer batch and the stop request would be dropped.
-    for (const auto& input : inputs_) input->stop_input();
+    // Graceful drain: one final batch delivers what arrived between the
+    // last timer batch and the stop request.
     if (runtime_.first_failure().is_ok() && batch_failure_.is_ok()) {
       try {
         run_one_batch();

@@ -8,8 +8,8 @@
 //
 // Batch bookkeeping reports through the unified runtime::MetricsRegistry
 // (counters `batch.count` / `input.records`, histogram `batch.duration_us`)
-// instead of a Spark-private stats struct; worker threads (the generator
-// and any Kafka receivers) run under runtime::TaskRuntime supervision.
+// instead of a Spark-private stats struct; the generator thread runs under
+// runtime::TaskRuntime supervision.
 #pragma once
 
 #include <atomic>
@@ -57,15 +57,6 @@ class StreamingContext {
                                               const std::string& topic,
                                               bool until_sealed = false);
 
-  /// Receiver-based Kafka stream (the classic receiver style): a dedicated
-  /// receiver thread pulls record blocks from the broker into a lock-free
-  /// SPSC block queue; each batch drains the blocks that arrived since the
-  /// previous batch. The paper's queries use the direct stream; this input
-  /// exists for receiver-style workloads and exercises the ring-buffer
-  /// block queue end to end.
-  DStream<kafka::Payload> kafka_receiver_stream(kafka::Broker& broker,
-                                                const std::string& topic);
-
   /// Registers an output operation (used by DStream::foreach_rdd).
   void register_output(std::function<void(BatchId, SparkContext&)> op);
   void register_input(std::shared_ptr<InputDStreamBase> input);
@@ -83,10 +74,8 @@ class StreamingContext {
   /// Starts the timer-driven batch generator.
   Status start();
 
-  /// Graceful stop: halts the generator, stops inputs from accepting new
-  /// records, then runs one final drain batch so every record an input had
-  /// already accepted is delivered exactly once (a receiver block that
-  /// arrived between the last batch and the stop is not lost).
+  /// Graceful stop: halts the generator, then runs one final drain batch so
+  /// records that arrived after the last timer batch are delivered too.
   void stop();
 
   /// Bounded run: generates batches on the interval until all inputs are
@@ -94,7 +83,7 @@ class StreamingContext {
   /// with start().
   Status run_bounded();
 
-  /// First failure of a supervised worker (generator/receiver) or of a
+  /// First failure of the supervised generator or of a
   /// batch whose retries were exhausted, if any.
   Status worker_failure() const {
     if (!batch_failure_.is_ok()) return batch_failure_;

@@ -1,13 +1,12 @@
 // End-to-end backpressure and overload protection.
 //
-// Units: CreditGate watermark hysteresis, shed policies, throttle_wait;
-// PartitionLog retention (size + age) with the out-of-range consumer reset;
-// the Queue::push_batch close-race regression. End to end: all 4 queries x
-// 3 engines x {native, Beam} run open-loop under synthetic overload with
-// shedding off — output multisets
-// must exactly equal an unthrottled DirectRunner run over the same input —
-// and a drop_oldest run's shed count must match the missing records. All six
-// setups also finish open-loop when a reader owns no input partition.
+// Units: CreditGate watermark hysteresis, throttle_wait; PartitionLog
+// retention (size + age) with the out-of-range consumer reset; the
+// Queue::push_batch close-race regression. End to end: all 4 queries x
+// 3 engines x {native, Beam} run open-loop under synthetic overload — every
+// offered record is admitted and output multisets must exactly equal an
+// unthrottled DirectRunner run over the same input. All six setups also
+// finish open-loop when a reader owns no input partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,21 +39,18 @@ namespace {
 using queries::Engine;
 using queries::Sdk;
 using runtime::CreditGate;
-using runtime::ShedPolicy;
 using workload::QueryId;
 
-/// Arms with the given policy and guarantees disarm on scope exit (the
-/// gate is process-global).
+/// Arms the gate and guarantees disarm on scope exit (the gate is
+/// process-global).
 class ArmedGate {
  public:
-  explicit ArmedGate(ShedPolicy shed) {
-    CreditGate::instance().arm(CreditGate::Config{.shed = shed});
-  }
+  ArmedGate() { CreditGate::instance().arm(CreditGate::Config{}); }
   ~ArmedGate() { CreditGate::instance().disarm(); }
 };
 
 TEST(CreditGate, WatermarkHysteresis) {
-  ArmedGate armed(ShedPolicy::kNone);
+  ArmedGate armed;
   auto& gate = CreditGate::instance();
   auto source = gate.register_source("test.hysteresis");
   EXPECT_FALSE(gate.should_throttle());
@@ -69,46 +65,18 @@ TEST(CreditGate, WatermarkHysteresis) {
   EXPECT_TRUE(gate.overloaded_sources().empty());
 }
 
-TEST(CreditGate, DisarmedIsFreeAndAlwaysAdmits) {
+TEST(CreditGate, DisarmedNeverThrottles) {
   auto& gate = CreditGate::instance();
   ASSERT_FALSE(gate.armed());
   auto source = gate.register_source("test.disarmed");
   source.set_fill(1.0);
   EXPECT_FALSE(gate.should_throttle());
-  for (std::uint64_t seq = 0; seq < 8; ++seq) {
-    EXPECT_TRUE(gate.admit(seq));
-  }
-}
-
-TEST(CreditGate, DropOldestShedsWhileOverloaded) {
-  ArmedGate armed(ShedPolicy::kDropOldest);
-  auto& gate = CreditGate::instance();
-  auto source = gate.register_source("test.drop");
-  EXPECT_TRUE(gate.admit(0));
-  source.set_fill(0.95);
-  EXPECT_FALSE(gate.admit(1));
-  EXPECT_FALSE(gate.admit(2));
-  source.set_fill(0.10);
-  EXPECT_TRUE(gate.admit(3));
-  EXPECT_EQ(gate.shed_count(), 2u);
-}
-
-TEST(CreditGate, SampleKeepsEverySecondWhileOverloaded) {
-  ArmedGate armed(ShedPolicy::kSample);
-  auto& gate = CreditGate::instance();
-  auto source = gate.register_source("test.sample");
-  source.set_fill(0.95);
-  std::uint64_t kept = 0;
-  for (std::uint64_t seq = 0; seq < 100; ++seq) {
-    if (gate.admit(seq)) ++kept;
-  }
-  EXPECT_EQ(kept, 50u);
-  EXPECT_EQ(gate.shed_count(), 50u);
-  source.set_fill(0.10);
+  gate.throttle_wait();  // returns at once: nothing to wait for
+  EXPECT_TRUE(gate.overloaded_sources().empty());
 }
 
 TEST(CreditGate, ThrottleWaitBlocksUntilCleared) {
-  ArmedGate armed(ShedPolicy::kNone);
+  ArmedGate armed;
   auto& gate = CreditGate::instance();
   auto source = gate.register_source("test.throttle");
   source.set_fill(0.95);
@@ -247,7 +215,7 @@ constexpr std::uint64_t kSeed = 42;
 constexpr std::uint64_t kRecords = 3'000;
 
 /// Flips a synthetic pressure source over/under the watermarks for the
-/// duration, forcing real throttle (or shed) activity in the generator.
+/// duration, forcing real throttle activity in the generator.
 class PressureToggler {
  public:
   PressureToggler()
@@ -293,9 +261,8 @@ struct ThrottledRun {
 };
 
 /// One open-loop run of (engine, sdk, query) under the synthetic overload.
-ThrottledRun run_throttled(Engine engine, Sdk sdk, QueryId query,
-                           ShedPolicy shed) {
-  ArmedGate armed(shed);
+ThrottledRun run_throttled(Engine engine, Sdk sdk, QueryId query) {
+  ArmedGate armed;
   kafka::Broker broker;
   workload::create_benchmark_topic(broker, kIn).expect_ok();
   workload::create_benchmark_topic(broker, kOut).expect_ok();
@@ -400,12 +367,9 @@ TEST(ThrottledDifferential, AllSetupsMatchUnthrottledDirectRunner) {
         SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
                      queries::sdk_name(sdk) + "/" +
                      workload::query_info(query).name);
-        const ThrottledRun run =
-            run_throttled(engine, sdk, query, ShedPolicy::kNone);
-        // Shedding off: every offered record was admitted (throttled, not
-        // dropped).
+        const ThrottledRun run = run_throttled(engine, sdk, query);
+        // Every offered record was admitted (throttled, not dropped).
         EXPECT_EQ(run.report.admitted, run.report.offered);
-        EXPECT_EQ(run.report.shed, 0u);
         ASSERT_EQ(run.input.size(), kRecords);
         const std::vector<std::string> reference =
             direct_reference(run.input, query);
@@ -413,18 +377,6 @@ TEST(ThrottledDifferential, AllSetupsMatchUnthrottledDirectRunner) {
       }
     }
   }
-}
-
-TEST(ThrottledDifferential, DropOldestShedCountMatchesMissingRecords) {
-  const ThrottledRun run = run_throttled(Engine::kFlink, Sdk::kNative,
-                                         QueryId::kIdentity,
-                                         ShedPolicy::kDropOldest);
-  EXPECT_GT(run.report.shed, 0u) << "overload never shed — toggler too slow?";
-  EXPECT_EQ(run.report.admitted + run.report.shed, run.report.offered);
-  // Identity at P1: every admitted record surfaces exactly once, so the
-  // missing count equals the shed count.
-  EXPECT_EQ(run.output.size(), run.report.admitted);
-  EXPECT_EQ(kRecords - run.output.size(), run.report.shed);
 }
 
 // --- surplus shards in open loop ---------------------------------------------

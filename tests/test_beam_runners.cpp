@@ -163,6 +163,41 @@ TEST_P(AllRunnersTest, GroupByKeyCollectsAllValuesPerKey) {
                                               "mod2:30", "mod3:30"}));
 }
 
+TEST_P(AllRunnersTest, FlattenMergesTwoSources) {
+  kafka::Broker broker;
+  load_topic(broker, "a", 150);
+  load_topic(broker, "b", 70);
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+
+  // Each source tags its records with its topic, so the merged output
+  // shows which input every record came from.
+  Pipeline pipeline;
+  const auto tagged = [&](const std::string& topic) {
+    return pipeline
+        .apply(KafkaIO::read(broker, KafkaReadConfig{.topic = topic}))
+        .apply(KafkaIO::without_metadata())
+        .apply(Values<runtime::Payload>::create<runtime::Payload>())
+        .apply(MapElements<runtime::Payload, std::string>::via(
+            [topic](const runtime::Payload& s) {
+              return topic + ":" + s.str();
+            },
+            "Tag-" + topic));
+  };
+  flatten<std::string>({tagged("a"), tagged("b")})
+      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
+  auto runner = make_runner(GetParam());
+  auto result = pipeline.run(*runner);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+
+  auto values = read_topic(broker, "out");
+  std::sort(values.begin(), values.end());
+  std::vector<std::string> expected;
+  for (int i = 0; i < 150; ++i) expected.push_back("a:value-" + std::to_string(i));
+  for (int i = 0; i < 70; ++i) expected.push_back("b:value-" + std::to_string(i));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(values, expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Runners, AllRunnersTest,
     ::testing::Values(RunnerCase{RunnerKind::kDirect, 1, "Direct"},

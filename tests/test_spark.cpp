@@ -293,29 +293,6 @@ TEST(DStreamTest, DirectStreamBatchLargerThanFetchChunkClaimsEachRecordOnce) {
   }
 }
 
-TEST(DStreamTest, KafkaReceiverStreamProcessesBatches) {
-  kafka::Broker broker;
-  broker.create_topic("in", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  for (int i = 0; i < 1500; ++i) {  // spans multiple receiver blocks
-    broker.append({"in", 0},
-                  kafka::ProducerRecord{.value = std::to_string(i)}, false)
-        .status()
-        .expect_ok();
-  }
-  StreamingContext ssc(SparkConf{.default_parallelism = 2}, 10);
-  auto evens = ssc.kafka_receiver_stream(broker, "in")
-                   .filter([](const kafka::Payload& s) {
-                     return std::stoi(s.str()) % 2 == 0;
-                   });
-  std::atomic<int> seen{0};
-  evens.foreach_rdd([&seen](SparkContext& sc,
-                            const RDDPtr<kafka::Payload>& rdd) {
-    seen.fetch_add(static_cast<int>(sc.count(rdd)));
-  });
-  ASSERT_TRUE(ssc.run_bounded().is_ok());
-  EXPECT_EQ(seen.load(), 750);
-}
-
 TEST(DStreamTest, TransformationsComposePerBatch) {
   kafka::Broker broker;
   broker.create_topic("in", kafka::TopicConfig{.partitions = 1}).expect_ok();
@@ -415,43 +392,6 @@ TEST(DStreamTest, ReduceByKeyHelper) {
 }
 
 // --- streaming context ---------------------------------------------------------------
-
-TEST(DStreamTest, WindowUnionsRecentBatches) {
-  // Feed batches one at a time through start(); a 3-batch window must see
-  // the union of the last 3 batches.
-  kafka::Broker broker;
-  broker.create_topic("in", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  StreamingContext ssc(SparkConf{.default_parallelism = 1}, 10);
-  auto windowed = ssc.kafka_direct_stream(broker, "in").window(3);
-  std::vector<std::size_t> window_sizes;
-  std::mutex sizes_mutex;
-  windowed.foreach_rdd([&](SparkContext& sc,
-                           const RDDPtr<kafka::Payload>& rdd) {
-    const std::size_t count = sc.count(rdd);
-    std::lock_guard lock(sizes_mutex);
-    window_sizes.push_back(count);
-  });
-  ASSERT_TRUE(ssc.start().is_ok());
-  // One record per ~batch for a while.
-  for (int i = 0; i < 12; ++i) {
-    broker.append({"in", 0}, kafka::ProducerRecord{.value = "x"}, false)
-        .status()
-        .expect_ok();
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ssc.stop();
-  // Window counts never exceed the window span and eventually exceed one
-  // batch's worth (i.e. the union is really happening).
-  std::lock_guard lock(sizes_mutex);
-  ASSERT_FALSE(window_sizes.empty());
-  std::size_t max_window = 0;
-  for (const std::size_t size : window_sizes) {
-    max_window = std::max(max_window, size);
-  }
-  EXPECT_GT(max_window, 1u);   // spans more than one batch
-  EXPECT_LE(max_window, 12u);  // bounded by total input
-}
 
 TEST(StreamingContextTest, RunBoundedStopsWhenDrained) {
   kafka::Broker broker;
