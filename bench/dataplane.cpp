@@ -6,7 +6,9 @@
 //                (4 queries x 3 engines x {native, Beam}), plus the
 //                unified metrics snapshot.
 //   profile      the same matrix with the cost-attribution profiler armed,
-//                plus the armed-vs-disarmed overhead probe CI gates on.
+//                plus the armed-vs-disarmed overhead probe CI gates on;
+//                fails when a setup's attributed time is 0 or exceeds the
+//                busy time of its profiled threads.
 //   chaos        one faulted-and-recovered Identity run per engine x SDK.
 //   scaling      the P1..P16 scale-out sweep; --parallelism picks a subset.
 //   fusion       native vs Beam unfused vs Beam fused.
@@ -280,9 +282,9 @@ Outcome section_profile() {
               harness::render_profile_breakdown(per_setup).c_str());
 
   // Overhead probe: interleaved armed/disarmed Identity trials on the Flink
-  // native setup (the highest record rate, so per-record scope cost shows
-  // up first). The probe pins its own record count — at the reduced smoke
-  // scales a single run is sub-millisecond and scheduler noise would
+  // native setup (the highest record rate, so the per-batch scope cost
+  // shows up first). The probe pins its own record count — at the reduced
+  // smoke scales a single run is sub-millisecond and scheduler noise would
   // swamp a 2% budget. Best-of-N on both sides: co-tenant noise only ever
   // adds time, so the minimum is the robust estimator.
   auto& profiler = runtime::Profiler::instance();
@@ -324,35 +326,37 @@ Outcome section_profile() {
       static_cast<unsigned long long>(probe_config.records), kOverheadPairs,
       best_disarmed, best_armed, overhead_pct);
 
-  using runtime::Stage;
-  constexpr Stage kOrder[] = {Stage::kQueueWait, Stage::kDecode,
-                              Stage::kUserFn,    Stage::kEncode,
-                              Stage::kBrokerRtt, Stage::kCheckpoint,
-                              Stage::kOther};
-  // A setup that attributed nothing fell off the unified invoker.
-  bool all_attributed = true;
+  // A setup that attributed nothing fell off the unified invoker; one that
+  // attributed more than its threads' busy time counted something twice.
+  bool all_reconciled = true;
   std::vector<Json> rows;
   for (const auto& [label, profile] : per_setup) {
-    if (profile.attributed_us() == 0) {
-      std::fprintf(stderr, "no attributed time for %s\n", label.c_str());
-      all_attributed = false;
+    const std::uint64_t attributed = profile.attributed_us();
+    const std::uint64_t busy = profile.busy_us();
+    if (attributed == 0 || attributed > busy) {
+      std::fprintf(stderr, "%s: attributed %llu us, busy %llu us\n",
+                   label.c_str(), static_cast<unsigned long long>(attributed),
+                   static_cast<unsigned long long>(busy));
+      all_reconciled = false;
     }
     std::vector<std::pair<std::string, Json>> shares;
-    for (const Stage stage : kOrder) {
+    for (std::size_t i = 0; i < runtime::kStageCount; ++i) {
+      const auto stage = static_cast<runtime::Stage>(i);
       shares.emplace_back(std::string(runtime::stage_name(stage)),
                           Json::fixed(profile.share(stage), 4));
     }
     rows.push_back(Json::object(
         {{"setup", label},
          {"attributed_ms",
-          Json::fixed(static_cast<double>(profile.attributed_us()) / 1e3, 3)},
+          Json::fixed(static_cast<double>(attributed) / 1e3, 3)},
+         {"busy_ms", Json::fixed(static_cast<double>(busy) / 1e3, 3)},
          {"shares", Json::object(shares)}}));
   }
   const Json overhead =
       Json::object({{"disarmed_best_seconds", Json::fixed(best_disarmed, 6)},
                     {"armed_best_seconds", Json::fixed(best_armed, 6)},
                     {"overhead_pct", Json::fixed(overhead_pct, 3)}});
-  return {.ok = all_attributed,
+  return {.ok = all_reconciled,
           .doc = Json::object({{"profile",
                                 Json::object({{"overhead", overhead},
                                               {"setups", Json::array(rows)}})}})};

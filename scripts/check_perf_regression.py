@@ -30,7 +30,7 @@ The "profile" section (dataplane profile) is gated absolutely, not against
 the baseline: the armed cost-attribution profiler must stay inside its <2%
 overhead budget, and every profiled setup must attribute non-zero time
 (zero attribution means an engine's execution path fell off the unified
-operator invoker).
+operator invoker) and no more than its threads' busy time (busy_ms).
 
 The "fusion" and "chaos" sections are not gated; a malformed file in
 either directory still fails the load.
@@ -148,7 +148,8 @@ def gate_latency(label, baseline, current, threshold, noise_floor_us=1000.0):
 
 def profile_failures(doc, overhead_budget_pct):
     """Absolute gates on the dataplane profile section (when present): armed
-    profiler overhead under budget, and non-zero attribution per setup."""
+    profiler overhead under budget, and per setup an attribution that is
+    non-zero and within the profiled threads' busy time."""
     profile = doc.get("profile")
     if not profile:
         print("  [skip] profile: no profile section in current run")
@@ -172,6 +173,12 @@ def profile_failures(doc, overhead_budget_pct):
             failures.append(
                 f"profile: {entry.get('setup', '?')} attributed no time "
                 "(execution path off the unified invoker?)"
+            )
+        busy_ms = entry.get("busy_ms")
+        if busy_ms is not None and attributed_ms > float(busy_ms):
+            failures.append(
+                f"profile: {entry.get('setup', '?')} attributed "
+                f"{attributed_ms} ms > busy {busy_ms} ms"
             )
     return failures
 

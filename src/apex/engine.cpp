@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <set>
@@ -151,44 +150,23 @@ struct Mail {
   int codec_index = -1;      // which stream codec deserializes `bytes`
 };
 
-/// Serde cost accounting into the global registry under runtime.serde.*:
-/// records and bytes count every call; wall time samples one call in
-/// kStride and scales, keeping the hot path free of clock reads.
+/// Serde accounting into the global registry under runtime.serde.*: one
+/// record and its wire bytes per encode or decode. Serde time is priced as
+/// count x unit-cost probe, so the hot path reads no clock.
 struct SerdeMeter {
-  static constexpr std::uint32_t kStride = 32;
-
   explicit SerdeMeter(const std::string& op)
       : records(runtime::MetricsRegistry::global().counter(
             "runtime.serde." + op + ".records")),
         bytes(runtime::MetricsRegistry::global().counter(
-            "runtime.serde." + op + ".bytes")),
-        ns(runtime::MetricsRegistry::global().counter(
-            "runtime.serde." + op + ".ns")) {}
+            "runtime.serde." + op + ".bytes")) {}
 
-  /// Runs `fn`, charging its byte count (via `size_of` on the result) and
-  /// sampled wall time; returns fn's result.
-  template <typename Fn, typename SizeOf>
-  auto timed(Fn&& fn, SizeOf&& size_of) {
-    const bool sample = tick++ % kStride == 0;
-    const auto start = sample ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-    auto result = fn();
-    if (sample) {
-      ns.add(static_cast<std::uint64_t>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count()) *
-             kStride);
-    }
+  void count(std::size_t wire_bytes) {
     records.add();
-    bytes.add(size_of(result));
-    return result;
+    bytes.add(wire_bytes);
   }
 
   runtime::Counter records;
   runtime::Counter bytes;
-  runtime::Counter ns;
-  std::uint32_t tick = 0;
 };
 
 using Mailbox = BoundedQueue<Mail>;
@@ -229,6 +207,8 @@ struct OutputBatcher {
 
   static void flush_target(Target& target) {
     if (target.pending.empty()) return;
+    // A full mailbox blocks here: backpressure wait, not operator work.
+    runtime::ScopedStage wait(runtime::Stage::kQueueWait);
     const std::size_t staged = target.pending.size();
     const std::size_t pushed =
         target.mailbox->push_batch(std::move(target.pending));
@@ -466,11 +446,8 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
             mail.target_instance = target_instances[pick];
             mail.target_port = port;
             if (serialize) {
-              runtime::ScopedStage stage(runtime::Stage::kEncode,
-                                         runtime::ScopedStage::Mode::kSampled);
-              mail.bytes = meter->timed(
-                  [&] { return codec->serialize(tuple, *arena); },
-                  [](const runtime::Payload& p) { return p.size(); });
+              mail.bytes = codec->serialize(tuple, *arena);
+              meter->count(mail.bytes.size());
               mail.serialized = true;
               mail.codec_index = codec_index;
             } else {
@@ -550,8 +527,7 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
                          WindowId window) {
     // Marker fan-out can block on full consumer mailboxes: backpressure
     // time, attributed to the queue_wait stage.
-    runtime::ScopedStage stage(runtime::Stage::kQueueWait,
-                               runtime::ScopedStage::Mode::kAlways);
+    runtime::ScopedStage stage(runtime::Stage::kQueueWait);
     // Ship staged data first so every consumer sees a window's tuples
     // before that window's end marker.
     for (OutputBatcher* batcher : group.batchers) batcher->flush();
@@ -612,8 +588,8 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
     // drained in batches; each batch is processed strictly in arrival order
     // so the marker protocol is unchanged.
     // Processing groups run the same unified path under the "apex.mailbox"
-    // site: the mailbox wait is queue_wait, codec deserialization is
-    // decode, and operator deliver calls are user_fn.
+    // site: the mailbox wait is queue_wait and each drained inbox (decodes,
+    // deliver calls, markers) is one user_fn scope.
     runtime::OperatorInvoker invoker("apex.mailbox");
     SerdeMeter decode_meter("decode");
     int end_streams_seen = 0;
@@ -628,28 +604,19 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
           [&] { return group.mailbox->pop_batch(inbox, inbox.capacity()); });
       if (drained == 0) break;
       invoker.maybe_fault();
+      runtime::ScopedStage inbox_scope(runtime::Stage::kUserFn,
+                                       invoker.operator_id());
       for (auto& mail : inbox) {
         switch (mail.kind) {
           case Mail::Kind::kData: {
             Operator* op = instance_ops.at(mail.target_instance).first;
             if (mail.serialized) {
-              const std::size_t wire_size = mail.bytes.size();
-              Tuple tuple = invoker.decode([&] {
-                return decode_meter.timed(
-                    [&] {
-                      return codecs[static_cast<std::size_t>(
-                                        mail.codec_index)]
-                          ->deserialize(mail.bytes);
-                    },
-                    [wire_size](const Tuple&) { return wire_size; });
-              });
-              invoker.invoke_unfaulted([&] {
-                op->deliver(mail.target_port, std::move(tuple));
-              });
+              decode_meter.count(mail.bytes.size());
+              op->deliver(mail.target_port,
+                          codecs[static_cast<std::size_t>(mail.codec_index)]
+                              ->deserialize(mail.bytes));
             } else {
-              invoker.invoke_unfaulted([&] {
-                op->deliver(mail.target_port, std::move(mail.tuple));
-              });
+              op->deliver(mail.target_port, std::move(mail.tuple));
             }
             break;
           }

@@ -6,7 +6,6 @@
 
 #include "beam/stage.hpp"
 #include "common/status.hpp"
-#include "runtime/invoker.hpp"
 
 namespace dsps::beam {
 
@@ -19,20 +18,9 @@ namespace {
 /// member DoFns themselves do.
 class FusedStageExecutor final : public StageExecutor {
  public:
-  FusedStageExecutor(const std::vector<StageFactory>& factories,
-                     const std::vector<std::string>& member_names) {
+  explicit FusedStageExecutor(const std::vector<StageFactory>& factories) {
     members_.reserve(factories.size());
     for (const auto& factory : factories) members_.push_back(factory());
-    // Per-member attribution: a fused composite reports each original
-    // transform's cost under its own "beam.<name>" site, so fusing stages
-    // never loses breakdown resolution.
-    invokers_.reserve(members_.size());
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      const std::string name = i < member_names.size()
-                                   ? member_names[i]
-                                   : "fused#" + std::to_string(i);
-      invokers_.emplace_back("beam." + name);
-    }
   }
 
   void start() override {
@@ -43,16 +31,14 @@ class FusedStageExecutor final : public StageExecutor {
     };
     for (std::size_t i = members_.size(); i-- > 1;) {
       emits_[i] = [this, i](Element&& element) {
-        invokers_[i].invoke_unfaulted(
-            [&] { members_[i]->process(element, emits_[i + 1]); });
+        members_[i]->process(element, emits_[i + 1]);
       };
     }
   }
 
   void process(const Element& element, const Emit& emit) override {
     sink_ = &emit;
-    invokers_.front().invoke_unfaulted(
-        [&] { members_.front()->process(element, emits_[1]); });
+    members_.front()->process(element, emits_[1]);
   }
 
   void bundle_boundary(const Emit& emit) override {
@@ -74,7 +60,6 @@ class FusedStageExecutor final : public StageExecutor {
 
  private:
   std::vector<std::unique_ptr<StageExecutor>> members_;
-  std::vector<runtime::OperatorInvoker> invokers_;
   std::vector<Emit> emits_;
   const Emit* sink_ = nullptr;
 };
@@ -96,12 +81,10 @@ bool fusible(const TransformNode& node) {
          !node.key_hash && node.inputs.size() == 1;
 }
 
-StageFactory fused_stage(std::vector<StageFactory> members,
-                         std::vector<std::string> member_names) {
+StageFactory fused_stage(std::vector<StageFactory> members) {
   require(members.size() >= 2, "a fused stage needs at least two members");
-  return [members = std::move(members),
-          member_names = std::move(member_names)] {
-    return std::make_unique<FusedStageExecutor>(members, member_names);
+  return [members = std::move(members)] {
+    return std::make_unique<FusedStageExecutor>(members);
   };
 }
 
@@ -158,6 +141,7 @@ FusionResult fuse_graph(const BeamGraph& graph) {
   for (const auto& group : groups) {
     const TransformNode& head = nodes[static_cast<std::size_t>(group.front())];
     TransformNode fused;
+    std::vector<std::string> member_names;
     if (group.size() == 1) {
       fused = head;
       fused.inputs.clear();
@@ -165,7 +149,6 @@ FusionResult fuse_graph(const BeamGraph& graph) {
       const TransformNode& last =
           nodes[static_cast<std::size_t>(group.back())];
       std::vector<StageFactory> factories;
-      std::vector<std::string> member_names;
       factories.reserve(group.size());
       member_names.reserve(group.size());
       for (const int member : group) {
@@ -175,7 +158,7 @@ FusionResult fuse_graph(const BeamGraph& graph) {
       fused.kind = TransformKind::kParDo;
       fused.name = fused_name(member_names);
       fused.urn = urns::kFused;
-      fused.stage = fused_stage(std::move(factories), member_names);
+      fused.stage = fused_stage(std::move(factories));
       // The chain's externally visible coder is the tail's output: interior
       // boundaries never re-encode.
       fused.output_coder = last.output_coder;
@@ -187,10 +170,6 @@ FusionResult fuse_graph(const BeamGraph& graph) {
     const int new_id = result.graph.add_node(std::move(fused));
     for (const int member : group) old_to_new[member] = new_id;
     if (group.size() > 1) {
-      std::vector<std::string> member_names;
-      for (const int member : group) {
-        member_names.push_back(nodes[static_cast<std::size_t>(member)].name);
-      }
       result.stages.push_back(
           FusedStageInfo{.node_id = new_id, .members = std::move(member_names)});
     }

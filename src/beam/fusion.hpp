@@ -58,11 +58,7 @@ bool fusible(const TransformNode& node);
 /// A composite stage executing `members` back to back by direct calls.
 /// Elements emitted by member i feed member i+1's process() synchronously;
 /// bundle boundaries and finish cascade down the chain in order.
-/// `member_names` (same order, optional) label each member's profiler
-/// attribution site ("beam.<name>") so a fused composite still breaks its
-/// cost down per original transform.
-StageFactory fused_stage(std::vector<StageFactory> members,
-                         std::vector<std::string> member_names = {});
+StageFactory fused_stage(std::vector<StageFactory> members);
 
 /// Rewrites `graph`, fusing maximal eligible chains. Node ids are
 /// renumbered; relative (topological) order is preserved.

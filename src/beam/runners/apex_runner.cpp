@@ -10,7 +10,6 @@
 #include "common/clock.hpp"
 #include "apex/dag.hpp"
 #include "apex/engine.hpp"
-#include "runtime/invoker.hpp"
 #include "runtime/metrics.hpp"
 
 namespace dsps::beam {
@@ -71,9 +70,8 @@ class BeamApexInput final : public apex::InputOperator {
 /// Stage operator with single-element bundles.
 class BeamApexStage final : public apex::Operator {
  public:
-  BeamApexStage(StageFactory factory, const std::string& site)
+  explicit BeamApexStage(StageFactory factory)
       : factory_(std::move(factory)),
-        invoker_(site),
         in_(register_input([this](const apex::Tuple& tuple) {
           on_tuple(tuple);
         })),
@@ -85,9 +83,7 @@ class BeamApexStage final : public apex::Operator {
   }
 
   void end_stream() override {
-    if (executor_) {
-      invoker_.invoke_unfaulted([&] { executor_->finish(emit_fn()); });
-    }
+    if (executor_) executor_->finish(emit_fn());
   }
 
  private:
@@ -99,14 +95,12 @@ class BeamApexStage final : public apex::Operator {
 
   void on_tuple(const apex::Tuple& tuple) {
     const Emit emit = emit_fn();
-    invoker_.invoke_unfaulted(
-        [&] { executor_->process(apex::tuple_cast<Element>(tuple), emit); });
+    executor_->process(apex::tuple_cast<Element>(tuple), emit);
     // One-element bundles: buffering DoFns (the Kafka writer) flush here.
     executor_->bundle_boundary(emit);
   }
 
   StageFactory factory_;
-  runtime::OperatorInvoker invoker_;
   int in_;
   int out_;
   std::unique_ptr<StageExecutor> executor_;
@@ -133,10 +127,8 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
       // (BeamApexInput passes its partition index/count to the factory).
       if (node_parallelism > 1) dag.set_partitions(apex_id, node_parallelism);
     } else {
-      apex_id = dag.add_operator(node.name,
-                                 [factory = node.stage,
-                                  site = "beam." + node.name] {
-        return std::make_unique<BeamApexStage>(factory, site);
+      apex_id = dag.add_operator(node.name, [factory = node.stage] {
+        return std::make_unique<BeamApexStage>(factory);
       });
       const bool terminal = graph.consumers_of(node.id).empty();
       const bool partitionable = node.kind == TransformKind::kParDo &&

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "runtime/invoker.hpp"
 
 namespace dsps::beam {
 
@@ -17,10 +16,8 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
 
   Stopwatch watch;
 
-  // One executor per non-read node; one reader per read node. Each executor
-  // pairs with an invoker carrying its "beam.<name>" attribution site.
+  // One executor per non-read node; one reader per read node.
   std::map<int, std::unique_ptr<StageExecutor>> executors;
-  std::map<int, runtime::OperatorInvoker> invokers;
   std::map<int, std::uint64_t> elements_in;
   std::map<int, std::size_t> bundle_counts;
   for (const auto& node : graph.nodes()) {
@@ -28,8 +25,6 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
     if (node.kind != TransformKind::kRead) {
       executors[node.id] = node.stage();
       executors[node.id]->start();
-      invokers.emplace(node.id,
-                       runtime::OperatorInvoker("beam." + node.name));
     }
   }
 
@@ -46,8 +41,7 @@ Result<PipelineResult> DirectRunner::run(const Pipeline& pipeline) {
         feed(consumer, std::move(copy));
       }
     };
-    invokers.at(node_id).invoke_unfaulted(
-        [&] { executor->process(element, emit); });
+    executor->process(element, emit);
     if (++bundle_counts[node_id] >= options_.bundle_size) {
       bundle_counts[node_id] = 0;
       executor->bundle_boundary(emit);

@@ -33,10 +33,16 @@ class BeamSourceFunction final : public flink::SourceFunction {
     // whole-job restart.
     runtime::OperatorInvoker invoker("beam.source");
     Element element;
-    while (!context.cancelled() && reader_->advance(element)) {
-      invoker.maybe_fault();
-      context.collect(flink::make_elem<Element>(std::move(element)));
-      element = Element{};
+    {
+      // One user_fn scope around the whole loop: the reader's fetches and
+      // the chain's queue waits nest inside it as their own stages.
+      runtime::ScopedStage loop_scope(runtime::Stage::kUserFn,
+                                      invoker.operator_id());
+      while (!context.cancelled() && reader_->advance(element)) {
+        invoker.maybe_fault();
+        context.collect(flink::make_elem<Element>(std::move(element)));
+        element = Element{};
+      }
     }
     reader_->close();
   }

@@ -8,7 +8,6 @@
 
 #include "beam/fusion.hpp"
 #include "common/clock.hpp"
-#include "runtime/invoker.hpp"
 #include "spark/streaming_context.hpp"
 
 namespace dsps::beam {
@@ -155,9 +154,8 @@ class UnionDStreamNode final : public spark::DStreamNode<Element> {
 class StageIterator final : public spark::Iterator<Element> {
  public:
   StageIterator(const StageFactory& factory, spark::IterPtr<Element> in,
-                std::size_t bundle_size, const std::string& site)
+                std::size_t bundle_size)
       : executor_(factory()),
-        invoker_(site),
         in_(std::move(in)),
         bundle_size_(bundle_size) {
     executor_->start();
@@ -171,7 +169,7 @@ class StageIterator final : public spark::Iterator<Element> {
       buffer_.clear();
       buffer_index_ = 0;
       if (auto element = in_->next()) {
-        invoker_.invoke_unfaulted([&] { executor_->process(*element, emit); });
+        executor_->process(*element, emit);
         if (++since_bundle_ >= bundle_size_) {
           since_bundle_ = 0;
           executor_->bundle_boundary(emit);
@@ -179,7 +177,7 @@ class StageIterator final : public spark::Iterator<Element> {
         continue;
       }
       if (!finished_) {
-        invoker_.invoke_unfaulted([&] { executor_->finish(emit); });
+        executor_->finish(emit);
         finished_ = true;
         continue;
       }
@@ -190,7 +188,6 @@ class StageIterator final : public spark::Iterator<Element> {
 
  private:
   std::unique_ptr<StageExecutor> executor_;
-  runtime::OperatorInvoker invoker_;
   spark::IterPtr<Element> in_;
   std::size_t bundle_size_;
   std::vector<Element> buffer_;
@@ -288,7 +285,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
     translated.emplace(
         node.id,
         input.map_partitions<Element>(
-            [factory = node.stage, counter, site = "beam." + node.name](
+            [factory = node.stage, counter](
                 spark::IterPtr<Element> in) -> spark::IterPtr<Element> {
               class CountingIter final : public spark::Iterator<Element> {
                public:
@@ -311,7 +308,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
                   factory,
                   std::make_unique<CountingIter>(std::move(in),
                                                  counter.get()),
-                  /*bundle_size=*/1000, site);
+                  /*bundle_size=*/1000);
             }));
   }
 

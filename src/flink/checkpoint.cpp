@@ -15,8 +15,7 @@ void CheckpointCoordinator::register_sink(int subtask,
 void CheckpointCoordinator::barrier(int subtask) {
   // Barrier handling is the checkpoint stage: sink flushes and the offset
   // commit that follows dominate an epoch boundary's cost.
-  runtime::ScopedStage stage(runtime::Stage::kCheckpoint,
-                             runtime::ScopedStage::Mode::kAlways);
+  runtime::ScopedStage stage(runtime::Stage::kCheckpoint);
   // Copy the callbacks out so a sink flush (which may take a while under an
   // injected broker outage) doesn't hold the registration lock.
   std::vector<std::function<void()>> commits;

@@ -54,6 +54,10 @@ void KafkaStringSource::run_loop(SourceContext& context,
     // records of the open epoch have not been checkpointed yet, so the
     // restart replays them from the last committed offset.
     invoker.maybe_fault();
+    // One user_fn scope per polled batch; the fetch and the checkpoint nest
+    // inside it and count as their own stages.
+    runtime::ScopedStage batch_scope(runtime::Stage::kUserFn,
+                                     invoker.operator_id());
     const bool closed =
         invoker.broker_rtt([&] {
           return consumer_->poll_batch(config_.poll_timeout_ms, batch);

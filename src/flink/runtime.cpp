@@ -98,8 +98,7 @@ class Router {
     runtime::FaultInjector::instance().maybe_stall(
         runtime::FaultPoint::kQueueStall, "flink.channel");
     // A full channel blocks here: backpressure wait, not operator work.
-    runtime::ScopedStage wait(runtime::Stage::kQueueWait,
-                              runtime::ScopedStage::Mode::kAlways);
+    runtime::ScopedStage wait(runtime::Stage::kQueueWait);
     const std::size_t staged = stage.size();
     const std::size_t pushed = channels_[index]->push_batch(std::move(stage));
     if (pushed < staged) {
@@ -148,22 +147,18 @@ class ChainTail final : public Collector {
   runtime::Counter records_out_;
 };
 
-/// Middle link: hands elements to the next operator in the chain, through
-/// the unified invoker so every chained operator reports its own user_fn
-/// share (nested links record self-time, so a chain decomposes exactly).
+/// Middle link: hands elements to the next operator in the chain. Its cost
+/// is part of the task loop's per-batch user_fn scope.
 class ChainLink final : public Collector {
  public:
-  ChainLink(StreamOperator* op, Collector* next, std::string site)
-      : op_(op), next_(next), invoker_(std::move(site)) {}
+  ChainLink(StreamOperator* op, Collector* next) : op_(op), next_(next) {}
   void collect(Elem element) override {
-    invoker_.invoke_unfaulted(
-        [&] { op_->process(std::move(element), *next_); });
+    op_->process(std::move(element), *next_);
   }
 
  private:
   StreamOperator* op_;
   Collector* next_;
-  runtime::OperatorInvoker invoker_;
 };
 
 /// One subtask: instantiated chain + IO wiring.
@@ -174,7 +169,6 @@ struct Task {
   // Chain bodies (head first). Empty for a pure source vertex whose chain
   // is only the source function.
   std::vector<std::unique_ptr<StreamOperator>> operators;
-  std::vector<std::string> operator_names;  // attribution labels, head first
   std::unique_ptr<SourceFunction> source;  // head of a source vertex
   std::shared_ptr<Channel> input;          // null for source vertices
   int eos_expected = 0;                    // producers feeding `input`
@@ -387,7 +381,6 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
            ++i) {
         const StreamNode& node = graph.node(vertex.chained_nodes[i]);
         task->operators.push_back(node.make_operator());
-        task->operator_names.push_back("flink." + node.name);
       }
 
       // Output routers for every out-edge of this vertex.
@@ -405,8 +398,7 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
       Collector* next = tail.get();
       task->collectors.push_back(std::move(tail));
       for (std::size_t i = task->operators.size(); i-- > 0;) {
-        auto link = std::make_unique<ChainLink>(task->operators[i].get(), next,
-                                                task->operator_names[i]);
+        auto link = std::make_unique<ChainLink>(task->operators[i].get(), next);
         next = link.get();
         task->collectors.push_back(std::move(link));
       }
@@ -457,9 +449,8 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
       };
 
       // The unified task-loop path: one invoker per subtask carries the
-      // vertex's fault site (unchanged cadence: one probe per batch) and
-      // brackets the input wait; chained operator bodies attribute through
-      // their ChainLink invokers.
+      // vertex's fault site (one probe per batch) and brackets the input
+      // wait and each popped batch's trip through the chain.
       runtime::OperatorInvoker invoker(task->name);
       if (task->source != nullptr) {
         task->source->open(context);
@@ -480,6 +471,8 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
         const std::size_t n = invoker.queue_wait(
             [&] { return task->input->pop_batch(batch, batch.capacity()); });
         if (n == 0) break;  // channel closed defensively
+        runtime::ScopedStage batch_scope(runtime::Stage::kUserFn,
+                                         invoker.operator_id());
         std::uint64_t data_records = 0;
         for (auto& envelope : batch) {
           if (envelope.eos) {

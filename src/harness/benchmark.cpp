@@ -140,14 +140,10 @@ Result<SetupMeasurements> BenchmarkHarness::run_setup(const SetupKey& key) {
                                       "runtime.serde.encode.records"),
       .encode_bytes = counter_delta(metrics_before, metrics_after,
                                     "runtime.serde.encode.bytes"),
-      .encode_ns = counter_delta(metrics_before, metrics_after,
-                                 "runtime.serde.encode.ns"),
       .decode_records = counter_delta(metrics_before, metrics_after,
                                       "runtime.serde.decode.records"),
       .decode_bytes = counter_delta(metrics_before, metrics_after,
-                                    "runtime.serde.decode.bytes"),
-      .decode_ns = counter_delta(metrics_before, metrics_after,
-                                 "runtime.serde.decode.ns")};
+                                    "runtime.serde.decode.bytes")};
   return measurements;
 }
 

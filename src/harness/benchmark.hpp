@@ -41,14 +41,12 @@ struct RunMeasurement {
 
 /// runtime.serde.* counter deltas accumulated over one setup's runs: what
 /// the serialization layer actually did (always counted — the counters are
-/// cheap sharded adds; the ns fields are stride-sampled and scaled).
+/// cheap sharded adds).
 struct SerdeStats {
   std::uint64_t encode_records = 0;
   std::uint64_t encode_bytes = 0;
-  std::uint64_t encode_ns = 0;
   std::uint64_t decode_records = 0;
   std::uint64_t decode_bytes = 0;
-  std::uint64_t decode_ns = 0;
 };
 
 struct SetupMeasurements {

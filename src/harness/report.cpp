@@ -216,25 +216,26 @@ std::string render_profile_breakdown(
   }
   if (!any) return "";
 
-  using runtime::Stage;
-  constexpr Stage kOrder[] = {Stage::kQueueWait, Stage::kDecode,
-                              Stage::kUserFn,    Stage::kEncode,
-                              Stage::kBrokerRtt, Stage::kCheckpoint,
-                              Stage::kOther};
   std::string out =
-      "cost breakdown (share of attributed time per stage; profiler "
-      "stride-sampled)\n";
-  out += "  " + pad_right("setup", label_width) + pad_left("attrib_ms", 11);
-  for (const Stage stage : kOrder) {
-    out += pad_left(std::string(runtime::stage_name(stage)), 11);
+      "cost breakdown (share of attributed time per stage; exact per-batch "
+      "scopes)\n";
+  out += "  " + pad_right("setup", label_width) + pad_left("attrib_ms", 11) +
+         pad_left("busy_ms", 11);
+  for (std::size_t s = 0; s < runtime::kStageCount; ++s) {
+    out += pad_left(
+        std::string(runtime::stage_name(static_cast<runtime::Stage>(s))), 11);
   }
   out += "\n";
   for (const auto& [label, profile] : per_setup) {
     const std::uint64_t attributed = profile.attributed_us();
     out += "  " + pad_right(label, label_width) +
            pad_left(format_double(static_cast<double>(attributed) / 1e3, 1),
+                    11) +
+           pad_left(format_double(
+                        static_cast<double>(profile.busy_us()) / 1e3, 1),
                     11);
-    for (const Stage stage : kOrder) {
+    for (std::size_t s = 0; s < runtime::kStageCount; ++s) {
+      const auto stage = static_cast<runtime::Stage>(s);
       out += attributed == 0
                  ? pad_left("-", 11)
                  : pad_left(format_double(profile.share(stage) * 100.0, 1) +
@@ -255,18 +256,17 @@ std::string render_profile_breakdown(
   std::vector<std::pair<std::string, runtime::StageCost>> ranked(
       operators.begin(), operators.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second.total_us > b.second.total_us;
+    return a.second.total_ns > b.second.total_ns;
   });
   constexpr std::size_t kTopOperators = 8;
   if (!ranked.empty()) {
     out += "  top operators by attributed time:\n";
     for (std::size_t i = 0; i < ranked.size() && i < kTopOperators; ++i) {
-      if (ranked[i].second.total_us == 0) break;
+      if (ranked[i].second.total_ns == 0) break;
       out += "    " + ranked[i].first + " = " +
              format_double(
-                 static_cast<double>(ranked[i].second.total_us) / 1e3, 1) +
-             "ms (" + std::to_string(ranked[i].second.samples) +
-             " samples)\n";
+                 static_cast<double>(ranked[i].second.total_ns) / 1e6, 1) +
+             "ms (" + std::to_string(ranked[i].second.calls) + " calls)\n";
     }
   }
   return out;
@@ -282,28 +282,16 @@ std::string render_serde_table(
   }
   if (!any) return "";
 
-  const auto per_record_ns = [](std::uint64_t ns, std::uint64_t records) {
-    return records == 0 ? std::string("-")
-                        : format_double(static_cast<double>(ns) /
-                                            static_cast<double>(records),
-                                        0);
-  };
-  std::string out =
-      "serde activity (runtime.serde.* deltas; ns/rec stride-sampled)\n";
+  std::string out = "serde activity (runtime.serde.* deltas)\n";
   out += "  " + pad_right("setup", label_width) + pad_left("enc_recs", 11) +
-         pad_left("enc_bytes", 12) + pad_left("enc_ns/rec", 11) +
-         pad_left("dec_recs", 11) + pad_left("dec_bytes", 12) +
-         pad_left("dec_ns/rec", 11) + "\n";
+         pad_left("enc_bytes", 12) + pad_left("dec_recs", 11) +
+         pad_left("dec_bytes", 12) + "\n";
   for (const auto& [label, serde] : per_setup) {
     out += "  " + pad_right(label, label_width) +
            pad_left(std::to_string(serde.encode_records), 11) +
            pad_left(std::to_string(serde.encode_bytes), 12) +
-           pad_left(per_record_ns(serde.encode_ns, serde.encode_records),
-                    11) +
            pad_left(std::to_string(serde.decode_records), 11) +
-           pad_left(std::to_string(serde.decode_bytes), 12) +
-           pad_left(per_record_ns(serde.decode_ns, serde.decode_records),
-                    11) + "\n";
+           pad_left(std::to_string(serde.decode_bytes), 12) + "\n";
   }
   return out;
 }

@@ -58,18 +58,17 @@ std::string render_scaling_table(const std::vector<ScalingPoint>& points);
 /// the snapshot has neither.
 std::string render_partition_gauges(const runtime::MetricsSnapshot& snapshot);
 
-/// Per-setup cost breakdown from the always-on profiler: one row per setup,
-/// one column per stage (share of attributed time), plus the heaviest
-/// instrumented operators. Empty string when no setup attributed any time (the
-/// profiler was disarmed).
+/// Per-setup cost breakdown from the profiler: one row per setup with its
+/// attributed and busy time and one column per stage (share of attributed
+/// time), plus the heaviest instrumented operators. Empty string when no
+/// setup attributed any time (the profiler was disarmed).
 std::string render_profile_breakdown(
     const std::vector<std::pair<std::string, runtime::ProfileSnapshot>>&
         per_setup);
 
-/// Serde-layer activity per setup from the runtime.serde.* counters: bytes
-/// encoded/decoded and mean encode/decode ns per record (stride-sampled).
-/// Rendered alongside the profile breakdown. Empty string when no setup did
-/// any serde work.
+/// Serde-layer activity per setup from the runtime.serde.* counters: records
+/// and bytes encoded/decoded. Rendered alongside the profile breakdown.
+/// Empty string when no setup did any serde work.
 std::string render_serde_table(
     const std::vector<std::pair<std::string, SerdeStats>>& per_setup);
 

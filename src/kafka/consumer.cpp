@@ -172,8 +172,7 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
   // Non-blocking round-robin: first assignment with data wins the batch.
   // Fetches that return data are broker round-trips.
   {
-    runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt,
-                             runtime::ScopedStage::Mode::kAlways, fetch_op());
+    runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt, fetch_op());
     for (std::size_t i = 0; i < assignments_.size(); ++i) {
       auto& assignment = assignments_[next_partition_];
       next_partition_ = (next_partition_ + 1) % assignments_.size();
@@ -200,8 +199,7 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
       assignments_.begin(), assignments_.end(),
       [this](const Assignment& a) { return fetch_limit(a) > 0; });
   runtime::Watchdog::IdleScope idle;
-  runtime::ScopedStage wait(runtime::Stage::kQueueWait,
-                            runtime::ScopedStage::Mode::kAlways, fetch_op());
+  runtime::ScopedStage wait(runtime::Stage::kQueueWait, fetch_op());
   const auto fetched_count =
       broker_.fetch_blocking(assignment.tp, assignment.position,
                              fetch_limit(assignment), timeout_ms, out.records);

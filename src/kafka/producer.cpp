@@ -182,8 +182,7 @@ Status Producer::flush_buffer(Buffer& buffer) {
   if (buffer.records.empty()) return Status::ok();
   // Sync produce path: append (with retries) plus the modelled ack
   // round-trip are one broker RTT from the caller's point of view.
-  runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt,
-                           runtime::ScopedStage::Mode::kAlways, produce_op());
+  runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt, produce_op());
   const bool wait_replication = config_.acks == Acks::kAll;
   // The buffer is cleared only after an attempt the broker accepted (or a
   // terminal error): a retryable failure must keep the records, or every
@@ -233,9 +232,7 @@ Status Producer::enqueue_batch(Buffer& buffer) {
       // queue until the sender drains it. A legitimate block, not a stall —
       // mark it watchdog-idle.
       runtime::Watchdog::IdleScope idle;
-      runtime::ScopedStage wait(runtime::Stage::kQueueWait,
-                                runtime::ScopedStage::Mode::kAlways,
-                                produce_op());
+      runtime::ScopedStage wait(runtime::Stage::kQueueWait, produce_op());
       wake_callers_.wait(lock, [this] {
         return pending_.size() < config_.max_pending_batches || stop_sender_;
       });
@@ -327,9 +324,7 @@ void Producer::dispatch_run(std::vector<AsyncBatch>& run) {
   runtime::Backoff backoff(config_.retry_backoff);
   Result<std::size_t> result = Status::internal("no append attempted");
   {
-    runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt,
-                             runtime::ScopedStage::Mode::kAlways,
-                             produce_op());
+    runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt, produce_op());
     for (int attempt = 0;; ++attempt) {
       result = broker_.append_many(request, wait_replication);
       const bool retryable =

@@ -1,16 +1,12 @@
 // The one operator-invoke path shared by every engine (DESIGN.md §5g).
 //
-// Before this existed each engine drove user code through its own ad-hoc
-// inner loop — Flink chained Collectors, Spark pulled partition iterators,
-// Apex dispatched mailbox Mail, each Beam runner wrapped ParDos its own way
-// — so per-record cost was unattributable below "throughput moved" and
-// fault-injection points were sprinkled by hand. An OperatorInvoker is one
-// operator's execution façade: it owns the operator's site label (the same
-// string the FaultInjector matches on), its profiler attribution id, and
-// the stage-bracketing helpers the loops wrap their steps in. Porting a
-// loop means routing every user-function call through invoke() and every
-// decode/encode/wait step through the matching helper; the engine keeps its
-// scheduling structure, but execution and attribution become uniform.
+// An OperatorInvoker is the execution façade of one engine loop: it owns
+// the loop's site label (the same string the FaultInjector matches on),
+// its profiler attribution id, and the stage-bracketing helpers the loop
+// wraps its steps in. Loops use it where they handle a batch, a task or a
+// window — never per record — so every helper is an exact profiler scope;
+// per-record work (chained operators, fused members, per-element DoFn
+// calls) runs inside the enclosing batch's user_fn scope.
 //
 // All helpers are near-free when the profiler is disarmed and the fault
 // injector is disarmed (two relaxed atomic loads around the user code).
@@ -27,82 +23,48 @@ namespace dsps::runtime {
 
 class OperatorInvoker {
  public:
-  OperatorInvoker() = default;
-
   /// `site` doubles as the fault-injection site label and the per-operator
-  /// attribution name in profile snapshots, so chaos schedules written
-  /// against the old inline maybe_throw calls keep matching.
-  explicit OperatorInvoker(std::string site,
-                           FaultPoint fault_point = FaultPoint::kOperatorThrow)
-      : site_(std::move(site)),
-        fault_point_(fault_point),
-        op_(Profiler::instance().operator_id(site_)) {}
+  /// attribution name in profile snapshots.
+  explicit OperatorInvoker(std::string site)
+      : site_(std::move(site)), op_(Profiler::instance().operator_id(site_)) {}
 
-  const std::string& site() const noexcept { return site_; }
   std::uint32_t operator_id() const noexcept { return op_; }
 
-  /// The operator body: watchdog heartbeat + fault-injection point +
-  /// user_fn attribution.
-  template <typename Fn>
-  decltype(auto) invoke(Fn&& fn) {
-    Watchdog::pet();
-    FaultInjector::instance().maybe_throw(fault_point_, site_);
-    ScopedStage stage(Stage::kUserFn, ScopedStage::Mode::kSampled, op_);
-    return std::forward<Fn>(fn)();
-  }
-
-  /// The bare fault-injection point, for loops whose chaos schedules were
-  /// written against a per-batch cadence (one probe per batch, not per
-  /// record) — the timing helpers below stay per-record. Doubles as the
-  /// per-batch liveness heartbeat.
+  /// The fault-injection point, once per batch, task or window. Doubles as
+  /// the loop's liveness heartbeat.
   void maybe_fault() {
     Watchdog::pet();
-    FaultInjector::instance().maybe_throw(fault_point_, site_);
+    FaultInjector::instance().maybe_throw(FaultPoint::kOperatorThrow, site_);
   }
 
-  /// The operator body without a fault point (sites the chaos matrix never
-  /// targets, e.g. driver-side result folds).
+  /// Operator work on a batch, task or window, attributed as user_fn.
   template <typename Fn>
   decltype(auto) invoke_unfaulted(Fn&& fn) {
-    ScopedStage stage(Stage::kUserFn, ScopedStage::Mode::kSampled, op_);
+    ScopedStage stage(Stage::kUserFn, op_);
     return std::forward<Fn>(fn)();
   }
 
-  /// Wire bytes -> records (coders, codecs, input parsing). Per-record.
-  template <typename Fn>
-  decltype(auto) decode(Fn&& fn) {
-    ScopedStage stage(Stage::kDecode, ScopedStage::Mode::kSampled, op_);
-    return std::forward<Fn>(fn)();
-  }
-
-  /// Records -> wire bytes (coders, codecs, sink serialization). Per-record.
-  template <typename Fn>
-  decltype(auto) encode(Fn&& fn) {
-    ScopedStage stage(Stage::kEncode, ScopedStage::Mode::kSampled, op_);
-    return std::forward<Fn>(fn)();
-  }
-
-  /// Blocked on a channel/mailbox/pending-queue. Per-batch: always timed.
-  /// The wait is a *legitimate* block, so it is bracketed as watchdog-idle
-  /// and never classified as a stall.
+  /// Blocked on a channel/mailbox/pending-queue. The wait is a *legitimate*
+  /// block, so it is bracketed as watchdog-idle and never classified as a
+  /// stall.
   template <typename Fn>
   decltype(auto) queue_wait(Fn&& fn) {
     Watchdog::IdleScope idle;
-    ScopedStage stage(Stage::kQueueWait, ScopedStage::Mode::kAlways, op_);
+    ScopedStage stage(Stage::kQueueWait, op_);
     return std::forward<Fn>(fn)();
   }
 
-  /// Simulated broker round-trip (produce flush / fetch). Per-batch.
+  /// Simulated broker round-trip (produce flush / fetch).
   template <typename Fn>
   decltype(auto) broker_rtt(Fn&& fn) {
-    ScopedStage stage(Stage::kBrokerRtt, ScopedStage::Mode::kAlways, op_);
+    ScopedStage stage(Stage::kBrokerRtt, op_);
     return std::forward<Fn>(fn)();
   }
 
-  /// Barrier handling, window/offset commit. Per-batch.
+  /// Barrier handling, window/offset commit.
   template <typename Fn>
   decltype(auto) checkpoint(Fn&& fn) {
-    ScopedStage stage(Stage::kCheckpoint, ScopedStage::Mode::kAlways, op_);
+    ScopedStage stage(Stage::kCheckpoint, op_);
     return std::forward<Fn>(fn)();
   }
 
@@ -112,7 +74,6 @@ class OperatorInvoker {
 
  private:
   std::string site_;
-  FaultPoint fault_point_ = FaultPoint::kOperatorThrow;
   std::uint32_t op_ = Profiler::kNoOperator;
 };
 

@@ -68,8 +68,8 @@ struct GaugeCell {
 
 /// HDR-style microsecond buckets (see the geometry constants above). Count
 /// and sum are sharded like counters (they are touched on every record);
-/// bucket counts are plain atomics — histogram samples are per-batch /
-/// per-window or stride-sampled, not per-record, so bucket contention is
+/// bucket counts are plain atomics — histogram samples are per-batch or
+/// per-window, not per-record, so bucket contention is
 /// negligible and padding 576 buckets would cost 36KB per histogram.
 struct HistogramCell {
   std::atomic<std::uint64_t> buckets[kHistogramBuckets];

@@ -34,8 +34,7 @@ class KafkaDirectInputDStream final : public DStreamNode<Payload>,
     std::vector<Payload> claimed;
     // The whole claim loop is broker time: offset range lookups plus the
     // fetches that pull the batch's records out of the log.
-    runtime::ScopedStage fetch_stage(runtime::Stage::kBrokerRtt,
-                                     runtime::ScopedStage::Mode::kAlways);
+    runtime::ScopedStage fetch_stage(runtime::Stage::kBrokerRtt);
     const auto partitions = broker_.partition_count(topic_);
     if (partitions.is_ok()) {
       positions_.resize(static_cast<std::size_t>(partitions.value()), 0);
