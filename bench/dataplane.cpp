@@ -15,8 +15,9 @@
 //   async_sinks  sync vs pipelined sink producers, native and Beam.
 //   sustained    open-loop maximum sustainable throughput and event-time
 //                latency per setup, plus a 2x-capacity overload probe.
-//   soak         CI soak at 1.2x capacity with backpressure and the stall
-//                watchdog armed; pass/fail only, writes no file.
+//   soak         CI soak at 1.2x each combo's knee (found by the sustained
+//                search) with retention and the stall watchdog armed;
+//                pass/fail only, writes no file.
 //
 // Every other section writes exactly one file, BENCH_dataplane/<section>.json,
 // so running one section never touches another's numbers;
@@ -41,7 +42,6 @@
 #include "harness/loadgen.hpp"
 #include "kafka/broker.hpp"
 #include "queries/query_factory.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/profiler.hpp"
@@ -954,18 +954,19 @@ struct SustainedRow {
   bool ok = false;
 };
 
-/// Doubling search up (or halving down), then bisection, for the knee rate.
-SustainedRow sweep_setup(const harness::SetupKey& key,
-                         const SweepConfig& sweep) {
-  SustainedRow row;
-  const auto probe_at = [&](double rate, runtime::MetricsRegistry* latency) {
-    return run_probe(key.engine, key.sdk, key.query, sweep, rate, latency);
+/// Doubling search up (or halving down), then bisection, for the highest
+/// rate `query` sustains on (engine, sdk). 0 when an engine run failed or
+/// nothing sustains.
+double find_knee(Engine engine, Sdk sdk, QueryId query,
+                 const SweepConfig& sweep) {
+  const auto probe_at = [&](double rate) {
+    return run_probe(engine, sdk, query, sweep, rate, nullptr);
   };
   double good = 0.0, bad = 0.0;
   double rate = kStartRate;
   for (int i = 0; i < 10; ++i) {
-    const ProbeResult probe = probe_at(rate, nullptr);
-    if (!probe.ok) return row;
+    const ProbeResult probe = probe_at(rate);
+    if (!probe.ok) return 0.0;
     if (probe.sustainable) {
       good = rate;
       if (bad > 0.0) break;  // knee already bracketed from a down-search
@@ -977,20 +978,30 @@ SustainedRow sweep_setup(const harness::SetupKey& key,
       if (rate < 500.0) break;  // pathological: nothing sustains
     }
   }
-  if (good == 0.0) return row;
+  if (good == 0.0) return 0.0;
   if (bad == 0.0) bad = good * 2.0;
   for (int i = 0; i < kBisectProbes; ++i) {
     const double mid = 0.5 * (good + bad);
-    const ProbeResult probe = probe_at(mid, nullptr);
-    if (!probe.ok) return row;
+    const ProbeResult probe = probe_at(mid);
+    if (!probe.ok) return 0.0;
     (probe.sustainable ? good : bad) = mid;
   }
+  return good;
+}
+
+/// The knee of one setup and its latency just below it.
+SustainedRow sweep_setup(const harness::SetupKey& key,
+                         const SweepConfig& sweep) {
+  SustainedRow row;
+  const double good = find_knee(key.engine, key.sdk, key.query, sweep);
+  if (good == 0.0) return row;
   row.max_rate = good;
 
   // Latency at a comfortably sustainable point (80% of the knee), where
   // queueing delay reflects steady state rather than the overload cliff.
   runtime::MetricsRegistry latency_registry;
-  const ProbeResult probe = probe_at(0.8 * good, &latency_registry);
+  const ProbeResult probe = run_probe(key.engine, key.sdk, key.query, sweep,
+                                      0.8 * good, &latency_registry);
   if (!probe.ok) return row;
   row.achieved_rate = probe.achieved_rate;
   row.drain_seconds = probe.drain_seconds;
@@ -1023,30 +1034,26 @@ std::int64_t vm_rss_kb() {
 struct OverloadResult {
   double offered_rate = 0.0;
   double achieved_rate = 0.0;
-  std::uint64_t throttle_waits = 0;
-  std::uint64_t overload_transitions = 0;
+  double drain_seconds = 0.0;
   std::uint64_t watchdog_stalls = 0;
   std::int64_t rss_delta_kb = 0;
   std::int64_t retained_bytes = 0;
   bool ok = false;
 };
 
-/// A probe at `factor` x the measured knee with the full protection layer
-/// armed: CreditGate, log retention, and the stall watchdog. Demonstrates
-/// that offered load above capacity yields bounded memory and a throttled
-/// admitted stream.
+/// A probe at `factor` x the measured knee with log retention and the stall
+/// watchdog armed. The generator never slows for the engine, so offered
+/// load above capacity shows up as consumer lag (the post-seal drain) while
+/// retention bounds the broker's memory.
 OverloadResult run_overload_probe(Engine engine, Sdk sdk,
                                   const SweepConfig& sweep, double knee_rate,
                                   double factor) {
   OverloadResult result;
   result.offered_rate = factor * knee_rate;
 
-  auto& gate = runtime::CreditGate::instance();
-  gate.arm(runtime::CreditGate::Config{});
   auto& watchdog = runtime::Watchdog::instance();
   watchdog.arm(runtime::Watchdog::Config{.deadline_ms = 5'000});
   const std::uint64_t stalls_before = watchdog.stalls_detected();
-  const auto metrics_before = runtime::MetricsRegistry::global().snapshot();
   const std::int64_t rss_before = vm_rss_kb();
 
   {
@@ -1087,7 +1094,9 @@ OverloadResult run_overload_probe(Engine engine, Sdk sdk,
     auto gen_report = generator.run();
     result.retained_bytes = broker.retained_bytes(kSustainedIn);
     broker.seal_topic(kSustainedIn).expect_ok();
+    Stopwatch drain_watch;
     engine_thread.join();
+    result.drain_seconds = drain_watch.elapsed_seconds();
 
     result.ok = gen_report.is_ok() && engine_status.is_ok();
     if (gen_report.is_ok()) {
@@ -1095,19 +1104,11 @@ OverloadResult run_overload_probe(Engine engine, Sdk sdk,
     }
   }
 
-  const auto metrics_after = runtime::MetricsRegistry::global().snapshot();
-  result.throttle_waits =
-      metrics_after.counter("backpressure.throttle_waits") -
-      metrics_before.counter("backpressure.throttle_waits");
-  result.overload_transitions =
-      metrics_after.counter("backpressure.overload_transitions") -
-      metrics_before.counter("backpressure.overload_transitions");
   result.watchdog_stalls = watchdog.stalls_detected() - stalls_before;
   const std::int64_t rss_after = vm_rss_kb();
   result.rss_delta_kb =
       (rss_before > 0 && rss_after > 0) ? rss_after - rss_before : 0;
   watchdog.disarm();
-  gate.disarm();
   return result;
 }
 
@@ -1150,19 +1151,18 @@ Outcome section_sustained() {
   }
 
   // Overload demonstration at 2x the measured knee of the first setup
-  // (Flink native Identity): gate + retention + watchdog armed, bursty
-  // offered load.
+  // (Flink native Identity): retention + watchdog armed, bursty offered
+  // load.
   OverloadResult overload;
   if (knee > 0.0) {
     std::printf("\noverload probe: 2.0x knee (Flink P1, Identity), "
-                "gate+retention armed\n");
+                "retention armed\n");
     overload =
         run_overload_probe(Engine::kFlink, Sdk::kNative, sweep, knee, 2.0);
     std::printf(
-        "  offered %.0f ev/s -> admitted %.0f ev/s, "
-        "throttle_waits %llu, rss +%lld kB, retained %lld B, stalls %llu\n",
-        overload.offered_rate, overload.achieved_rate,
-        static_cast<unsigned long long>(overload.throttle_waits),
+        "  offered %.0f ev/s -> admitted %.0f ev/s, drain %.3f s, "
+        "rss +%lld kB, retained %lld B, stalls %llu\n",
+        overload.offered_rate, overload.achieved_rate, overload.drain_seconds,
         static_cast<long long>(overload.rss_delta_kb),
         static_cast<long long>(overload.retained_bytes),
         static_cast<unsigned long long>(overload.watchdog_stalls));
@@ -1172,8 +1172,7 @@ Outcome section_sustained() {
   const Json overload_json = Json::object(
       {{"offered_rate", Json::fixed(overload.offered_rate, 0)},
        {"achieved_rate", Json::fixed(overload.achieved_rate, 0)},
-       {"throttle_waits", overload.throttle_waits},
-       {"transitions", overload.overload_transitions},
+       {"drain_s", Json::fixed(overload.drain_seconds, 3)},
        {"watchdog_stalls", overload.watchdog_stalls},
        {"rss_delta_kb", overload.rss_delta_kb},
        {"retained_bytes", overload.retained_bytes},
@@ -1186,9 +1185,8 @@ Outcome section_sustained() {
 
 Outcome section_soak() {
   const SweepConfig sweep = sweep_config();
-  std::printf("=== Soak: 1.2x capacity, backpressure + watchdog armed ===\n");
-  // Keep the soak cheap: a coarse capacity estimate per combo, then one
-  // overload run each. TSan slows everything ~10x, so the combos cover
+  std::printf("=== Soak: 1.2x knee, retention + watchdog armed ===\n");
+  // Keep the soak cheap: TSan slows everything ~10x, so the combos cover
   // each engine once rather than the full matrix.
   const std::pair<Engine, Sdk> combos[] = {{Engine::kFlink, Sdk::kNative},
                                            {Engine::kSpark, Sdk::kBeam},
@@ -1196,32 +1194,26 @@ Outcome section_soak() {
   const std::int64_t rss_budget_kb = env_i64("STREAMSHIM_SOAK_RSS_KB", 786'432);
   bool ok = true;
   for (const auto& [engine, sdk] : combos) {
-    double knee = kStartRate;
-    for (int i = 0; i < 3; ++i) {
-      const ProbeResult probe =
-          run_probe(engine, sdk, QueryId::kIdentity, sweep, knee, nullptr);
-      if (!probe.ok) {
-        std::fprintf(stderr, "soak: capacity probe failed\n");
-        return {.ok = false};
-      }
-      if (!probe.sustainable) {
-        knee /= 2.0;
-        break;
-      }
-      knee *= 2.0;
+    const double knee = find_knee(engine, sdk, QueryId::kIdentity, sweep);
+    if (knee == 0.0) {
+      std::fprintf(stderr, "soak: %s %s knee search failed\n",
+                   queries::engine_name(engine), queries::sdk_name(sdk));
+      ok = false;
+      continue;
     }
     const OverloadResult overload =
         run_overload_probe(engine, sdk, sweep, knee, 1.2);
     const bool combo_ok = overload.ok && overload.watchdog_stalls == 0 &&
                           (overload.rss_delta_kb < rss_budget_kb);
     std::printf(
-        "%-7s %-7s offered %.0f -> %.0f ev/s, stalls %llu, "
-        "rss +%lld kB  %s\n",
-        queries::engine_name(engine), queries::sdk_name(sdk),
-        overload.offered_rate, overload.achieved_rate,
+        "%-7s %-7s knee %.0f, offered %.0f -> %.0f ev/s, drain %.3f s, "
+        "stalls %llu, rss +%lld kB  %s\n",
+        queries::engine_name(engine), queries::sdk_name(sdk), knee,
+        overload.offered_rate, overload.achieved_rate, overload.drain_seconds,
         static_cast<unsigned long long>(overload.watchdog_stalls),
         static_cast<long long>(overload.rss_delta_kb),
         combo_ok ? "ok" : "FAILED");
+    std::fflush(stdout);
     ok = ok && combo_ok;
   }
   return {.ok = ok};

@@ -37,7 +37,6 @@ SRC = os.path.join(ROOT, "src")
 # Translation units allowed to run only under tests, each with its guard.
 KEEP = {
     "beam/runners/direct_runner.cpp": "the differential oracle",
-    "kafka/consumer_group.cpp": "guarded by test_rebalance",
 }
 
 FIGURES = ["table1_systems", "table2_queries", "table3_flink_runs",

@@ -9,7 +9,6 @@
 
 #include "common/clock.hpp"
 #include "common/queue.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/invoker.hpp"
 #include "runtime/task_runtime.hpp"
@@ -188,10 +187,6 @@ struct OutputBatcher {
   struct Target {
     Mailbox* mailbox = nullptr;
     std::vector<Mail> pending;
-    // Backpressure source, bound lazily on first flush while the gate is
-    // armed: mailbox fill feeds the end-to-end credit signal.
-    runtime::CreditGate::Source gate;
-    bool gate_bound = false;
   };
   std::vector<Target> targets;
 
@@ -218,15 +213,6 @@ struct OutputBatcher {
       runtime::MetricsRegistry::global()
           .counter("apex.mailbox.closed_drops")
           .add(static_cast<std::uint64_t>(staged - pushed));
-    }
-    if (runtime::CreditGate::instance().armed()) {
-      if (!target.gate_bound) {
-        target.gate =
-            runtime::CreditGate::instance().register_source("apex.mailbox");
-        target.gate_bound = true;
-      }
-      target.gate.set_depth(target.mailbox->size(),
-                            target.mailbox->capacity());
     }
     target.pending.clear();
     target.pending.reserve(kMailBatch);
@@ -337,11 +323,11 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
     const auto& from = dag.nodes()[static_cast<std::size_t>(stream.from.node)];
     const auto& to = dag.nodes()[static_cast<std::size_t>(stream.to.node)];
     for (int pt = 0; pt < to.partitions; ++pt) {
-      const int consumer_group =
+      const int target_group =
           plan.instances[static_cast<std::size_t>(
                              plan.by_node_partition.at({stream.to.node, pt}))]
               .group;
-      auto& group = groups[static_cast<std::size_t>(consumer_group)];
+      auto& group = groups[static_cast<std::size_t>(target_group)];
       if (!group.mailbox) {
         group.mailbox = std::make_shared<Mailbox>(config.mailbox_capacity);
       }
@@ -350,13 +336,13 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
             plan.instances[static_cast<std::size_t>(plan.by_node_partition.at(
                                {stream.from.node, pf}))]
                 .group;
-        consumer_marker_sources[consumer_group].insert(
+        consumer_marker_sources[target_group].insert(
             {static_cast<int>(s), producer_group});
       }
     }
   }
-  for (auto& [consumer_group, sources] : consumer_marker_sources) {
-    groups[static_cast<std::size_t>(consumer_group)]
+  for (auto& [target_group, sources] : consumer_marker_sources) {
+    groups[static_cast<std::size_t>(target_group)]
         .expected_marker_producers = static_cast<int>(sources.size());
   }
 
@@ -410,11 +396,11 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
       for (int pt = 0; pt < to.partitions; ++pt) {
         const int consumer_instance =
             plan.by_node_partition.at({stream.to.node, pt});
-        const int consumer_group =
+        const int target_group =
             plan.instances[static_cast<std::size_t>(consumer_instance)].group;
         target_instances.push_back(consumer_instance);
         batcher->targets.push_back(OutputBatcher::Target{
-            groups[static_cast<std::size_t>(consumer_group)].mailbox.get(),
+            groups[static_cast<std::size_t>(target_group)].mailbox.get(),
             {}});
       }
       const int producer_group =
@@ -471,12 +457,12 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
               .group;
       std::set<Mailbox*> seen;
       for (int pt = 0; pt < to.partitions; ++pt) {
-        const int consumer_group =
+        const int target_group =
             plan.instances[static_cast<std::size_t>(plan.by_node_partition.at(
                                {stream.to.node, pt}))]
                 .group;
         Mailbox* mailbox =
-            groups[static_cast<std::size_t>(consumer_group)].mailbox.get();
+            groups[static_cast<std::size_t>(target_group)].mailbox.get();
         if (seen.insert(mailbox).second) {
           groups[static_cast<std::size_t>(producer_group)]
               .marker_targets.push_back(MarkerTarget{mailbox});

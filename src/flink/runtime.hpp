@@ -18,7 +18,6 @@
 #include "common/queue.hpp"
 #include "common/status.hpp"
 #include "flink/graph.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/metrics.hpp"
 
 namespace dsps::flink {
@@ -38,10 +37,8 @@ class Channel {
   Channel(std::size_t capacity, bool single_producer) {
     if (single_producer) {
       spsc_ = std::make_unique<SpscRingQueue<Envelope>>(capacity);
-      capacity_ = spsc_->capacity();  // rounded up to a power of two
     } else {
       mpmc_ = std::make_unique<BoundedQueue<Envelope>>(capacity);
-      capacity_ = capacity;
     }
   }
 
@@ -62,20 +59,14 @@ class Channel {
 
   std::optional<Envelope> pop() {
     auto envelope = spsc_ ? spsc_->pop() : mpmc_->pop();
-    if (envelope.has_value()) {
-      const std::size_t depth =
-          depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      gate_source_.set_depth(depth, capacity_);
-    }
+    if (envelope.has_value()) depth_.fetch_sub(1, std::memory_order_relaxed);
     return envelope;
   }
 
   std::size_t pop_batch(std::vector<Envelope>& out, std::size_t max_items) {
     const std::size_t popped = spsc_ ? spsc_->pop_batch(out, max_items)
                                      : mpmc_->pop_batch(out, max_items);
-    const std::size_t depth =
-        depth_.fetch_sub(popped, std::memory_order_relaxed) - popped;
-    gate_source_.set_depth(depth, capacity_);
+    depth_.fetch_sub(popped, std::memory_order_relaxed);
     return popped;
   }
 
@@ -89,16 +80,8 @@ class Channel {
 
   bool single_producer() const noexcept { return spsc_ != nullptr; }
 
-  /// Metrics identity (e.g. "v2.s0"), set once at wiring time. Also binds
-  /// the channel to the CreditGate as a backpressure source: its fill
-  /// fraction feeds the end-to-end credit signal that throttles the
-  /// MiniKafka sources (a relaxed no-op while the gate is disarmed).
-  void set_label(std::string label) {
-    label_ = std::move(label);
-    gate_source_ =
-        runtime::CreditGate::instance().register_source("flink.channel." +
-                                                        label_);
-  }
+  /// Metrics identity (e.g. "v2.s0"), set once at wiring time.
+  void set_label(std::string label) { label_ = std::move(label); }
   const std::string& label() const noexcept { return label_; }
 
   /// Approximate depth accounting (relaxed atomics — monitoring only, the
@@ -115,7 +98,6 @@ class Channel {
     if (count == 0) return;
     const std::size_t depth =
         depth_.fetch_add(count, std::memory_order_relaxed) + count;
-    gate_source_.set_depth(depth, capacity_);
     std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
     while (depth > peak && !peak_depth_.compare_exchange_weak(
                                peak, depth, std::memory_order_relaxed)) {
@@ -125,8 +107,6 @@ class Channel {
   std::unique_ptr<SpscRingQueue<Envelope>> spsc_;
   std::unique_ptr<BoundedQueue<Envelope>> mpmc_;
   std::string label_;
-  std::size_t capacity_ = 0;
-  runtime::CreditGate::Source gate_source_;
   std::atomic<std::size_t> depth_{0};
   std::atomic<std::size_t> peak_depth_{0};
 };

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/clock.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/metrics.hpp"
 #include "workload/aol_generator.hpp"
 
@@ -68,7 +67,6 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
   if (config_.target_rate <= 0.0) {
     return Status::invalid_argument("target_rate must be > 0");
   }
-  auto& gate = runtime::CreditGate::instance();
   auto retained_gauge =
       runtime::MetricsRegistry::global().gauge("kafka.log.retained_bytes");
   const kafka::TopicPartition tp{config_.topic, 0};
@@ -88,9 +86,6 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
     while (batch.size() < config_.batch_size &&
            report.offered < config_.records) {
       const std::uint64_t seq = report.offered++;
-      // Backpressure: wait for the overload to clear (the open-loop harness
-      // measures the resulting admitted-rate drop).
-      gate.throttle_wait(stop);
       batch.push_back(kafka::ProducerRecord{
           .key = {}, .value = payload_pool_[pool_index(seq)]});
       const std::int64_t elapsed = steady_clock_us() - start_us;

@@ -4,9 +4,9 @@
 // Unlike the closed-loop DataSender (preload, then drain), the generator
 // offers records at a target rate while the engine under test is running,
 // optionally with bursts and a skewed choice over a pregenerated payload
-// pool. Offered records pass through the runtime::CreditGate before they
-// are appended: the generator throttles (blocks) while any pressure source
-// is overloaded, and never drops a record.
+// pool. The schedule is independent of the engine under test: overload
+// shows up as consumer lag and event-time latency, never as a slowed
+// generator, and no offered record is dropped.
 //
 // The payload pool is cycled deterministically (pool_index), so a bench
 // can reconstruct exactly which line the i-th admitted record carried —
@@ -48,10 +48,11 @@ struct LoadGenConfig {
 };
 
 struct LoadGenReport {
-  std::uint64_t offered = 0;   // records presented to the gate
+  std::uint64_t offered = 0;   // records taken off the schedule
   std::uint64_t admitted = 0;  // records actually appended
   double duration_seconds = 0.0;
-  /// admitted / duration: < target_rate when the gate throttled the run.
+  /// admitted / duration: < target_rate when the appends fell behind the
+  /// schedule.
   double achieved_rate = 0.0;
 };
 

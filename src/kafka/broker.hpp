@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "kafka/consumer_group.hpp"
 #include "kafka/partition_log.hpp"
 #include "kafka/record.hpp"
 
@@ -136,11 +135,6 @@ class Broker {
   std::int64_t committed_offset(const std::string& group,
                                 const TopicPartition& tp) const;
 
-  /// Consumer-group coordinator: sticky assignment + cooperative rebalance
-  /// (see consumer_group.hpp). Consumers reach it through
-  /// Consumer::subscribe_group.
-  GroupCoordinator& coordinator() noexcept { return coordinator_; }
-
   /// The segments every log of this broker draws from and returns to.
   const SegmentPool& segment_pool() const noexcept { return segment_pool_; }
 
@@ -165,7 +159,6 @@ class Broker {
   std::map<std::string, std::map<std::string, std::map<int, std::int64_t>>>
       group_offsets_;  // group -> topic -> partition -> offset
   mutable std::mutex offsets_mutex_;
-  GroupCoordinator coordinator_;
 };
 
 }  // namespace dsps::kafka

@@ -25,82 +25,6 @@ std::uint32_t fetch_op() {
 Consumer::Consumer(Broker& broker, ConsumerConfig config)
     : broker_(broker), config_(std::move(config)) {}
 
-Consumer::~Consumer() {
-  if (group_mode_) {
-    broker_.coordinator().leave(config_.group_id, topic_, member_id_);
-  }
-}
-
-Status Consumer::subscribe_group(const std::string& topic) {
-  if (config_.group_id.empty()) {
-    return Status::invalid_argument("subscribe_group requires a group_id");
-  }
-  if (group_mode_) {
-    return Status::failed_precondition("already subscribed to a group");
-  }
-  auto partitions = broker_.partition_count(topic);
-  if (!partitions.is_ok()) return partitions.status();
-  member_id_ = broker_.coordinator().join(config_.group_id, topic,
-                                          partitions.value());
-  topic_ = topic;
-  group_mode_ = true;
-  // First assignment lands at the next poll via sync_group().
-  return Status::ok();
-}
-
-Status Consumer::leave_group() {
-  if (!group_mode_) return Status::ok();
-  commit();
-  broker_.coordinator().leave(config_.group_id, topic_, member_id_);
-  group_mode_ = false;
-  topic_.clear();
-  assignments_.clear();
-  next_partition_ = 0;
-  seen_generation_ = -1;
-  return Status::ok();
-}
-
-void Consumer::sync_group() {
-  auto& coordinator = broker_.coordinator();
-  const auto view =
-      coordinator.sync(config_.group_id, topic_, member_id_);
-  if (view.generation == seen_generation_) return;
-  seen_generation_ = view.generation;
-
-  // Cooperative revoke: everything poll returned so far has been processed
-  // (the caller is between polls), so the position is safe to make durable.
-  // Commit first, release second — the new owner starts exactly there.
-  for (const int p : view.revoked) {
-    const TopicPartition tp{topic_, p};
-    for (std::size_t i = 0; i < assignments_.size(); ++i) {
-      if (!(assignments_[i].tp == tp)) continue;
-      broker_.commit_offset(config_.group_id, tp, assignments_[i].position);
-      assignments_.erase(assignments_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-    coordinator.release(config_.group_id, topic_, member_id_, p);
-  }
-
-  // Adopt newly granted partitions at their committed offsets.
-  for (const int p : view.owned) {
-    const TopicPartition tp{topic_, p};
-    bool already = false;
-    for (const auto& assignment : assignments_) {
-      if (assignment.tp == tp) {
-        already = true;
-        break;
-      }
-    }
-    if (already) continue;
-    const std::int64_t committed =
-        broker_.committed_offset(config_.group_id, tp);
-    assignments_.push_back(
-        Assignment{.tp = tp, .position = committed >= 0 ? committed : 0});
-  }
-  next_partition_ = 0;
-}
-
 Status Consumer::subscribe(const std::string& topic, bool bounded,
                            Shard shard) {
   if (shard.count < 1 || shard.index < 0 || shard.index >= shard.count) {
@@ -134,15 +58,11 @@ FetchState Consumer::poll_batch(std::int64_t timeout_ms, FetchBatch& out) {
   out.records.clear();
   out.base_offset = 0;
   runtime::Watchdog::pet();
-  if (group_mode_) sync_group();
   if (assignments_.empty()) {
     // An empty open-loop slice parks until its topic is sealed: the fetch
-    // waits past the end of partition 0 and copies nothing. A group member
-    // without partitions returns at once, so a grant is picked up promptly.
+    // waits past the end of partition 0 and copies nothing.
     if (drained_state() == FetchState::kClosed) return FetchState::kClosed;
-    if (group_mode_ || topic_.empty() || timeout_ms <= 0) {
-      return FetchState::kOk;
-    }
+    if (topic_.empty() || timeout_ms <= 0) return FetchState::kOk;
     runtime::Watchdog::IdleScope idle;
     (void)broker_.fetch_blocking({topic_, 0},
                                  std::numeric_limits<std::int64_t>::max(), 0,
@@ -219,9 +139,8 @@ std::size_t Consumer::fetch_limit(const Assignment& assignment) const {
 
 bool Consumer::finished() const {
   if (assignments_.empty()) {
-    // Group members wait for partitions; an unsubscribed consumer never
-    // ends on its own.
-    if (group_mode_ || topic_.empty()) return false;
+    // An unsubscribed consumer never ends on its own.
+    if (topic_.empty()) return false;
     return bounded_ || broker_.topic_sealed(topic_);
   }
   for (const auto& assignment : assignments_) {

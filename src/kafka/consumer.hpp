@@ -1,7 +1,7 @@
 // MiniKafka consumer: the one read contract every engine reader shares —
 // partition slice, start offset and end of input — with optional
-// consumer-group offset commits (used by the engines' replay-on-restart
-// recovery hooks) and cooperative group subscription.
+// group-id offset commits (used by the engines' replay-on-restart
+// recovery hooks).
 #pragma once
 
 #include <cstdint>
@@ -60,10 +60,6 @@ class Consumer {
  public:
   Consumer(Broker& broker, ConsumerConfig config = {});
 
-  /// Group-subscribed consumers leave the group (without committing — the
-  /// crash-like departure; call leave_group() first for a graceful exit).
-  ~Consumer();
-
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
@@ -78,23 +74,6 @@ class Consumer {
   /// An empty slice follows the same rule: it ends at once when bounded and
   /// at the seal in open loop.
   Status subscribe(const std::string& topic, bool bounded, Shard shard = {});
-
-  /// Coordinator-managed group subscription (requires a group_id): joins
-  /// the consumer group for `topic`; partitions arrive via the sticky
-  /// assignor and move cooperatively as members join and leave. Assignment
-  /// changes are applied at the top of each poll, so everything a poll
-  /// returned has been processed (in the synchronous poll-process-poll
-  /// pattern) before its partition can be revoked: the revoke commits the
-  /// position and only then releases the partition to its new owner —
-  /// no record is lost or delivered twice across a rebalance.
-  Status subscribe_group(const std::string& topic);
-
-  /// Graceful departure: commits all positions, then leaves the group so
-  /// the remaining members pick up exactly where this one stopped.
-  Status leave_group();
-
-  /// True while subscribe_group() membership is active.
-  bool in_group() const noexcept { return group_mode_; }
 
   /// Round-robins over the assignments and returns the first non-empty
   /// contiguous fetch (up to `max_poll_records`) from a single partition,
@@ -131,10 +110,6 @@ class Consumer {
     std::int64_t end = kUntilSealed;
   };
 
-  /// Applies the coordinator's current view: commits + releases revoked
-  /// partitions, adopts newly granted ones at their committed offsets.
-  void sync_group();
-
   /// Records the next fetch from `assignment` may return: a bounded read
   /// never fetches past its recorded end (0 once it got there).
   std::size_t fetch_limit(const Assignment& assignment) const;
@@ -148,15 +123,11 @@ class Consumer {
   Broker& broker_;
   ConsumerConfig config_;
   std::vector<Assignment> assignments_;
-  // The subscribed topic (either subscribe call); subscribe() also keeps
-  // its rule, since an empty slice has no assignment to carry it.
+  // The subscribed topic and its rule, kept since an empty slice has no
+  // assignment to carry them.
   std::string topic_;
   bool bounded_ = false;
   std::size_t next_partition_ = 0;  // round-robin over assignments
-  // Group-subscription state (subscribe_group).
-  bool group_mode_ = false;
-  std::string member_id_;
-  std::int64_t seen_generation_ = -1;
 };
 
 }  // namespace dsps::kafka

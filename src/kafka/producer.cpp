@@ -6,7 +6,6 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/profiler.hpp"
 #include "runtime/watchdog.hpp"
 
@@ -66,8 +65,6 @@ Producer::Producer(Broker& broker, ProducerConfig config)
     auto& registry = runtime::MetricsRegistry::global();
     inflight_gauge_ = registry.gauge("kafka.producer.inflight");
     queue_wait_hist_ = registry.histogram("kafka.producer.queue_wait_us");
-    pending_source_ =
-        runtime::CreditGate::instance().register_source("kafka.producer.pending");
     sender_ = std::thread([this] { sender_loop(); });
   }
 }
@@ -243,7 +240,6 @@ Status Producer::enqueue_batch(Buffer& buffer) {
       return closed;
     }
     pending_.push_back(std::move(batch));
-    pending_source_.set_depth(pending_.size(), config_.max_pending_batches);
   }
   wake_sender_.notify_one();
   return Status::ok();
@@ -285,7 +281,6 @@ void Producer::sender_loop() {
         run.push_back(std::move(pending_.front()));
         pending_.pop_front();
       }
-      pending_source_.set_depth(0, config_.max_pending_batches);
       sender_busy_ = true;
     }
     wake_callers_.notify_all();  // the queue has room again

@@ -32,7 +32,6 @@
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/record.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/metrics.hpp"
 
@@ -238,9 +237,6 @@ class Producer {
   std::atomic<std::uint64_t> backpressure_waits_{0};
   runtime::Gauge inflight_gauge_;
   runtime::TimeHistogram queue_wait_hist_;
-  // Backpressure source: pending-queue fill reported to the CreditGate so
-  // rate-controlled generators throttle before send() has to block.
-  runtime::CreditGate::Source pending_source_;
   std::thread sender_;  // last member: joined before the rest dies
 };
 

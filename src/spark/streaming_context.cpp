@@ -128,8 +128,6 @@ StreamingContext::StreamingContext(SparkConf conf,
   replayed_records_ = registry_.counter("recovery.replayed_records");
   last_batch_gauge_ = registry_.gauge("batch.last_input_records");
   batch_duration_ = registry_.histogram("batch.duration_us");
-  batch_source_ =
-      runtime::CreditGate::instance().register_source("spark.batch_backlog");
 }
 
 void StreamingContext::set_batch_retries(int max_retries,
@@ -196,11 +194,6 @@ void StreamingContext::run_one_batch() {
   input_records_.add(input_records);
   last_batch_gauge_.set(static_cast<double>(input_records));
   batch_duration_.record_us(static_cast<std::uint64_t>(watch.elapsed_us()));
-  // Overload signal: batch time / interval > 1 means the backlog grows
-  // every interval. Reported as the fill fraction of this engine's
-  // CreditGate source (no-op while the gate is disarmed).
-  batch_source_.set_fill(watch.elapsed_ms() /
-                         static_cast<double>(batch_interval_ms_));
 }
 
 bool StreamingContext::all_inputs_drained() const {

@@ -22,7 +22,6 @@
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/consumer.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/task_runtime.hpp"
 #include "spark/dstream.hpp"
@@ -113,10 +112,6 @@ class StreamingContext {
   runtime::Counter replayed_records_;
   runtime::Gauge last_batch_gauge_;
   runtime::TimeHistogram batch_duration_;
-  // Backpressure source: batch time as a fraction of the batch interval —
-  // Spark streaming's canonical overload signal (processing time > interval
-  // means the backlog grows without bound).
-  runtime::CreditGate::Source batch_source_;
   int max_batch_retries_ = 0;
   runtime::BackoffPolicy retry_backoff_{};
   Status batch_failure_;

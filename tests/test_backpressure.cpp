@@ -1,11 +1,10 @@
-// End-to-end backpressure and overload protection.
+// Open-loop robustness and overload protection.
 //
-// Units: CreditGate watermark hysteresis, throttle_wait; PartitionLog
-// retention (size + age) with the out-of-range consumer reset; the
-// Queue::push_batch close-race regression. End to end: all 4 queries x
-// 3 engines x {native, Beam} run open-loop under synthetic overload — every
-// offered record is admitted and output multisets must exactly equal an
-// unthrottled DirectRunner run over the same input. All six setups also
+// Units: PartitionLog retention (size + age) with the out-of-range consumer
+// reset; the Queue::push_batch close-race regression. End to end: all
+// 4 queries x 3 engines x {native, Beam} run open loop from a paced
+// generator — every offered record is admitted and output multisets must
+// exactly equal a DirectRunner run over the same input. All six setups also
 // finish open-loop when a reader owns no input partition.
 #include <gtest/gtest.h>
 
@@ -28,7 +27,6 @@
 #include "kafka/consumer.hpp"
 #include "kafka/partition_log.hpp"
 #include "queries/query_factory.hpp"
-#include "runtime/credit_gate.hpp"
 #include "runtime/metrics.hpp"
 #include "workload/data_sender.hpp"
 #include "workload/streambench.hpp"
@@ -38,61 +36,7 @@ namespace {
 
 using queries::Engine;
 using queries::Sdk;
-using runtime::CreditGate;
 using workload::QueryId;
-
-/// Arms the gate and guarantees disarm on scope exit (the gate is
-/// process-global).
-class ArmedGate {
- public:
-  ArmedGate() { CreditGate::instance().arm(CreditGate::Config{}); }
-  ~ArmedGate() { CreditGate::instance().disarm(); }
-};
-
-TEST(CreditGate, WatermarkHysteresis) {
-  ArmedGate armed;
-  auto& gate = CreditGate::instance();
-  auto source = gate.register_source("test.hysteresis");
-  EXPECT_FALSE(gate.should_throttle());
-  source.set_fill(0.79);  // below high watermark
-  EXPECT_FALSE(gate.should_throttle());
-  source.set_fill(0.85);  // crosses high: overloaded
-  EXPECT_TRUE(gate.should_throttle());
-  source.set_fill(0.60);  // between the watermarks: still overloaded
-  EXPECT_TRUE(gate.should_throttle());
-  source.set_fill(0.40);  // under low: cleared
-  EXPECT_FALSE(gate.should_throttle());
-  EXPECT_TRUE(gate.overloaded_sources().empty());
-}
-
-TEST(CreditGate, DisarmedNeverThrottles) {
-  auto& gate = CreditGate::instance();
-  ASSERT_FALSE(gate.armed());
-  auto source = gate.register_source("test.disarmed");
-  source.set_fill(1.0);
-  EXPECT_FALSE(gate.should_throttle());
-  gate.throttle_wait();  // returns at once: nothing to wait for
-  EXPECT_TRUE(gate.overloaded_sources().empty());
-}
-
-TEST(CreditGate, ThrottleWaitBlocksUntilCleared) {
-  ArmedGate armed;
-  auto& gate = CreditGate::instance();
-  auto source = gate.register_source("test.throttle");
-  source.set_fill(0.95);
-  std::thread clearer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    source.set_fill(0.10);
-  });
-  Stopwatch watch;
-  gate.throttle_wait();
-  clearer.join();
-  EXPECT_GE(watch.elapsed_ms(), 30.0);
-  EXPECT_LT(watch.elapsed_ms(), 5'000.0);
-  EXPECT_GE(runtime::MetricsRegistry::global().snapshot().counter(
-                "backpressure.throttle_waits"),
-            1u);
-}
 
 // --- retention ---------------------------------------------------------------
 
@@ -207,41 +151,12 @@ TEST(Queue, SpscPushBatchReturnsPartialCountOnClose) {
   EXPECT_LT(pushed.load(), 6u);
 }
 
-// --- throttled differential --------------------------------------------------
+// --- open-loop differential -------------------------------------------------
 
 constexpr const char* kIn = "bp-in";
 constexpr const char* kOut = "bp-out";
 constexpr std::uint64_t kSeed = 42;
 constexpr std::uint64_t kRecords = 3'000;
-
-/// Flips a synthetic pressure source over/under the watermarks for the
-/// duration, forcing real throttle activity in the generator.
-class PressureToggler {
- public:
-  PressureToggler()
-      : source_(CreditGate::instance().register_source("test.synthetic")),
-        thread_([this] { run(); }) {}
-  ~PressureToggler() {
-    stop_.store(true);
-    thread_.join();
-    source_.set_fill(0.0);
-  }
-
- private:
-  void run() {
-    bool high = false;
-    while (!stop_.load()) {
-      high = !high;
-      source_.set_fill(high ? 0.95 : 0.10);
-      std::this_thread::sleep_for(std::chrono::milliseconds(high ? 3 : 6));
-    }
-    source_.set_fill(0.0);
-  }
-
-  CreditGate::Source source_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 std::vector<std::string> sorted_output(kafka::Broker& broker,
                                        const std::string& topic) {
@@ -254,22 +169,21 @@ std::vector<std::string> sorted_output(kafka::Broker& broker,
   return values;
 }
 
-struct ThrottledRun {
+struct OpenLoopRun {
   std::vector<std::string> input;   // admitted records, in append order
   std::vector<std::string> output;  // sorted
   harness::LoadGenReport report;
 };
 
-/// One open-loop run of (engine, sdk, query) under the synthetic overload.
-ThrottledRun run_throttled(Engine engine, Sdk sdk, QueryId query) {
-  ArmedGate armed;
+/// One open-loop run of (engine, sdk, query) from the paced generator.
+OpenLoopRun run_open_loop(Engine engine, Sdk sdk, QueryId query) {
   kafka::Broker broker;
   workload::create_benchmark_topic(broker, kIn).expect_ok();
   workload::create_benchmark_topic(broker, kOut).expect_ok();
 
   harness::LoadGenConfig gen_config;
   gen_config.topic = kIn;
-  gen_config.target_rate = 60'000.0;  // fast enough to hit the gate often
+  gen_config.target_rate = 60'000.0;
   gen_config.records = kRecords;
   gen_config.seed = kSeed;
   harness::LoadGenerator generator(broker, gen_config);
@@ -285,13 +199,10 @@ ThrottledRun run_throttled(Engine engine, Sdk sdk, QueryId query) {
   std::thread engine_thread([&] {
     engine_status = queries::run_query(engine, sdk, query, ctx);
   });
-  ThrottledRun run;
-  {
-    PressureToggler toggler;
-    auto report = generator.run();
-    report.status().expect_ok();
-    run.report = report.value();
-  }
+  OpenLoopRun run;
+  auto report = generator.run();
+  report.status().expect_ok();
+  run.report = report.value();
   broker.seal_topic(kIn).expect_ok();
   engine_thread.join();
   EXPECT_TRUE(engine_status.is_ok()) << engine_status.message();
@@ -304,8 +215,8 @@ ThrottledRun run_throttled(Engine engine, Sdk sdk, QueryId query) {
   return run;
 }
 
-/// The unthrottled reference: the same input replayed through the query on
-/// the DirectRunner (closed loop, no gate).
+/// The reference: the same input replayed through the query on the
+/// DirectRunner (closed loop).
 std::vector<std::string> direct_reference(
     const std::vector<std::string>& input, QueryId query) {
   kafka::Broker broker;
@@ -359,7 +270,7 @@ std::vector<std::string> direct_reference(
   return sorted_output(broker, kOut);
 }
 
-TEST(ThrottledDifferential, AllSetupsMatchUnthrottledDirectRunner) {
+TEST(OpenLoopDifferential, AllSetupsMatchDirectRunner) {
   for (const auto engine : {Engine::kFlink, Engine::kSpark, Engine::kApex}) {
     for (const auto sdk : {Sdk::kNative, Sdk::kBeam}) {
       for (const auto query : {QueryId::kIdentity, QueryId::kSample,
@@ -367,8 +278,8 @@ TEST(ThrottledDifferential, AllSetupsMatchUnthrottledDirectRunner) {
         SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
                      queries::sdk_name(sdk) + "/" +
                      workload::query_info(query).name);
-        const ThrottledRun run = run_throttled(engine, sdk, query);
-        // Every offered record was admitted (throttled, not dropped).
+        const OpenLoopRun run = run_open_loop(engine, sdk, query);
+        // Every offered record was admitted, none dropped.
         EXPECT_EQ(run.report.admitted, run.report.offered);
         ASSERT_EQ(run.input.size(), kRecords);
         const std::vector<std::string> reference =

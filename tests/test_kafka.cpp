@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -573,6 +575,64 @@ TEST(ProducerTest, AcksNoneSkipsRttWait) {
   EXPECT_EQ(broker.end_offset({"t", 0}).value(), 20);
 }
 
+// --- producer partitioners ----------------------------------------------------
+
+TEST(PartitionerTest, RoundRobinSpreadsEvenly) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 4}).expect_ok();
+  Producer producer(broker,
+                    ProducerConfig{.partitioner = Partitioner::kRoundRobin,
+                                   .batch_size = 1});
+  for (int i = 0; i < 40; ++i) {
+    producer.send("t", ProducerRecord{.value = "v"}).expect_ok();
+  }
+  producer.close().expect_ok();
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(broker.end_offset({"t", p}).value(), 10);
+  }
+}
+
+TEST(PartitionerTest, KeyHashIsStablePerKey) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 4}).expect_ok();
+  Producer producer(broker,
+                    ProducerConfig{.partitioner = Partitioner::kKeyHash,
+                                   .batch_size = 1});
+  for (int i = 0; i < 30; ++i) {
+    producer
+        .send("t", ProducerRecord{.key = Payload("key-" + std::to_string(i % 3)),
+                                  .value = std::to_string(i)})
+        .expect_ok();
+  }
+  producer.close().expect_ok();
+  // Each key's 10 records landed on a single partition.
+  std::map<std::string, std::set<int>> key_partitions;
+  for (int p = 0; p < 4; ++p) {
+    std::vector<StoredRecord> records;
+    broker.fetch({"t", p}, 0, 100, records).status().expect_ok();
+    for (const auto& record : records) {
+      key_partitions[record.key.str()].insert(p);
+    }
+  }
+  EXPECT_EQ(key_partitions.size(), 3u);
+  for (const auto& [key, where] : key_partitions) {
+    EXPECT_EQ(where.size(), 1u) << key << " spread over partitions";
+  }
+}
+
+TEST(PartitionerTest, KeylessKeyHashFallsBackToRoundRobin) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 4}).expect_ok();
+  Producer producer(broker, ProducerConfig{.batch_size = 1});
+  for (int i = 0; i < 8; ++i) {
+    producer.send("t", ProducerRecord{.value = "v"}).expect_ok();
+  }
+  producer.close().expect_ok();
+  for (int p = 0; p < 4; ++p) {
+    EXPECT_EQ(broker.end_offset({"t", p}).value(), 2);
+  }
+}
+
 // --- consumer -------------------------------------------------------------------
 
 /// Appends `count` records valued "0".."count-1" to partition `p` of "t".
@@ -885,6 +945,18 @@ TEST(ConsumerContractTest, ResumesFromCommittedOffsetsOnlyWithAGroup) {
     EXPECT_EQ(position, 0) << "p" << tp.partition;
   }
   EXPECT_EQ(drain_values(ungrouped).size(), 20u);
+}
+
+TEST(ConsumerContractTest, CommittedOffsetsAreIsolatedPerPartition) {
+  Broker broker;
+  broker.create_topic("t", TopicConfig{.partitions = 3}).expect_ok();
+  broker.commit_offset("g", {"t", 0}, 7);
+  broker.commit_offset("g", {"t", 2}, 11);
+  EXPECT_EQ(broker.committed_offset("g", {"t", 0}), 7);
+  EXPECT_EQ(broker.committed_offset("g", {"t", 1}), -1);
+  EXPECT_EQ(broker.committed_offset("g", {"t", 2}), 11);
+  // Groups are isolated from each other too.
+  EXPECT_EQ(broker.committed_offset("other", {"t", 0}), -1);
 }
 
 TEST(ConsumerContractTest, RemainingRecordsCountsDownABoundedSlice) {
