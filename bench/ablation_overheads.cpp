@@ -7,8 +7,7 @@
 //   * windowed-value serialization  (the Apex runner's per-hop cost)
 //   * channel hop                   (unfused operators exchange via queues)
 //   * producer batching x RTT       (the output-proportional Apex penalty)
-// The end-to-end fusion and async-sinks ablations are sections of
-// bench/dataplane.
+// The end-to-end fusion ablation is a section of bench/dataplane.
 #include <benchmark/benchmark.h>
 
 #include <any>

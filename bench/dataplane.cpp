@@ -12,7 +12,6 @@
 //   chaos        one faulted-and-recovered Identity run per engine x SDK.
 //   scaling      the P1..P16 scale-out sweep; --parallelism picks a subset.
 //   fusion       native vs Beam unfused vs Beam fused.
-//   async_sinks  sync vs pipelined sink producers, native and Beam.
 //   sustained    open-loop maximum sustainable throughput and event-time
 //                latency per setup, plus a 2x-capacity overload probe.
 //   soak         CI soak at 1.2x each combo's knee (found by the sustained
@@ -640,61 +639,9 @@ Outcome section_scaling(std::vector<int> points) {
   return {.doc = Json::object({{"scaling", Json::array(rows)}})};
 }
 
-// --- fusion and async_sinks: one A/B ablation ---------------------------------
+// --- fusion ablation ----------------------------------------------------------
 
-/// Mean execution seconds of one (query, engine) pair with the ablated knob
-/// off and on.
-struct AbCell {
-  Engine engine{};
-  QueryId query{};
-  double native_off = 0.0;
-  double native_on = 0.0;
-  double beam_off = 0.0;
-  double beam_on = 0.0;
-};
-
-/// Runs the setup matrix on two harnesses over identically seeded input that
-/// differ only in `knob`. With `rerun_native` unset the native setups run
-/// with the knob off only — for knobs that touch the Beam path alone.
-std::vector<AbCell> run_ab(const harness::HarnessConfig& base,
-                           bool harness::HarnessConfig::*knob,
-                           bool rerun_native) {
-  harness::HarnessConfig off_config = base;
-  off_config.*knob = false;
-  harness::HarnessConfig on_config = base;
-  on_config.*knob = true;
-  std::vector<harness::SetupKey> on_setups;
-  for (const auto& key : setup_matrix()) {
-    if (rerun_native || key.sdk == Sdk::kBeam) on_setups.push_back(key);
-  }
-
-  std::fprintf(stderr, "ablation: knob off\n");
-  harness::BenchmarkHarness off_harness(off_config);
-  const auto off = bench::run_setups(off_harness, setup_matrix());
-  std::fprintf(stderr, "ablation: knob on\n");
-  harness::BenchmarkHarness on_harness(on_config);
-  const auto on = bench::run_setups(on_harness, on_setups);
-
-  const auto mean_of = [](const harness::MeasurementSet& set,
-                          const harness::SetupKey& key) {
-    return set.contains(key) ? mean(set.get(key).execution_times()) : 0.0;
-  };
-  std::vector<AbCell> cells;
-  for (const auto& key : setup_matrix()) {
-    if (key.sdk != Sdk::kNative) continue;
-    harness::SetupKey beam = key;
-    beam.sdk = Sdk::kBeam;
-    cells.push_back(AbCell{.engine = key.engine,
-                           .query = key.query,
-                           .native_off = mean_of(off, key),
-                           .native_on = mean_of(on, key),
-                           .beam_off = mean_of(off, beam),
-                           .beam_on = mean_of(on, beam)});
-  }
-  return cells;
-}
-
-/// Fraction of the Beam excess over native that the knob removed:
+/// Fraction of the Beam excess over native that fusion removed:
 /// (before - after) / (before - 1), clamped to [0, 1].
 double recovered_fraction(double before_factor, double after_factor) {
   if (before_factor <= 1.0) return 0.0;
@@ -708,83 +655,59 @@ Outcome section_fusion() {
   const auto config = bench::config_from_env();
   std::printf("=== Fusion ablation (native vs Beam unfused vs fused) ===\n");
   bench::print_scale(config);
-  const auto cells = run_ab(config, &harness::HarnessConfig::fuse_stages,
-                            /*rerun_native=*/false);
+
+  // Two harnesses over identically seeded input that differ only in
+  // fuse_stages. The native setups ignore it, so they run unfused only.
+  harness::HarnessConfig unfused_config = config;
+  unfused_config.fuse_stages = false;
+  harness::HarnessConfig fused_config = config;
+  fused_config.fuse_stages = true;
+  std::vector<harness::SetupKey> beam_setups;
+  for (const auto& key : setup_matrix()) {
+    if (key.sdk == Sdk::kBeam) beam_setups.push_back(key);
+  }
+  std::fprintf(stderr, "fusion: unfused\n");
+  harness::BenchmarkHarness unfused_harness(unfused_config);
+  const auto unfused = bench::run_setups(unfused_harness, setup_matrix());
+  std::fprintf(stderr, "fusion: fused\n");
+  harness::BenchmarkHarness fused_harness(fused_config);
+  const auto fused = bench::run_setups(fused_harness, beam_setups);
+  const auto mean_of = [](const harness::MeasurementSet& set,
+                          const harness::SetupKey& key) {
+    return set.contains(key) ? mean(set.get(key).execution_times()) : 0.0;
+  };
 
   std::printf("%-6s %-10s %10s %11s %9s %9s %7s %10s\n", "engine", "query",
               "native_s", "unfused_s", "fused_s", "unfused", "fused",
               "recovered");
   std::vector<Json> rows;
-  for (const auto& cell : cells) {
-    const double unfused_factor = ratio(cell.beam_off, cell.native_off);
-    const double fused_factor = ratio(cell.beam_on, cell.native_off);
+  for (const auto& key : setup_matrix()) {
+    if (key.sdk != Sdk::kNative) continue;
+    harness::SetupKey beam = key;
+    beam.sdk = Sdk::kBeam;
+    const double native_s = mean_of(unfused, key);
+    const double unfused_s = mean_of(unfused, beam);
+    const double fused_s = mean_of(fused, beam);
+    const double unfused_factor = ratio(unfused_s, native_s);
+    const double fused_factor = ratio(fused_s, native_s);
     // 1.0 would mean fusion makes Beam as fast as native; what remains is
     // the structural cost of the abstraction (boxing, coders at shuffles).
     const double recovered = recovered_fraction(unfused_factor, fused_factor);
     std::printf("%-6s %-10s %10.4f %11.4f %9.4f %8.2fx %6.2fx %9.0f%%\n",
-                queries::engine_name(cell.engine),
-                query_name(cell.query).c_str(), cell.native_off,
-                cell.beam_off, cell.beam_on, unfused_factor, fused_factor,
-                recovered * 100.0);
+                queries::engine_name(key.engine),
+                query_name(key.query).c_str(), native_s, unfused_s, fused_s,
+                unfused_factor, fused_factor, recovered * 100.0);
     rows.push_back(Json::object(
-        {{"engine", queries::engine_name(cell.engine)},
-         {"query", query_name(cell.query)},
-         {"native_seconds", Json::fixed(cell.native_off, 6)},
-         {"unfused_seconds", Json::fixed(cell.beam_off, 6)},
-         {"fused_seconds", Json::fixed(cell.beam_on, 6)},
+        {{"engine", queries::engine_name(key.engine)},
+         {"query", query_name(key.query)},
+         {"native_seconds", Json::fixed(native_s, 6)},
+         {"unfused_seconds", Json::fixed(unfused_s, 6)},
+         {"fused_seconds", Json::fixed(fused_s, 6)},
          {"unfused_factor", Json::fixed(unfused_factor, 4)},
          {"fused_factor", Json::fixed(fused_factor, 4)},
          {"recovered_fraction", Json::fixed(recovered, 4)}}));
   }
   return {.doc = Json::object({{"fusion", Json::array(rows)}})};
-}
-
-Outcome section_async_sinks() {
-  const auto config = bench::config_from_env();
-  std::printf("=== Async-sinks ablation (sync vs pipelined sinks) ===\n");
-  bench::print_scale(config);
-  const auto cells = run_ab(config, &harness::HarnessConfig::async_sinks,
-                            /*rerun_native=*/true);
-
-  std::printf("%-6s %-10s %9s %9s %9s %9s %8s %8s %8s %8s %10s\n", "engine",
-              "query", "nat_sync", "nat_asyn", "beam_syn", "beam_asy",
-              "syncfac", "asynfac", "nat_spd", "beam_spd", "recovered");
-  std::vector<Json> rows;
-  for (const auto& cell : cells) {
-    // Factors are against *sync native* — the paper's baseline — so the
-    // async columns read as "what the abstraction costs once sinks
-    // pipeline". A high recovered fraction on Apex confirms the per-record
-    // writer flush, not the Beam envelope, dominates that runner's penalty.
-    const double sync_factor = ratio(cell.beam_off, cell.native_off);
-    const double async_factor = ratio(cell.beam_on, cell.native_off);
-    const double native_speedup = ratio(cell.native_off, cell.native_on);
-    const double beam_speedup = ratio(cell.beam_off, cell.beam_on);
-    const double recovered = recovered_fraction(sync_factor, async_factor);
-    std::printf(
-        "%-6s %-10s %9.4f %9.4f %9.4f %9.4f %7.2fx %7.2fx %7.2fx %7.2fx "
-        "%9.0f%%\n",
-        queries::engine_name(cell.engine), query_name(cell.query).c_str(),
-        cell.native_off, cell.native_on, cell.beam_off, cell.beam_on,
-        sync_factor, async_factor, native_speedup, beam_speedup,
-        recovered * 100.0);
-    rows.push_back(Json::object(
-        {{"engine", queries::engine_name(cell.engine)},
-         {"query", query_name(cell.query)},
-         {"records", config.records},
-         {"native_sync_seconds", Json::fixed(cell.native_off, 6)},
-         {"native_async_seconds", Json::fixed(cell.native_on, 6)},
-         {"beam_sync_seconds", Json::fixed(cell.beam_off, 6)},
-         {"beam_async_seconds", Json::fixed(cell.beam_on, 6)},
-         {"beam_sync_factor", Json::fixed(sync_factor, 4)},
-         {"beam_async_factor", Json::fixed(async_factor, 4)},
-         {"native_speedup", Json::fixed(native_speedup, 4)},
-         {"beam_speedup", Json::fixed(beam_speedup, 4)},
-         {"recovered_fraction", Json::fixed(recovered, 4)}}));
-  }
-  const std::string pipeline = harness::render_producer_pipeline(
-      runtime::MetricsRegistry::global().snapshot());
-  if (!pipeline.empty()) std::printf("\n%s", pipeline.c_str());
-  return {.doc = Json::object({{"async_sinks", Json::array(rows)}})};
 }
 
 // --- sustained and soak: open-loop load ---------------------------------------
@@ -1222,7 +1145,7 @@ Outcome section_soak() {
 int usage() {
   std::fprintf(stderr,
                "usage: dataplane <setups|profile|chaos|scaling|fusion|"
-               "async_sinks|sustained|soak> [--parallelism 1,4]\n"
+               "sustained|soak> [--parallelism 1,4]\n"
                "  --parallelism applies to scaling only\n");
   return 2;
 }
@@ -1251,7 +1174,6 @@ int main(int argc, char** argv) {
       {"chaos", section_chaos},
       {"scaling", [&] { return section_scaling(points); }},
       {"fusion", section_fusion},
-      {"async_sinks", section_async_sinks},
       {"sustained", section_sustained},
       {"soak", section_soak},
   };

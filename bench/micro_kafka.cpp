@@ -161,15 +161,13 @@ void BM_ProducerSendDefaultConfig(benchmark::State& state) {
 }
 BENCHMARK(BM_ProducerSendDefaultConfig)->Unit(benchmark::kMillisecond);
 
-// --- sync vs async producer under simulated RTT ------------------------------
+// --- producer under simulated RTT -------------------------------------------
 //
-// The pair below is the microbench view of the PR's sink ablation: same
-// broker RTT (25us, the harness default), same batch size; the sync mode
-// pays one blocking RTT per shipped batch on the caller thread, the async
-// mode hands batches to the background sender, which write-combines and
-// pipelines them. p99_send_us is the caller-visible per-record send cost.
+// Same broker RTT as the harness default (25us): the producer pays one
+// blocking RTT per shipped batch on the caller thread. p99_send_us is the
+// caller-visible per-record send cost.
 
-void producer_mode_run(benchmark::State& state, bool async) {
+void BM_ProducerSyncUnderRtt(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   constexpr int kRecords = 2000;
   kafka::Broker broker;
@@ -180,8 +178,7 @@ void producer_mode_run(benchmark::State& state, bool async) {
   send_ns.reserve(static_cast<std::size_t>(state.max_iterations) * kRecords);
   for (auto _ : state) {
     kafka::Producer producer(
-        broker, kafka::ProducerConfig{
-                    .batch_size = batch, .linger_us = 0, .async = async});
+        broker, kafka::ProducerConfig{.batch_size = batch, .linger_us = 0});
     for (int i = 0; i < kRecords; ++i) {
       const auto start = std::chrono::steady_clock::now();
       producer.send("t", 0, kafka::ProducerRecord{.value = value}).expect_ok();
@@ -197,20 +194,10 @@ void producer_mode_run(benchmark::State& state, bool async) {
       send_ns.empty() ? 0 : send_ns[send_ns.size() * 99 / 100];
   state.counters["p99_send_us"] =
       benchmark::Counter(static_cast<double>(p99) / 1e3);
-  state.SetLabel(std::string(async ? "async" : "sync") +
-                 " batch=" + std::to_string(batch) + " rtt=25us");
-}
-
-void BM_ProducerSyncUnderRtt(benchmark::State& state) {
-  producer_mode_run(state, /*async=*/false);
+  state.SetLabel("batch=" + std::to_string(batch) + " rtt=25us");
 }
 // batch=1 is the Beam-on-Apex writer shape; batch=500 the native sink.
 BENCHMARK(BM_ProducerSyncUnderRtt)->Arg(1)->Arg(64)->Arg(500);
-
-void BM_ProducerAsyncUnderRtt(benchmark::State& state) {
-  producer_mode_run(state, /*async=*/true);
-}
-BENCHMARK(BM_ProducerAsyncUnderRtt)->Arg(1)->Arg(64)->Arg(500);
 
 }  // namespace
 

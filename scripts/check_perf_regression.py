@@ -11,10 +11,6 @@ failing on regressions beyond the threshold (default 25%):
     records_per_sec. Gated only for keys present in BOTH directories, so a
     smoke sweep over a parallelism subset never fails spuriously; extra
     coverage on either side is reported as informational.
-  - "async_sinks" (dataplane async_sinks): every (engine, query, mode)
-    records_per_sec, where mode is one of native_sync / native_async /
-    beam_sync / beam_async. Intersecting keys only, like "scaling" — the
-    section may be absent or run at a different record count.
   - "sustained" (dataplane sustained): every (setup, query) row gates its
     max sustainable rate (max_rate, drop direction) and its event-time
     latency tail (p99_us, increase direction). Intersecting keys only — the
@@ -74,23 +70,6 @@ def scaling_rows(doc):
     for entry in doc.get("scaling", []):
         key = (entry["setup"], entry["query"], int(entry["parallelism"]))
         rows[key] = float(entry["records_per_sec"])
-    return rows
-
-
-def async_sinks_rows(doc):
-    """(engine, query, mode) -> records_per_sec, derived from the per-mode
-    execution seconds and the sweep's record count. Sub-millisecond cells
-    (the low-output queries on the fastest paths) are scheduler-noise
-    dominated and are excluded from gating on whichever side they occur."""
-    rows = {}
-    for entry in doc.get("async_sinks", []):
-        records = float(entry.get("records", 0))
-        for mode in ("native_sync", "native_async", "beam_sync", "beam_async"):
-            seconds = float(entry.get(f"{mode}_seconds", 0))
-            if records > 0 and seconds >= 1e-3:
-                rows[(entry["engine"], entry["query"], mode)] = (
-                    records / seconds
-                )
     return rows
 
 
@@ -257,15 +236,6 @@ def main():
         args.threshold,
         missing_fails=False,
     )
-    # Same intersecting-keys policy: the async sweep may run at a different
-    # scale in CI (non-comparable rps) or be absent from older baselines.
-    failures += gate(
-        "async_sinks",
-        async_sinks_rows(baseline_doc),
-        async_sinks_rows(current_doc),
-        args.threshold,
-        missing_fails=False,
-    )
     # Sustained-throughput knee and latency tail, intersecting keys only
     # (the open-loop sweep may be absent or run at smoke scale in CI).
     # The latency threshold is doubled relative to the rate threshold: a
@@ -295,10 +265,6 @@ def main():
     gated = (
         len(baseline_setups)
         + len(set(scaling_rows(baseline_doc)) & set(scaling_rows(current_doc)))
-        + len(
-            set(async_sinks_rows(baseline_doc))
-            & set(async_sinks_rows(current_doc))
-        )
         + len(
             set(sustained_rate_rows(baseline_doc))
             & set(sustained_rate_rows(current_doc))

@@ -7,7 +7,7 @@ benchmark package (perfbench/), under a temporary directory with
 BENCH_dataplane/ file is rewritten) it then runs, at smoke scale:
 
   - table1/2/3 and fig6..fig12_13;
-  - `dataplane` setups, profile, chaos, fusion, async_sinks, sustained and
+  - `dataplane` setups, profile, chaos, fusion, sustained and
     `scaling --parallelism 1,4`;
   - perfbench's three workloads for 3 s each, untraced and traced.
 
@@ -43,8 +43,7 @@ FIGURES = ["table1_systems", "table2_queries", "table3_flink_runs",
            "fig6_identity", "fig7_sample", "fig8_projection", "fig9_grep",
            "fig10_stddev", "fig11_slowdown", "fig12_13_plans"]
 DATAPLANE_SECTIONS = [["setups"], ["profile"], ["chaos"], ["fusion"],
-                      ["async_sinks"], ["sustained"],
-                      ["scaling", "--parallelism", "1,4"]]
+                      ["sustained"], ["scaling", "--parallelism", "1,4"]]
 WORKLOADS = ["identity_batch", "grep_batch", "identity_stream"]
 SMOKE_ENV = {"STREAMSHIM_RECORDS": "5000", "STREAMSHIM_RUNS": "1",
              "STREAMSHIM_SUSTAINED_RECORDS": "12000"}

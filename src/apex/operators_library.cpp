@@ -92,9 +92,8 @@ KafkaPayloadOutput::KafkaPayloadOutput(kafka::Broker& broker, Config config)
       in_(register_input([this](const Tuple& tuple) { on_tuple(tuple); })) {}
 
 void KafkaPayloadOutput::setup(const OperatorContext& context) {
-  producer_ = std::make_unique<kafka::Producer>(
-      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size,
-                                     .async = config_.async});
+  producer_ =
+      std::make_unique<kafka::Producer>(broker_, kafka::ProducerConfig{});
   partition_ = config_.partition;
   if (partition_ < 0) {
     const auto count = broker_.partition_count(config_.topic);
@@ -112,14 +111,11 @@ void KafkaPayloadOutput::on_tuple(const Tuple& tuple) {
 }
 
 void KafkaPayloadOutput::end_window() {
-  // Apex output operators typically flush at window boundaries. The async
-  // producer instead hands the window's batches to its sender without
-  // stalling the operator thread on the ack round-trip; the drain happens
-  // at teardown. A flush failure that outlived the producer's internal
-  // retries fails this window: the supervisor converts the throw into the
-  // Status the recovery machinery retries on.
-  if (!producer_) return;
-  (config_.async ? producer_->flush_async() : producer_->flush()).expect_ok();
+  // Apex output operators typically flush at window boundaries. A flush
+  // failure that outlived the producer's internal retries fails this window:
+  // the supervisor converts the throw into the Status the recovery machinery
+  // retries on.
+  if (producer_) producer_->flush().expect_ok();
 }
 
 void KafkaPayloadOutput::teardown() {

@@ -75,8 +75,8 @@ class KafkaPayloadInput final : public InputOperator {
   std::vector<WindowOffsets> uncommitted_;  // per closed, not-yet-committed window
 };
 
-/// Kafka output with configurable producer batching. Input port 0 accepts
-/// runtime::Payload tuples.
+/// Kafka output batching with the ProducerConfig defaults and flushing at
+/// every window end. Input port 0 accepts runtime::Payload tuples.
 class KafkaPayloadOutput final : public Operator {
  public:
   struct Config {
@@ -85,12 +85,6 @@ class KafkaPayloadOutput final : public Operator {
     /// the topic's partition count) so partitioned outputs write to
     /// disjoint logs.
     int partition = 0;
-    /// Producer batch size; the operator also flushes at every window end.
-    std::size_t batch_size = 500;
-    /// Asynchronous pipelined producer: end_window() becomes a non-blocking
-    /// batch handoff to the background sender instead of a full drain; the
-    /// pipeline drains (with zero loss) at teardown.
-    bool async = false;
   };
 
   KafkaPayloadOutput(kafka::Broker& broker, Config config);

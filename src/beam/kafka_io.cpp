@@ -142,8 +142,8 @@ class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
       : broker_(broker), config_(std::move(config)) {}
 
   void setup() override {
-    producer_ = std::make_unique<kafka::Producer>(
-        broker_, kafka::ProducerConfig{.async = config_.async});
+    producer_ =
+        std::make_unique<kafka::Producer>(broker_, kafka::ProducerConfig{});
   }
 
   void process(ProcessContext& context) override {
@@ -159,20 +159,17 @@ class KafkaWriterDoFn final : public DoFn<ProducerRecordStub, std::int64_t> {
 
   void finish_bundle(
       const std::function<void(std::int64_t)>& /*output*/) override {
-    // The sync writer flushes per bundle — one broker RTT per bundle, which
-    // on a one-element-bundle runner is the per-record penalty of §III-C3.
-    // The async writer must NOT flush here: batches ship through the
-    // background sender at batch_size/linger granularity and the pipeline
-    // drains at teardown, which is the whole point of the opt-in.
-    if (producer_ && !config_.async) producer_->flush().expect_ok();
+    // The writer flushes per bundle — one broker RTT per bundle, which on a
+    // one-element-bundle runner is the per-record penalty of §III-C3.
+    if (producer_) producer_->flush().expect_ok();
   }
 
   void teardown() override {
     if (!producer_) return;
-    // close() drains the async pipeline (zero loss) and returns a Status;
-    // a broker outage that outlives the producer's retries surfaces as a
-    // throw the runner treats as a retryable operator failure — never as a
-    // silent drop or a crash during unwind.
+    // close() flushes what is left and returns a Status; a broker outage
+    // that outlives the producer's retries surfaces as a throw the runner
+    // treats as a retryable operator failure — never as a silent drop or a
+    // crash during unwind.
     producer_->close().expect_ok();
   }
 

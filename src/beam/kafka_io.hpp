@@ -50,13 +50,6 @@ struct KafkaWriteConfig {
   /// over the topic's partitions), so parallel writer instances spread their
   /// output instead of contending on one partition log.
   int partition = 0;
-  /// Asynchronous pipelined sink: the writer hands batches to the
-  /// producer's background sender and does not flush per bundle; the
-  /// pipeline drains at teardown. Set on the sink config when the graph is
-  /// built, like KafkaReadConfig::bounded on the source. OFF by default: the
-  /// paper's writers produce synchronously, and Fig. 11–13 must keep
-  /// reproducing that behaviour.
-  bool async = false;
 };
 
 /// Composite read transform: apply to a Pipeline.

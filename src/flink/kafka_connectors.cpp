@@ -92,8 +92,7 @@ void KafkaStringSource::run_loop(SourceContext& context,
 
 void KafkaStringSink::open(const RuntimeContext& context) {
   producer_ = std::make_unique<kafka::Producer>(
-      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size,
-                                     .async = config_.async});
+      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size});
   partition_ = config_.partition;
   if (partition_ < 0) {
     const auto count = broker_.partition_count(config_.topic);
@@ -127,9 +126,7 @@ void KafkaStringSink::commit_epoch() {
         .expect_ok();
   }
   pending_.clear();
-  // The async producer drains its queue and in-flight window here before
-  // returning: the barrier completes only once this epoch's output is
-  // durable, whatever mode the producer runs in.
+  // The barrier completes only once this epoch's output is durable.
   producer_->flush().expect_ok();
 }
 

@@ -75,12 +75,6 @@ struct KafkaSinkConfig {
   /// produces each output exactly once. false writes through and merely
   /// flushes at the barrier — duplicates on replay, at-least-once.
   bool transactional = true;
-  /// Asynchronous pipelined producer: invoke()/commit_epoch() hand batches
-  /// to a background sender instead of paying the ack RTT inline. The
-  /// barrier (and close()) still blocks on a full drain, so the
-  /// output-durable-before-offsets invariant — and with `transactional`,
-  /// exactly-once — is unchanged.
-  bool async = false;
 };
 
 /// Writes kafka::Payload elements as record values.

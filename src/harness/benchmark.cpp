@@ -72,7 +72,6 @@ Result<RunMeasurement> BenchmarkHarness::run_once(const SetupKey& key) {
   ctx.parallelism = key.parallelism;
   ctx.seed = config_.seed;
   ctx.fuse_stages = config_.fuse_stages;
-  ctx.async_sinks = config_.async_sinks;
 
   RunMeasurement measurement;
   // Optional seeded noise (Table III's outlier analysis): pause before the

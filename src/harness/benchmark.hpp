@@ -74,10 +74,6 @@ struct HarnessConfig {
   /// off — figure reproductions measure the paper's unfused plans; the
   /// fusion sweep bench flips this to quantify the recoverable share.
   bool fuse_stages = false;
-  /// All setups: asynchronous pipelined sink producers. Default off — the
-  /// paper's writers are synchronous; the async-sinks sweep flips this to
-  /// quantify how much of the sink-path penalty pipelining recovers.
-  bool async_sinks = false;
   /// Input topic partitions. 1 = the paper's setup (ordered single log);
   /// the scale-out sweep fans the input out so N parallel consumers can
   /// drain N partitions concurrently (STREAMSHIM_INPUT_PARTITIONS).
@@ -97,7 +93,6 @@ struct HarnessConfig {
     config.runs = scale.runs;
     config.seed = scale.seed;
     config.fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES");
-    config.async_sinks = env_flag("STREAMSHIM_ASYNC_SINKS");
     config.profile = env_flag("STREAMSHIM_PROFILE");
     config.parallelism = static_cast<int>(
         env_i64("STREAMSHIM_PARALLELISM", config.parallelism));

@@ -296,26 +296,4 @@ std::string render_serde_table(
   return out;
 }
 
-std::string render_producer_pipeline(const runtime::MetricsSnapshot& snapshot) {
-  const auto wait = snapshot.histograms.find("kafka.producer.queue_wait_us");
-  const bool has_wait =
-      wait != snapshot.histograms.end() && wait->second.count > 0;
-  const bool has_inflight =
-      snapshot.gauges.contains("kafka.producer.inflight");
-  if (!has_wait && !has_inflight) return "";
-
-  std::string out = "async producer pipeline\n";
-  if (has_inflight) {
-    out += "  in-flight requests (last observed window) = " +
-           format_double(snapshot.gauge("kafka.producer.inflight"), 0) + "\n";
-  }
-  if (has_wait) {
-    const auto& h = wait->second;
-    out += "  sender queue wait: batches=" + std::to_string(h.count) +
-           "  mean=" + format_double(h.mean_us(), 1) + "us" +
-           "  p99<=" + std::to_string(h.percentile_us(0.99)) + "us\n";
-  }
-  return out;
-}
-
 }  // namespace dsps::harness

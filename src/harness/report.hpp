@@ -72,10 +72,4 @@ std::string render_profile_breakdown(
 std::string render_serde_table(
     const std::vector<std::pair<std::string, SerdeStats>>& per_setup);
 
-/// Async producer pipeline health: the kafka.producer.inflight gauge (last
-/// observed in-flight request window) and the kafka.producer.queue_wait_us
-/// histogram (time batches sat in the sender queue before dispatch). Empty
-/// string when no async producer ran.
-std::string render_producer_pipeline(const runtime::MetricsSnapshot& snapshot);
-
 }  // namespace dsps::harness

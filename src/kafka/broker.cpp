@@ -194,47 +194,6 @@ Result<std::int64_t> Broker::append_batch(
   return last;
 }
 
-Result<std::size_t> Broker::append_many(
-    const std::vector<TopicBatch>& batches, bool wait_for_replication) {
-  if (shutting_down_.load(std::memory_order_acquire)) {
-    return Status::closed("broker is shutting down");
-  }
-  auto& injector = runtime::FaultInjector::instance();
-  std::shared_lock lock(mutex_);
-  // Validate the whole request first: nothing is appended unless every batch
-  // passes, which is what makes a failed request safely retryable.
-  std::vector<const Topic*> resolved;
-  resolved.reserve(batches.size());
-  for (const auto& batch : batches) {
-    if (injector.broker_unavailable(batch.tp.topic)) {
-      return Status::unavailable("injected broker outage: " + batch.tp.topic);
-    }
-    const auto it = topics_.find(batch.tp.topic);
-    if (it == topics_.end()) {
-      return Status::not_found("topic not found: " + batch.tp.topic);
-    }
-    if (batch.tp.partition < 0 ||
-        batch.tp.partition >= it->second.config.partitions) {
-      return Status::invalid_argument("partition out of range for " +
-                                      batch.tp.topic);
-    }
-    resolved.push_back(&it->second);
-  }
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    const Topic* topic = resolved[i];
-    const auto p = static_cast<std::size_t>(batches[i].tp.partition);
-    topic->replicas[0][p]->append_batch(batches[i].records);
-    if (wait_for_replication) {
-      for (std::size_t r = 1; r < topic->replicas.size(); ++r) {
-        topic->replicas[r][p]->append_batch(batches[i].records);
-      }
-    }
-    total += batches[i].records.size();
-  }
-  return total;
-}
-
 Result<std::size_t> Broker::fetch(const TopicPartition& tp,
                                   std::int64_t offset,
                                   std::size_t max_records,

@@ -32,12 +32,6 @@ struct TopicMetadata {
   TopicConfig config;
 };
 
-/// One partition's slice of a bulk produce request (append_many).
-struct TopicBatch {
-  TopicPartition tp;
-  std::vector<ProducerRecord> records;
-};
-
 class Broker {
  public:
   Broker() = default;
@@ -97,15 +91,6 @@ class Broker {
   Result<std::int64_t> append_batch(const TopicPartition& tp,
                                     const std::vector<ProducerRecord>& records,
                                     bool wait_for_replication);
-
-  /// Bulk produce: appends a multi-partition batch under ONE topic-map lock
-  /// acquisition — the request-level analogue of a broker handling a single
-  /// multi-partition ProduceRequest. Validation (shutdown, injected outage,
-  /// topic/partition existence) is all-or-nothing and happens before any
-  /// append, so a producer may retry the whole request after kUnavailable
-  /// without duplicating records. Returns the total records appended.
-  Result<std::size_t> append_many(const std::vector<TopicBatch>& batches,
-                                  bool wait_for_replication);
 
   /// Non-blocking fetch from the leader replica.
   Result<std::size_t> fetch(const TopicPartition& tp, std::int64_t offset,

@@ -65,8 +65,7 @@ void build_pipeline(beam::Pipeline& pipeline, workload::QueryId query,
   output.apply(beam::KafkaIO::write(
       *ctx.broker,
       beam::KafkaWriteConfig{.topic = ctx.output_topic,
-                             .partition = ctx.parallelism > 1 ? -1 : 0,
-                             .async = ctx.async_sinks}));
+                             .partition = ctx.parallelism > 1 ? -1 : 0}));
 }
 
 std::unique_ptr<beam::PipelineRunner> make_runner(Engine engine,

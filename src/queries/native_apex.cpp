@@ -55,9 +55,8 @@ apex::Dag build_dag(workload::QueryId query, const QueryContext& ctx) {
   const int output = dag.add_operator(
       "kafkaOutput",
       apex::kafka_output_factory(
-          *ctx.broker, apex::KafkaPayloadOutput::Config{
-                           .topic = ctx.output_topic,
-                           .async = ctx.async_sinks}));
+          *ctx.broker,
+          apex::KafkaPayloadOutput::Config{.topic = ctx.output_topic}));
 
   apex::OperatorFactory compute = query_operator_factory(query, ctx);
   if (ctx.parallelism > 1) {

@@ -59,7 +59,6 @@ flink::StreamExecutionEnvironment build_environment(
   // of snapshotting the end offset at job start.
   source_config.bounded = !ctx.open_loop;
   flink::KafkaSinkConfig sink_config{.topic = ctx.output_topic};
-  sink_config.async = ctx.async_sinks;
   // Scale-out: each parallel sink subtask writes its own output partition
   // (otherwise P subtasks serialize on a single partition-log mutex).
   if (ctx.parallelism > 1) sink_config.partition = -1;

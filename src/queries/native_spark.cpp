@@ -59,8 +59,7 @@ Status run_native_spark(workload::QueryId query, const QueryContext& ctx) {
   spark::write_to_kafka(
       output, *ctx.broker,
       spark::KafkaWriteConfig{.topic = ctx.output_topic,
-                              .partition = ctx.parallelism > 1 ? -1 : 0,
-                              .async = ctx.async_sinks});
+                              .partition = ctx.parallelism > 1 ? -1 : 0});
   return ssc.run_bounded();
 }
 

@@ -71,12 +71,6 @@ struct QueryContext {
   /// run reproduces the paper's unfused plans and slowdown factors; the
   /// native paths ignore it.
   bool fuse_stages = false;
-  /// Asynchronous pipelined sinks: the Beam path sets it on the KafkaIO
-  /// writer's config (beam::KafkaWriteConfig::async) when it builds the
-  /// graph; the native paths switch their Kafka sink producers to the
-  /// background-sender mode. Off by default so
-  /// every default run keeps the paper's synchronous writers.
-  bool async_sinks = false;
   /// Open-loop mode (the sustained-load harness): sources treat the input
   /// topic as unbounded — they keep polling past the current end offset and
   /// terminate only when the topic is sealed (Broker::seal_topic) and fully

@@ -16,10 +16,6 @@ struct KafkaWriteConfig {
   /// Output partition; -1 = auto (the task's split index modulo the topic's
   /// partition count), so parallel write tasks land on disjoint logs.
   int partition = 0;
-  /// Asynchronous pipelined producer: sends hand batches to a background
-  /// sender; the close() at the end of the task drains everything, so the
-  /// batch is durable by the time it commits (Spark's output-op contract).
-  bool async = false;
 };
 
 /// Registers an output op writing every batch element to Kafka.
@@ -39,8 +35,7 @@ inline void write_to_kafka(const DStream<kafka::Payload>& stream,
           }
           // Pulling the iterator drives the whole pipelined stage, so
           // records reach the broker while upstream work is happening.
-          kafka::Producer producer(
-              broker, kafka::ProducerConfig{.async = config.async});
+          kafka::Producer producer(broker, kafka::ProducerConfig{});
           while (auto value = iter->next()) {
             producer
                 .send(config.topic, partition,
@@ -48,10 +43,11 @@ inline void write_to_kafka(const DStream<kafka::Payload>& stream,
                                             .value = std::move(*value)})
                 .expect_ok();
           }
-          // Drains the async pipeline before the batch commits. A close
-          // failure (broker outage beyond the producer's retries) throws
-          // here, which Spark's per-batch retry treats as a failed batch —
-          // a retryable Status at the job level, not a crash.
+          // Flushes before the batch commits, so the batch is durable by
+          // then (Spark's output-op contract). A close failure (broker outage
+          // beyond the producer's retries) throws here, which Spark's
+          // per-batch retry treats as a failed batch — a retryable Status at
+          // the job level, not a crash.
           producer.close().expect_ok();
         });
   });

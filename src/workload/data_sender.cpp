@@ -1,8 +1,6 @@
 #include "workload/data_sender.hpp"
 
-#include <chrono>
 #include <string_view>
-#include <thread>
 
 #include "common/clock.hpp"
 
@@ -14,31 +12,19 @@ DataSender::DataSender(kafka::Broker& broker, DataSenderConfig config)
 template <typename LineAt>
 Result<IngestReport> DataSender::send_loop(std::uint64_t count,
                                            LineAt&& line_at) {
+  // Round-robin: a one-partition topic keeps the paper's in-order single
+  // log; the scale-out sweep's N partitions fill evenly.
   kafka::Producer producer(
-      broker_, kafka::ProducerConfig{.acks = config_.acks,
-                                     .partitioner = config_.partitioner,
-                                     .batch_size =
-                                         config_.producer_batch_size});
+      broker_,
+      kafka::ProducerConfig{.acks = kafka::Acks::kLeader,
+                            .partitioner = kafka::Partitioner::kRoundRobin,
+                            .batch_size = 1000});
   Stopwatch watch;
-  const double per_record_us =
-      config_.ingestion_rate == 0
-          ? 0.0
-          : 1e6 / static_cast<double>(config_.ingestion_rate);
   for (std::uint64_t i = 0; i < count; ++i) {
-    // Partitioner-driven (keyless -> round-robin): a one-partition topic
-    // keeps the paper's in-order single log; N partitions spread evenly.
     Status sent = producer.send(
         config_.topic,
         kafka::ProducerRecord{.key = {}, .value = arena_.intern(line_at(i))});
     if (!sent.is_ok()) return sent;
-    if (per_record_us > 0.0) {
-      const auto target_us =
-          static_cast<std::int64_t>(per_record_us * static_cast<double>(i + 1));
-      const std::int64_t ahead_us = target_us - watch.elapsed_us();
-      if (ahead_us > 1000) {
-        std::this_thread::sleep_for(std::chrono::microseconds(ahead_us));
-      }
-    }
   }
   if (Status closed = producer.close(); !closed.is_ok()) return closed;
   return IngestReport{.records_sent = count,

@@ -1,9 +1,9 @@
 // Data sender: benchmark phase 1 (§III-A2, step "Data Ingestion").
 //
 // Mirrors the paper's Scala data sender: reads the input data and forwards
-// it to the message broker, with configurable ingestion rate and producer
-// acknowledgement level. The benchmark input topic is created with one
-// partition and replication factor one so record order is guaranteed.
+// it to the message broker as fast as it can (the paper pre-loads the input
+// before the run). The benchmark input topic is created with one partition
+// and replication factor one so record order is guaranteed.
 #pragma once
 
 #include <cstdint>
@@ -20,14 +20,6 @@ namespace dsps::workload {
 
 struct DataSenderConfig {
   std::string topic;
-  /// Records per second; 0 = as fast as possible (the paper pre-loads).
-  std::uint64_t ingestion_rate = 0;
-  kafka::Acks acks = kafka::Acks::kLeader;
-  std::size_t producer_batch_size = 1000;
-  /// How records spread over a multi-partition topic. The paper's setup is
-  /// a one-partition topic, where both partitioners degenerate to
-  /// partition 0; the scale-out sweep round-robins over N partitions.
-  kafka::Partitioner partitioner = kafka::Partitioner::kRoundRobin;
 };
 
 struct IngestReport {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Smoke test for bench/dataplane and scripts/check_perf_regression.py.
 
-Runs the setups, fusion, async_sinks, chaos and scaling sections at smoke
+Runs the setups, fusion, chaos and scaling sections at smoke
 scale in a scratch working directory and checks that:
 
   - each section creates exactly its own BENCH_dataplane/<section>.json and
@@ -22,7 +22,6 @@ import tempfile
 SECTIONS = [
     ["setups"],
     ["fusion"],
-    ["async_sinks"],
     ["chaos"],
     ["scaling", "--parallelism", "1,2"],
 ]
@@ -35,12 +34,6 @@ ROW_KEYS = {
         "engine", "query", "native_seconds", "unfused_seconds",
         "fused_seconds", "unfused_factor", "fused_factor",
         "recovered_fraction",
-    },
-    "async_sinks": {
-        "engine", "query", "records", "native_sync_seconds",
-        "native_async_seconds", "beam_sync_seconds", "beam_async_seconds",
-        "beam_sync_factor", "beam_async_factor", "native_speedup",
-        "beam_speedup", "recovered_fraction",
     },
     "chaos": {
         "setup", "clean_ms", "faulted_ms", "faults_injected", "restarts",

@@ -10,6 +10,7 @@
 #include "apex/dag.hpp"
 #include "apex/engine.hpp"
 #include "apex/operators_library.hpp"
+#include "runtime/fault.hpp"
 #include "yarn/resource_manager.hpp"
 
 namespace dsps::apex {
@@ -509,6 +510,29 @@ TEST(ApexKafkaTest, PartitionedInputDrainsAllTopicPartitionsOnce) {
   EXPECT_EQ(values, expected);
   // The -1 sink really fanned out (each instance wrote its own partition).
   EXPECT_EQ(used_partitions, 4);
+}
+
+TEST(ApexSinkTeardownTest, ReportsRetryableCloseStatusInsteadOfThrowing) {
+  auto& injector = runtime::FaultInjector::instance();
+  kafka::Broker broker;
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  KafkaPayloadOutput sink(broker, KafkaPayloadOutput::Config{.topic = "out"});
+  sink.setup(OperatorContext{.name = "kafkaOutput"});
+  sink.deliver(sink.input_port(), make_tuple_of<Payload>("buffered"));
+  // The record is still buffered (batch 500); teardown's close() must flush
+  // it into a 300 ms outage, exhaust its retries, and *report* the failure
+  // rather than throwing out of teardown (which can run during unwind).
+  injector.arm(13, {runtime::FaultRule{
+                       .point = runtime::FaultPoint::kBrokerUnavailable,
+                       .site = "out",
+                       .after_hits = 1,
+                       .times = 1,
+                       .param_us = 300'000}});
+  (void)injector.broker_unavailable("out");  // burn the pass-through hit
+  EXPECT_NO_THROW(sink.teardown());
+  injector.disarm();
+  EXPECT_EQ(sink.close_status().code(), StatusCode::kUnavailable)
+      << sink.close_status().to_string();
 }
 
 }  // namespace

@@ -193,21 +193,6 @@ TEST(DataSenderTest, BenchmarkTopicHasPaperSettings) {
             kafka::TimestampType::kLogAppendTime);
 }
 
-TEST(DataSenderTest, RateLimitSlowsIngestion) {
-  kafka::Broker broker;
-  create_benchmark_topic(broker, "in").expect_ok();
-  DataSender sender(broker, DataSenderConfig{.topic = "in",
-                                             .ingestion_rate = 10'000});
-  // 200 records at 10k/s should take ~20ms, through either entry point.
-  auto report = sender.send_lines(std::vector<std::string>(200, "line"));
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_GE(report.value().duration_ms, 15.0);
-  report =
-      sender.send_generated(AolGenerator({.record_count = 200, .seed = 42}));
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_GE(report.value().duration_ms, 15.0);
-}
-
 TEST(DataSenderTest, MissingTopicFails) {
   kafka::Broker broker;
   DataSender sender(broker, DataSenderConfig{.topic = "missing"});
