@@ -1,7 +1,6 @@
-// Shared helpers for the harness benches (the figure reproductions and
-// bench/dataplane): runs the requested setups through the BenchmarkHarness,
-// prints progress, and renders a figure next to the paper's published
-// numbers.
+// Shared helpers for the harness benches (bench/figures and
+// bench/dataplane): scale from the environment, and running the requested
+// setups through the BenchmarkHarness with progress on stderr.
 #pragma once
 
 #include <cstdio>
@@ -71,37 +70,6 @@ inline harness::MeasurementSet run_setups(
     set.add(measurements.value());
   }
   return set;
-}
-
-/// Runs and prints one execution-time figure (Figs. 6-9 analogues).
-inline int run_execution_time_figure(workload::QueryId query,
-                                     const char* paper_figure) {
-  const auto config = config_from_env();
-  std::printf("=== %s (reproduction of the paper's %s) ===\n",
-              ("Average Execution Times - " +
-               workload::query_info(query).name + " Query")
-                  .c_str(),
-              paper_figure);
-  print_scale(config);
-
-  harness::BenchmarkHarness harness(config);
-  const auto set = run_setups(harness, harness::figure_setups(query));
-  const auto figure = harness::execution_time_figure(set, query);
-  std::printf("%s\n", harness::render_figure(figure).c_str());
-  std::printf("%s\n",
-              harness::render_comparison(
-                  figure, harness::paper::execution_times(query),
-                  std::string(paper_figure) +
-                      " (absolute seconds differ by construction — compare "
-                      "the x-min ratio columns)")
-                  .c_str());
-  // STREAMSHIM_PROFILE=1: where the microseconds of each setup went.
-  const std::string breakdown =
-      harness::render_profile_breakdown(setup_profiles(set));
-  if (!breakdown.empty()) std::printf("%s\n", breakdown.c_str());
-  const std::string serde = harness::render_serde_table(setup_serde(set));
-  if (!serde.empty()) std::printf("%s\n", serde.c_str());
-  return 0;
 }
 
 }  // namespace dsps::bench

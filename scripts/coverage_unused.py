@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Lists the src/ code that no figure, bench section or benchmark executes.
 
-Builds the repository's figure and table benches plus `dataplane`, and the
+Builds the repository's `figures` and `dataplane` benches, and the
 benchmark package (perfbench/), under a temporary directory with
 `--coverage -O1`. From a temporary working directory (so no committed
 BENCH_dataplane/ file is rewritten) it then runs, at smoke scale:
 
-  - table1/2/3 and fig6..fig12_13;
+  - `figures` (every paper table and figure);
   - `dataplane` setups, profile, chaos, fusion, sustained and
     `scaling --parallelism 1,4`;
   - perfbench's three workloads for 3 s each, untraced and traced.
@@ -39,9 +39,7 @@ KEEP = {
     "beam/runners/direct_runner.cpp": "the differential oracle",
 }
 
-FIGURES = ["table1_systems", "table2_queries", "table3_flink_runs",
-           "fig6_identity", "fig7_sample", "fig8_projection", "fig9_grep",
-           "fig10_stddev", "fig11_slowdown", "fig12_13_plans"]
+FIGURES = ["figures"]
 DATAPLANE_SECTIONS = [["setups"], ["profile"], ["chaos"], ["fusion"],
                       ["sustained"], ["scaling", "--parallelism", "1,4"]]
 WORKLOADS = ["identity_batch", "grep_batch", "identity_stream"]

@@ -1,5 +1,7 @@
 #include "harness/benchmark.hpp"
 
+#include <algorithm>
+
 #include "common/clock.hpp"
 #include "runtime/metrics.hpp"
 #include "workload/aol_generator.hpp"

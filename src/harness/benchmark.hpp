@@ -8,7 +8,6 @@
 //   3. Result calculation — execution time from broker append timestamps.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -76,11 +75,8 @@ struct HarnessConfig {
   bool fuse_stages = false;
   /// Input topic partitions. 1 = the paper's setup (ordered single log);
   /// the scale-out sweep fans the input out so N parallel consumers can
-  /// drain N partitions concurrently (STREAMSHIM_INPUT_PARTITIONS).
+  /// drain N partitions concurrently.
   int input_partitions = 1;
-  /// Default setup parallelism for binaries that take it from the env
-  /// (STREAMSHIM_PARALLELISM / --parallelism). 1 = paper-faithful plans.
-  int parallelism = 1;
   /// Arm the cost-attribution profiler for the harness run
   /// (STREAMSHIM_PROFILE). Default off: disarmed scopes cost one relaxed
   /// atomic load, so paper-faithful numbers are untouched.
@@ -94,12 +90,6 @@ struct HarnessConfig {
     config.seed = scale.seed;
     config.fuse_stages = env_flag("STREAMSHIM_FUSE_STAGES");
     config.profile = env_flag("STREAMSHIM_PROFILE");
-    config.parallelism = static_cast<int>(
-        env_i64("STREAMSHIM_PARALLELISM", config.parallelism));
-    // By default the input fans out with the requested parallelism (one
-    // partition per consumer); override to pin it independently.
-    config.input_partitions = static_cast<int>(env_i64(
-        "STREAMSHIM_INPUT_PARTITIONS", std::max(1, config.parallelism)));
     return config;
   }
 };

@@ -1,5 +1,7 @@
 #include "harness/figures.hpp"
 
+#include <cmath>
+
 #include "common/stats.hpp"
 
 namespace dsps::harness {
@@ -132,6 +134,28 @@ Figure slowdown_figure(const MeasurementSet& set) {
     }
   }
   return figure;
+}
+
+FidelityScore fidelity_score(const Figure& measured,
+                             const std::map<std::string, double>& paper) {
+  FidelityScore score;
+  double sum = 0.0;
+  for (const FigureRow& row : measured.rows) {
+    const auto published = paper.find(row.label);
+    if (published == paper.end() || published->second <= 0.0) continue;
+    if (row.value <= 0.0) {
+      score.unresolved.push_back(row.label);
+      continue;
+    }
+    const double ratio = row.value / published->second;
+    sum += std::abs(std::log(ratio));
+    ++score.resolved;
+    if (std::abs(ratio - 1.0) <= 0.35) ++score.within_35pct;
+  }
+  if (score.resolved > 0) {
+    score.mean_abs_log_ratio = sum / static_cast<double>(score.resolved);
+  }
+  return score;
 }
 
 }  // namespace dsps::harness

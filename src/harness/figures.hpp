@@ -59,6 +59,20 @@ double slowdown_factor(const MeasurementSet& set, queries::Engine engine,
 /// Fig. 11: slowdown factor per (engine, query).
 Figure slowdown_figure(const MeasurementSet& set);
 
+/// How close measured slowdown factors land to the paper's, scored over the
+/// rows of `measured` that `paper` has a value for. A measured factor of 0
+/// has no resolvable native denominator; it is listed, not scored.
+struct FidelityScore {
+  /// Mean |ln(measured / paper)| over the resolved factors.
+  double mean_abs_log_ratio = 0.0;
+  int resolved = 0;
+  /// Resolved factors within 35% of the paper's value.
+  int within_35pct = 0;
+  std::vector<std::string> unresolved;
+};
+FidelityScore fidelity_score(const Figure& measured,
+                             const std::map<std::string, double>& paper);
+
 /// "Apex Beam Grep" style label used by Fig. 10.
 std::string system_query_sdk_label(queries::Engine engine, queries::Sdk sdk,
                                    workload::QueryId query);

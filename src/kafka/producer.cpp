@@ -99,18 +99,6 @@ Status Producer::send(const std::string& topic, int partition,
   return Status::ok();
 }
 
-Status Producer::send(const std::string& topic, Payload key, Payload value) {
-  auto partitions = broker_.partition_count(topic);
-  if (!partitions.is_ok()) return partitions.status();
-  const int partition =
-      key.empty() ? 0
-                  : static_cast<int>(fnv1a(key.view()) %
-                                     static_cast<std::uint64_t>(
-                                         partitions.value()));
-  return send(topic, partition,
-              ProducerRecord{.key = std::move(key), .value = std::move(value)});
-}
-
 Status Producer::send(const std::string& topic, ProducerRecord record) {
   auto count_it = partition_counts_.find(topic);
   if (count_it == partition_counts_.end()) {

@@ -70,9 +70,6 @@ class Producer {
   /// Buffers (or immediately appends, for batch_size==1) one record.
   Status send(const std::string& topic, int partition, ProducerRecord record);
 
-  /// Convenience: key/value to partition chosen by key hash (or 0 if no key).
-  Status send(const std::string& topic, Payload key, Payload value);
-
   /// Partitioner-driven send: resolves the partition from the configured
   /// Partitioner and the topic's partition count (cached per topic).
   Status send(const std::string& topic, ProducerRecord record);

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
@@ -35,19 +34,11 @@ class DataSender {
  public:
   DataSender(kafka::Broker& broker, DataSenderConfig config);
 
-  /// Sends pre-built lines.
-  Result<IngestReport> send_lines(const std::vector<std::string>& lines);
-
   /// Streams records straight from the generator (no materialized vector —
   /// supports the full 1,000,001-record paper scale without holding it).
   Result<IngestReport> send_generated(const AolGenerator& generator);
 
  private:
-  /// The one send loop: `line_at(i)` yields record i's line as a view that
-  /// stays valid until the next call.
-  template <typename LineAt>
-  Result<IngestReport> send_loop(std::uint64_t count, LineAt&& line_at);
-
   kafka::Broker& broker_;
   DataSenderConfig config_;
   runtime::PayloadArena arena_;

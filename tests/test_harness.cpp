@@ -177,6 +177,33 @@ TEST(FiguresTest, SlowdownUsesRunMeans) {
               0.5 * (15.0 / 1.5 + 30.0 / 3.0), 1e-12);
 }
 
+TEST(FiguresTest, FidelityScoreIsMeanAbsLogRatio) {
+  const auto& paper = paper::slowdown_factors();
+  Figure exact;
+  Figure doubled;
+  for (const auto& [label, value] : paper) {
+    exact.rows.push_back(FigureRow{label, value});
+    doubled.rows.push_back(FigureRow{label, 2.0 * value});
+  }
+  const FidelityScore at_paper = fidelity_score(exact, paper);
+  EXPECT_NEAR(at_paper.mean_abs_log_ratio, 0.0, 1e-12);
+  EXPECT_EQ(at_paper.resolved, 12);
+  EXPECT_EQ(at_paper.within_35pct, 12);
+  EXPECT_TRUE(at_paper.unresolved.empty());
+
+  const FidelityScore twice = fidelity_score(doubled, paper);
+  EXPECT_NEAR(twice.mean_abs_log_ratio, std::log(2.0), 1e-12);
+  EXPECT_EQ(twice.within_35pct, 0);
+
+  // A zero factor (no native time to divide by) is listed, not scored.
+  doubled.rows.front().value = 0.0;
+  const FidelityScore partial = fidelity_score(doubled, paper);
+  EXPECT_NEAR(partial.mean_abs_log_ratio, std::log(2.0), 1e-12);
+  EXPECT_EQ(partial.resolved, 11);
+  ASSERT_EQ(partial.unresolved.size(), 1u);
+  EXPECT_EQ(partial.unresolved.front(), doubled.rows.front().label);
+}
+
 TEST(FiguresTest, ExecutionTimeFigureHasTwelveRowsInOrder) {
   MeasurementSet set;
   for (const auto& key : figure_setups(QueryId::kSample)) {

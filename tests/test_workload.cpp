@@ -195,8 +195,9 @@ TEST(DataSenderTest, BenchmarkTopicHasPaperSettings) {
 
 TEST(DataSenderTest, MissingTopicFails) {
   kafka::Broker broker;
+  AolGenerator generator({.record_count = 1, .seed = 42});
   DataSender sender(broker, DataSenderConfig{.topic = "missing"});
-  EXPECT_FALSE(sender.send_lines({"x"}).is_ok());
+  EXPECT_FALSE(sender.send_generated(generator).is_ok());
 }
 
 // --- query logic ----------------------------------------------------------------
