@@ -1,5 +1,5 @@
-// Native Apex-sim API tour: a DAG of port-based operators deployed by the
-// STRAM AppMaster onto a YARN-sim cluster, with stream localities chosen
+// Native Apex-sim API tour: a DAG of port-based operators whose containers
+// STRAM books from a YARN-sim cluster, with stream localities chosen
 // explicitly — the mechanism behind the paper's Apex results (§III-C3).
 //
 //   $ ./examples/apex_on_yarn

@@ -12,11 +12,15 @@ BENCH_dataplane/ file is rewritten) it then runs, at smoke scale:
   - perfbench's three workloads for 3 s each, untraced and traced.
 
 It merges `gcov --json-format` output from both builds and prints, per
-src/ file, unexecuted/total lines; the files never linked into a binary
-that ran; and the functions with zero hits.
+src/ file, unexecuted/total lines and the files never linked into a binary
+that ran. It then builds the rest of the repository, runs `ctest` and
+perfbench's own tests in the same builds, and splits the functions with
+zero hits in those measured runs into two lists: "tests only" (a test runs
+them) and "nothing" (not even a test does).
 
 Exits 1 when a src/**/*.cpp has no executed line and is not on KEEP, 2 when
-a build fails or a run dies (its coverage would be lost), else 0.
+a build fails or a measured run dies (its coverage would be lost), else 0.
+A failing test suite is reported but does not change the exit code.
 
 Usage:
     python3 scripts/coverage_unused.py
@@ -91,6 +95,31 @@ def run_all(repo_build, bench_build, cwd, log):
     return lost
 
 
+def run_tests(repo_build, bench_build, log):
+    """Builds every remaining target and runs the test suites; returns the
+    suites that failed (a killed test process loses its coverage)."""
+    failed = []
+    suites = [("ctest", ["cmake", "--build", repo_build, "-j", JOBS],
+               ["ctest", "-j", JOBS, "--output-on-failure"]),
+              ("perfbench_tests",
+               ["cmake", "--build", bench_build, "-j", JOBS, "--target",
+                "perfbench_tests"],
+               [os.path.join(bench_build, "perfbench_tests")])]
+    for label, build_step, test_step in suites:
+        print("run: " + label, file=sys.stderr, flush=True)
+        for step in (build_step, test_step):
+            try:
+                code = subprocess.run(step, cwd=repo_build, stdout=log,
+                                      stderr=subprocess.STDOUT,
+                                      timeout=RUN_TIMEOUT_S).returncode
+            except subprocess.TimeoutExpired:
+                code = None
+            if code != 0:
+                failed.append(label)
+                break
+    return failed
+
+
 def gcov_json(gcno):
     """gcov's JSON for one object; missing .gcda reads as all-zero counts."""
     result = subprocess.run(["gcov", "--json-format", "--stdout", gcno],
@@ -132,7 +161,7 @@ def collect(build_dirs):
     return lines, functions, linked
 
 
-def report(lines, functions, linked):
+def report(lines, functions, linked, tested_functions):
     sources = {os.path.relpath(p, SRC)
                for p in glob.glob(os.path.join(SRC, "**", "*.cpp"),
                                   recursive=True)}
@@ -147,11 +176,18 @@ def report(lines, functions, linked):
     for rel in never_linked:
         print("  " + rel)
 
-    print("\nfunctions with zero hits:")
+    zero = {"tests only": [], "nothing": []}
     for rel in sorted(functions):
         for start, (name, count) in sorted(functions[rel].items()):
             if count == 0:
-                print("  %s:%d  %s" % (rel, start, name))
+                tested = tested_functions.get(rel, {}).get(start, [name, 0])
+                zero["tests only" if tested[1] else "nothing"].append(
+                    "  %s:%d  %s" % (rel, start, name))
+    for label, entries in zero.items():
+        print("\nfunctions with zero hits in the measured runs, executed by "
+              "%s (%d):" % (label, len(entries)))
+        for entry in entries:
+            print(entry)
 
     dead = sorted(rel for rel in sources
                   if not any(lines.get(rel, {}).values()))
@@ -180,7 +216,18 @@ def main():
             print("coverage_unused: " + ("build failed" if not built else
                   "no coverage from: " + ", ".join(lost)), file=sys.stderr)
             return 2
-        unused = report(*collect([repo_build, bench_build]))
+        measured = collect([repo_build, bench_build])
+        with open(log_path, "a") as log:
+            failed_tests = run_tests(repo_build, bench_build, log)
+        if failed_tests:
+            # Only the tests-only/nothing split depends on these runs.
+            with open(log_path) as failed:
+                sys.stderr.write("".join(failed.readlines()[-40:]))
+            print("coverage_unused: failed: " + ", ".join(failed_tests) +
+                  "; a function listed under 'nothing' may still be tested",
+                  file=sys.stderr)
+        tested_functions = collect([repo_build, bench_build])[1]
+        unused = report(*measured, tested_functions)
     if unused:
         print("\nFAIL: no figure, dataplane section or perfbench workload "
               "executes " + ", ".join(unused))

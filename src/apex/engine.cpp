@@ -264,6 +264,10 @@ Result<std::string> render_physical_plan(const Dag& dag) {
 
 namespace {
 
+/// STRAM's own container, and what each operator instance books.
+constexpr yarn::Resource kAppMasterResource{1, 256};
+constexpr yarn::Resource kInstanceResource{1, 256};
+
 /// One YARN application attempt: fresh operator instances, mailboxes and
 /// per-attempt metrics — exactly what a STRAM relaunch redeploys.
 Result<runtime::MetricsSnapshot> run_application_attempt(
@@ -649,68 +653,44 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
     invoker.close();
   };
 
-  // --- deployment through YARN ----------------------------------------------
-  // Group indices per container.
-  std::vector<std::vector<int>> container_groups(
-      static_cast<std::size_t>(plan.container_count));
+  // --- deployment: STRAM, inline on the caller's thread ---------------------
+  // STRAM books its AM container and one container per container group,
+  // runs every thread group under the application's TaskRuntime, and hands
+  // every container back to the ledger on every path.
+  std::vector<int> instances_per_container(
+      static_cast<std::size_t>(plan.container_count), 0);
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    container_groups[static_cast<std::size_t>(plan.group_container[g])]
-        .push_back(static_cast<int>(g));
+    instances_per_container[static_cast<std::size_t>(
+        plan.group_container[g])] += static_cast<int>(plan.groups[g].size());
   }
 
   Stopwatch watch;
-  Status failure = Status::ok();
-  auto app_id = rm.submit_application(
-      "apex-app", yarn::Resource{1, 256},
-      [&](yarn::AppMasterContext& am) {
-        // STRAM: allocate one container per container group, launch group
-        // threads inside, await, release.
-        std::vector<yarn::Container> yarn_containers;
-        for (const auto& group_list : container_groups) {
-          int instances = 0;
-          for (const int g : group_list) {
-            instances += static_cast<int>(
-                plan.groups[static_cast<std::size_t>(g)].size());
-          }
-          auto container = am.allocate(yarn::Resource{
-              config.vcores_per_instance * std::max(1, instances),
-              config.memory_mb_per_instance * std::max(1, instances)});
-          if (!container.is_ok()) {
-            failure = container.status();
-            break;
-          }
-          yarn_containers.push_back(container.value());
-        }
-        if (!failure.is_ok()) {
-          for (const auto& container : yarn_containers) am.release(container);
-          return;
-        }
-        for (std::size_t c = 0; c < yarn_containers.size(); ++c) {
-          const auto& group_list = container_groups[c];
-          // The container body spawns its thread groups under the app's
-          // TaskRuntime (named, failure-supervised) and waits for them, so
-          // am.await() below retains its "container work done" meaning.
-          Status launched = am.launch(yarn_containers[c], [&, group_list] {
-            std::vector<runtime::TaskRuntime::TaskId> ids;
-            ids.reserve(group_list.size());
-            for (const int g : group_list) {
-              ids.push_back(tasks.spawn(
-                  "apx-g" + std::to_string(g),
-                  [&, g] { group_body(groups[static_cast<std::size_t>(g)]); }));
-            }
-            for (const auto id : ids) tasks.wait(id);
-          });
-          if (!launched.is_ok()) failure = launched;
-        }
-        for (const auto& container : yarn_containers) {
-          am.await(container);
-          am.release(container);
-        }
-      });
-  // Tuples the failed attempt had already delivered downstream; the next
-  // attempt re-reads everything past the last committed offsets, so this
-  // upper-bounds the replay.
-  auto note_replayed = [&registry] {
+  std::vector<yarn::Container> containers;
+  Status status = [&]() -> Status {
+    auto am = rm.allocate(kAppMasterResource);
+    if (!am.is_ok()) return am.status();
+    containers.push_back(am.value());
+    for (const int n : instances_per_container) {
+      auto container = rm.allocate(yarn::Resource{
+          kInstanceResource.vcores * n, kInstanceResource.memory_mb * n});
+      if (!container.is_ok()) return container.status();
+      containers.push_back(container.value());
+    }
+    return Status::ok();
+  }();
+  if (status.is_ok()) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      tasks.spawn("apx-g" + std::to_string(g),
+                  [&, g] { group_body(groups[g]); });
+    }
+    status = tasks.join_all();
+  }
+  for (const auto& container : containers) rm.release(container);
+
+  if (!status.is_ok()) {
+    // Tuples the failed attempt had already delivered downstream; the next
+    // attempt re-reads everything past the last committed offsets, so this
+    // upper-bounds the replay.
     std::uint64_t replayed = 0;
     for (const auto& [name, value] :
          registry.snapshot().counters_with_prefix("operator.")) {
@@ -720,17 +700,7 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
     runtime::MetricsRegistry::global()
         .counter("apex.recovery.replayed_records")
         .add(replayed);
-  };
-
-  if (!app_id.is_ok()) return app_id.status();
-  rm.await_application(app_id.value());
-  if (Status joined = tasks.join_all(); !joined.is_ok()) {
-    note_replayed();
-    return joined;
-  }
-  if (!failure.is_ok()) {
-    note_replayed();
-    return failure;
+    return status;
   }
 
   // Clean completion: every group closed the final window, so its offsets

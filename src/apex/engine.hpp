@@ -3,9 +3,11 @@
 // The logical DAG is expanded into a physical plan: each operator becomes
 // `partitions` instances; THREAD_LOCAL streams fuse instances into thread
 // groups; CONTAINER_LOCAL groups share a container; everything else gets its
-// own container. The STRAM (Streaming Application Manager, §II-D) runs as
-// the YARN AppMaster: it requests one container per container group,
-// launches the group threads inside them, and waits for completion.
+// own container. The STRAM (Streaming Application Manager, §II-D) runs
+// inline on the caller's thread: it books its own AM container and one
+// container per container group from the YARN-sim ledger, starts one
+// `apx-g<N>` thread per thread group, waits for them, and releases every
+// container whether the attempt succeeded or not.
 //
 // Data crossing a thread boundary travels through a mailbox queue;
 // data crossing a *container* boundary is additionally serialized and
@@ -28,20 +30,18 @@ struct EngineConfig {
   /// Tuples an input operator may emit per streaming window.
   std::size_t window_tuple_budget = 4096;
   std::size_t mailbox_capacity = 4096;
-  /// Resources requested per operator instance.
-  int vcores_per_instance = 1;
-  int memory_mb_per_instance = 256;
-  /// YARN application attempts (STRAM relaunch on failure): a failed
-  /// attempt tears every container down and redeploys fresh operator
-  /// instances. Kafka inputs configured with a consumer group resume from
-  /// their committed offsets, so a reattempt replays only windows past the
-  /// last committed one — at-least-once end to end.
+  /// Application attempts (STRAM relaunch on failure): a failed attempt
+  /// releases every container and redeploys fresh operator instances.
+  /// Kafka inputs configured with a consumer group resume from their
+  /// committed offsets, so a reattempt replays only windows past the last
+  /// committed one — at-least-once end to end.
   int max_attempts = 1;
   runtime::BackoffPolicy restart_backoff{};
 };
 
-/// Validates, deploys via the ResourceManager, runs to completion (bounded
-/// input operators), and reports through the unified metrics schema:
+/// Validates, books containers from the ResourceManager, runs to completion
+/// (bounded input operators), releases the containers, and reports through
+/// the unified metrics schema:
 ///   counters   operator.<name>.tuples_in  tuples delivered into each
 ///                                         logical operator
 ///              windows.emitted            streaming windows completed

@@ -177,13 +177,4 @@ FusionResult fuse_graph(const BeamGraph& graph) {
   return result;
 }
 
-std::string describe(const FusionResult& result) {
-  std::string out = "fusion: " + std::to_string(result.original_node_count) +
-                    " -> " + std::to_string(result.node_count()) + " nodes\n";
-  for (const auto& stage : result.stages) {
-    out += "  " + fused_name(stage.members) + "\n";
-  }
-  return out;
-}
-
 }  // namespace dsps::beam

@@ -64,7 +64,4 @@ StageFactory fused_stage(std::vector<StageFactory> members);
 /// renumbered; relative (topological) order is preserved.
 FusionResult fuse_graph(const BeamGraph& graph);
 
-/// Human-readable one-line-per-stage summary (plan dumps, bench logs).
-std::string describe(const FusionResult& result);
-
 }  // namespace dsps::beam

@@ -171,12 +171,10 @@ Result<PipelineResult> ApexRunner::run(const Pipeline& pipeline) {
   apex::Dag dag;
   if (Status s = translate(graph, options_, dag); !s.is_ok()) return s;
 
+  // The paper's cluster: two worker nodes.
   yarn::ResourceManager rm;
-  for (int n = 0; n < options_.cluster_nodes; ++n) {
-    rm.add_node("node-" + std::to_string(n),
-                yarn::Resource{options_.vcores_per_node,
-                               options_.memory_mb_per_node});
-  }
+  rm.add_node("node-0", yarn::Resource{64, 65536});
+  rm.add_node("node-1", yarn::Resource{64, 65536});
 
   const auto plan = apex::render_physical_plan(dag);
   // The restart hint maps onto YARN application reattempts; the Beam

@@ -21,10 +21,6 @@ struct ApexRunnerOptions {
   /// (the paper configures Apex parallelism through YARN VCOREs + a DAG
   /// attribute, §III-A2).
   int parallelism = 1;
-  /// Simulated cluster shape (the paper used 2 worker nodes).
-  int cluster_nodes = 2;
-  int vcores_per_node = 64;
-  int memory_mb_per_node = 65536;
   /// Translated to YARN application reattempts: STRAM redeploys fresh
   /// operator instances; Beam readers are one-shot, so a reattempt re-reads
   /// the bounded input from the beginning (at-least-once).

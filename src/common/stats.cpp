@@ -51,44 +51,19 @@ double percentile(std::vector<double> values, double p) {
 }
 
 std::vector<std::size_t> outlier_indices(const std::vector<double>& values,
-                                         double k_sigma) {
+                                         double k) {
   std::vector<std::size_t> out;
   if (values.size() < 3) return out;
-  const double m = mean(values);
-  const double sd = stddev(values);
-  if (sd == 0.0) return out;
+  const double median = percentile(values, 50.0);
+  std::vector<double> deviations;
+  deviations.reserve(values.size());
+  for (const double v : values) deviations.push_back(std::abs(v - median));
+  const double scaled_mad = 1.4826 * percentile(deviations, 50.0);
+  if (scaled_mad == 0.0) return out;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (std::abs(values[i] - m) > k_sigma * sd) out.push_back(i);
+    if (deviations[i] > k * scaled_mad) out.push_back(i);
   }
   return out;
-}
-
-Histogram::Histogram(double bucket_width, std::size_t bucket_count)
-    : bucket_width_(bucket_width), buckets_(bucket_count + 1, 0) {
-  require(bucket_width > 0.0, "Histogram bucket width must be positive");
-  require(bucket_count > 0, "Histogram needs at least one bucket");
-}
-
-void Histogram::add(double value) {
-  const auto index = value < 0.0
-                         ? std::size_t{0}
-                         : static_cast<std::size_t>(value / bucket_width_);
-  buckets_[std::min(index, buckets_.size() - 1)]++;
-  ++count_;
-  total_ += value;
-}
-
-double Histogram::quantile(double q) const {
-  require(q >= 0.0 && q <= 1.0, "Histogram quantile out of range");
-  if (count_ == 0) return 0.0;
-  const auto target =
-      static_cast<std::size_t>(q * static_cast<double>(count_ - 1));
-  std::size_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) return static_cast<double>(i + 1) * bucket_width_;
-  }
-  return static_cast<double>(buckets_.size()) * bucket_width_;
 }
 
 }  // namespace dsps

@@ -1,6 +1,6 @@
 // Statistics used by the harness: mean, standard deviation, relative
 // standard deviation (coefficient of variation, Fig. 10), percentiles, and
-// simple outlier detection (Table III analysis).
+// robust outlier detection (Table III analysis).
 #pragma once
 
 #include <cstddef>
@@ -22,31 +22,12 @@ double max_of(const std::vector<double>& values);
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> values, double p);
 
-/// Indices of values outside mean ± k·stddev (the paper eyeballs k≈2 for the
-/// Flink identity runs in Table III).
+/// Indices of values more than k scaled MADs from the median (the scaled
+/// median absolute deviation, 1.4826·MAD, estimates sigma for normal data).
+/// Unlike a mean ± k·stddev test, a few large outliers cannot inflate the
+/// spread enough to hide themselves: the paper's three Table III P1
+/// outliers all flag at k = 2. Empty for fewer than 3 values or MAD 0.
 std::vector<std::size_t> outlier_indices(const std::vector<double>& values,
-                                         double k_sigma);
-
-/// Streaming histogram with fixed bucket width; used by micro-benchmarks.
-class Histogram {
- public:
-  Histogram(double bucket_width, std::size_t bucket_count);
-
-  void add(double value);
-
-  std::size_t count() const noexcept { return count_; }
-  double total() const noexcept { return total_; }
-  double mean() const noexcept {
-    return count_ == 0 ? 0.0 : total_ / static_cast<double>(count_);
-  }
-  /// Approximate quantile from bucket boundaries, q in [0, 1].
-  double quantile(double q) const;
-
- private:
-  double bucket_width_;
-  std::vector<std::size_t> buckets_;  // last bucket is the overflow bucket
-  std::size_t count_ = 0;
-  double total_ = 0.0;
-};
+                                         double k);
 
 }  // namespace dsps

@@ -109,13 +109,12 @@ std::string render_recovery_summary(const runtime::MetricsSnapshot& snapshot) {
 
   const std::uint64_t injected = snapshot.counter("fault.injected");
   const std::uint64_t task_restarts = snapshot.counter("runtime.task_restarts");
-  const std::uint64_t relaunches = snapshot.counter("yarn.container_relaunches");
   bool any_engine = false;
   for (const auto& engine : kEngines) {
     any_engine = any_engine || snapshot.counter(engine.restarts) > 0 ||
                  snapshot.counter(engine.replayed) > 0;
   }
-  if (!any_engine && injected == 0 && task_restarts == 0 && relaunches == 0) {
+  if (!any_engine && injected == 0 && task_restarts == 0) {
     return "";
   }
 
@@ -138,7 +137,7 @@ std::string render_recovery_summary(const runtime::MetricsSnapshot& snapshot) {
            std::to_string(value);
   }
   out += "\n  supervised task restarts: " + std::to_string(task_restarts) +
-         "    yarn container relaunches: " + std::to_string(relaunches) + "\n";
+         "\n";
   return out;
 }
 

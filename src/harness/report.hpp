@@ -30,7 +30,7 @@ std::string to_csv(const MeasurementSet& set);
 
 /// Human-readable recovery block for chaos runs: per-engine restarts,
 /// replayed records, and recovery wall-time, plus the substrate counters
-/// (supervised task restarts, YARN container relaunches, injected faults).
+/// (supervised task restarts, injected faults).
 /// Empty string when the snapshot records no recovery or fault activity.
 std::string render_recovery_summary(const runtime::MetricsSnapshot& snapshot);
 

@@ -88,9 +88,7 @@ Status Broker::create_topic(const std::string& name,
   for (auto& replica : topic.replicas) {
     replica.reserve(static_cast<std::size_t>(config.partitions));
     for (int p = 0; p < config.partitions; ++p) {
-      replica.push_back(
-          std::make_unique<PartitionLog>(config.timestamp_type,
-                                         segment_pool_));
+      replica.push_back(std::make_unique<PartitionLog>(segment_pool_));
     }
   }
   topics_.emplace(name, std::move(topic));
@@ -229,14 +227,6 @@ Result<PartitionInfo> Broker::partition_info(const TopicPartition& tp) const {
   if (!topic.is_ok()) return topic.status();
   const auto p = static_cast<std::size_t>(tp.partition);
   return topic.value()->replicas[0][p]->info();
-}
-
-Result<std::int64_t> Broker::offset_for_time(const TopicPartition& tp,
-                                             Timestamp timestamp) const {
-  auto topic = topic_for(tp);
-  if (!topic.is_ok()) return topic.status();
-  const auto p = static_cast<std::size_t>(tp.partition);
-  return topic.value()->replicas[0][p]->offset_for_time(timestamp);
 }
 
 Result<int> Broker::partition_count(const std::string& topic) const {

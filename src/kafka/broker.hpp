@@ -108,11 +108,6 @@ class Broker {
   Result<PartitionInfo> partition_info(const TopicPartition& tp) const;
   Result<int> partition_count(const std::string& topic) const;
 
-  /// Kafka's offsetsForTimes: the earliest offset whose record timestamp is
-  /// >= `timestamp`, or the end offset when every record is older.
-  Result<std::int64_t> offset_for_time(const TopicPartition& tp,
-                                       Timestamp timestamp) const;
-
   /// Consumer-group offset commit store (the __consumer_offsets analogue).
   void commit_offset(const std::string& group, const TopicPartition& tp,
                      std::int64_t offset);

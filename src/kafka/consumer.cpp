@@ -160,16 +160,6 @@ FetchState Consumer::drained_state() const {
   return FetchState::kOk;
 }
 
-Status Consumer::seek(const TopicPartition& tp, std::int64_t offset) {
-  for (auto& assignment : assignments_) {
-    if (assignment.tp == tp) {
-      assignment.position = offset;
-      return Status::ok();
-    }
-  }
-  return Status::not_found("partition not assigned: " + tp.topic);
-}
-
 void Consumer::commit() {
   if (config_.group_id.empty()) return;
   auto& registry = runtime::MetricsRegistry::global();

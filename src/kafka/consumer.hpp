@@ -85,9 +85,6 @@ class Consumer {
   /// to `timeout_ms` when nothing is immediately available.
   FetchState poll_batch(std::int64_t timeout_ms, FetchBatch& out);
 
-  /// Moves the position of `tp` to `offset`.
-  Status seek(const TopicPartition& tp, std::int64_t offset);
-
   /// Commits current positions to the consumer group (no-op without group).
   void commit();
 

@@ -117,9 +117,7 @@ std::int64_t PartitionLog::append(const ProducerRecord& record) {
   bool wake;
   {
     std::lock_guard lock(mutex_);
-    const Timestamp stamp = timestamp_type_ == TimestampType::kLogAppendTime
-                                ? wall_clock_now()
-                                : record.create_time;
+    const Timestamp stamp = wall_clock_now();
     offset = push_back_locked(record, stamp);
     maybe_trim_locked(stamp);
     wake = fetch_waiters_ > 0;
@@ -136,17 +134,12 @@ std::int64_t PartitionLog::append_batch(
   {
     std::lock_guard lock(mutex_);
     // One timestamp per batch arrival, as a broker stamps at append time.
-    const Timestamp now = timestamp_type_ == TimestampType::kLogAppendTime
-                              ? wall_clock_now()
-                              : 0;
+    const Timestamp now = wall_clock_now();
     for (const auto& record : records) {
-      last_offset = push_back_locked(
-          record, timestamp_type_ == TimestampType::kLogAppendTime
-                      ? now
-                      : record.create_time);
+      last_offset = push_back_locked(record, now);
     }
     if (retention_.max_bytes > 0 || retention_.max_age_us > 0) {
-      maybe_trim_locked(now != 0 ? now : wall_clock_now());
+      maybe_trim_locked(now);
     }
     wake = fetch_waiters_ > 0;
   }
@@ -219,21 +212,6 @@ void PartitionLog::set_retention(RetentionConfig config) {
 std::int64_t PartitionLog::retained_bytes() const {
   std::lock_guard lock(mutex_);
   return retained_bytes_;
-}
-
-std::int64_t PartitionLog::offset_for_time(Timestamp timestamp) const {
-  std::lock_guard lock(mutex_);
-  std::size_t low = 0;
-  std::size_t high = size_;
-  while (low < high) {
-    const std::size_t mid = low + (high - low) / 2;
-    if (at_locked(mid).timestamp < timestamp) {
-      low = mid + 1;
-    } else {
-      high = mid;
-    }
-  }
-  return log_start_offset_ + static_cast<std::int64_t>(low);
 }
 
 PartitionInfo PartitionLog::info() const {

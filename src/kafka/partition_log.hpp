@@ -76,14 +76,13 @@ class SegmentPool {
 /// the log returns all of its segments.
 class PartitionLog {
  public:
-  PartitionLog(TimestampType timestamp_type, SegmentPool& pool)
-      : timestamp_type_(timestamp_type), pool_(pool) {}
+  explicit PartitionLog(SegmentPool& pool) : pool_(pool) {}
   ~PartitionLog();
 
   PartitionLog(const PartitionLog&) = delete;
   PartitionLog& operator=(const PartitionLog&) = delete;
 
-  /// Appends one record, stamping it per the timestamp type.
+  /// Appends one record, stamping it with the append wall-clock time.
   /// Returns the assigned offset.
   std::int64_t append(const ProducerRecord& record);
 
@@ -124,11 +123,6 @@ class PartitionLog {
   /// Payload bytes currently retained (keys + values).
   std::int64_t retained_bytes() const;
 
-  /// Earliest offset whose timestamp is >= `timestamp`; end offset if none.
-  /// Timestamps are monotone under LogAppendTime, so this is a
-  /// binary search (as in a real broker's time index).
-  std::int64_t offset_for_time(Timestamp timestamp) const;
-
   PartitionInfo info() const;
 
  private:
@@ -166,7 +160,6 @@ class PartitionLog {
   /// whole segments rather than one record per append. Caller holds mutex_.
   void maybe_trim_locked(Timestamp now);
 
-  const TimestampType timestamp_type_;
   SegmentPool& pool_;
   mutable std::mutex mutex_;
   mutable std::condition_variable data_arrived_;

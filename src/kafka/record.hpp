@@ -20,18 +20,18 @@ namespace dsps::kafka {
 /// replicating, and fetching a batch all share storage instead of copying.
 using Payload = runtime::Payload;
 
-/// How a partition stamps record timestamps.
+/// How a partition stamps record timestamps: always with the broker's
+/// append wall-clock time, which the paper's execution-time metric reads off
+/// the output topic. The one value stays nameable so topic configs can
+/// state it.
 enum class TimestampType {
-  kCreateTime,     // producer-supplied timestamp is kept
-  kLogAppendTime,  // broker overwrites with append wall-clock time
+  kLogAppendTime,
 };
 
 /// What a producer sends.
 struct ProducerRecord {
   Payload key;
   Payload value;
-  /// Only meaningful under CreateTime; ignored under LogAppendTime.
-  Timestamp create_time = 0;
 };
 
 /// What the log stores and consumers receive.
@@ -39,7 +39,7 @@ struct StoredRecord {
   std::int64_t offset = 0;
   Payload key;
   Payload value;
-  Timestamp timestamp = 0;  // LogAppendTime or CreateTime per topic config
+  Timestamp timestamp = 0;  // LogAppendTime
 };
 
 /// Identifies one partition of one topic.

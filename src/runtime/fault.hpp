@@ -1,8 +1,8 @@
 // Deterministic fault injection + recovery primitives for every engine sim.
 //
 // The paper's engines earn their keep by surviving failures — Flink restarts
-// from checkpoint barriers, Spark re-executes micro-batches, Apex relaunches
-// YARN containers — but measuring recovery requires *reproducible* failure.
+// from checkpoint barriers, Spark re-executes micro-batches, Apex reattempts
+// the application — but measuring recovery requires *reproducible* failure.
 // A FaultInjector is a process-global, schedule-driven switchboard: tests arm
 // it with a seed and a list of FaultRules, engines call the injection points
 // from their data planes, and the same seed always kills the same operator at
@@ -11,8 +11,8 @@
 //
 // The same header carries the recovery side shared by all engines: capped
 // exponential backoff with deterministic jitter (Backoff), and a bounded
-// restart loop (RestartPolicy + run_supervised) that Flink job restarts,
-// Apex application reattempts and YARN container relaunches all reuse.
+// restart loop (RestartPolicy + run_supervised) that Flink job restarts and
+// Apex application reattempts both reuse.
 #pragma once
 
 #include <atomic>

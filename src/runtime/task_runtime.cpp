@@ -118,7 +118,7 @@ void TaskRuntime::wait(TaskId id) {
     Task& task = *tasks_[id];
     if (task.joined) return;
     if (task.claimed) {
-      // Another thread owns the join (or a detach abandoned the task).
+      // Another thread owns the join.
       // Block until it publishes completion instead of returning early —
       // returning here before the body finished is exactly how a failure
       // thrown during an ordered drain used to vanish from join_all().
@@ -134,23 +134,6 @@ void TaskRuntime::wait(TaskId id) {
     tasks_[id]->joined = true;
   }
   task_joined_cv_.notify_all();
-}
-
-void TaskRuntime::detach(TaskId id) {
-  std::thread thread;
-  {
-    std::lock_guard lock(mutex_);
-    if (id >= tasks_.size()) return;
-    Task& task = *tasks_[id];
-    if (task.claimed || task.joined) return;
-    // A detached task never reports back: mark it complete so waiters and
-    // the destructor don't block on a thread nobody will join.
-    task.claimed = true;
-    task.joined = true;
-    thread = std::move(task.thread);
-  }
-  task_joined_cv_.notify_all();
-  if (thread.joinable()) thread.detach();
 }
 
 void TaskRuntime::request_stop() {

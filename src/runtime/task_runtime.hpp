@@ -2,10 +2,10 @@
 //
 // Every engine sim used to hand-roll its threads: Flink kept a raw
 // std::vector<std::thread> in the job handle, Spark detached a generator
-// loop, Apex spawned group threads inside YARN container bodies. None of
-// them had a story for an operator that *throws* — the exception escaped
-// the thread and aborted the process (or worse, a producer died silently
-// and the consumers blocked forever).
+// loop, Apex started its group threads by hand. None of them had a story
+// for an operator that *throws* — the exception escaped the thread and
+// aborted the process (or worse, a producer died silently and the
+// consumers blocked forever).
 //
 // A TaskRuntime owns named worker threads with a supervised lifecycle:
 //  * spawn()         — start a named task; the name lands on the OS thread
@@ -59,8 +59,7 @@ class TaskRuntime {
   /// Like spawn(), but the worker restarts itself on failure: a throwing
   /// body is retried (with the policy's backoff) until it succeeds, the
   /// attempt budget is exhausted, or stop is requested — only then does the
-  /// last error surface as the task's failure. This is the supervised
-  /// restart path YARN container relaunches ride on.
+  /// last error surface as the task's failure.
   TaskId spawn_supervised(std::string task_name, std::function<void()> body,
                           RestartPolicy policy);
 
@@ -71,12 +70,6 @@ class TaskRuntime {
   /// waiter observes the completed task, and first_failure() is never read
   /// before the failing body has published its error.
   void wait(TaskId id);
-
-  /// Abandons a task's thread without joining it (models a failed node
-  /// whose containers never report back). The task keeps running until its
-  /// body observes stop_requested(); its failure, if any, is still
-  /// recorded.
-  void detach(TaskId id);
 
   /// Sets the cooperative stop flag and runs registered stop hooks once.
   void request_stop();
@@ -104,8 +97,8 @@ class TaskRuntime {
   struct Task {
     std::string name;
     std::thread thread;
-    bool joined = false;    // set once the thread is joined or detached
-    bool claimed = false;   // a waiter owns the join (or detach happened)
+    bool joined = false;    // set once the thread is joined
+    bool claimed = false;   // a waiter owns the join
   };
 
   void run_body(const std::string& task_name,

@@ -1,198 +1,63 @@
 #include "yarn/resource_manager.hpp"
 
-#include <chrono>
-#include <utility>
-
-#include "common/clock.hpp"
+#include <iterator>
 
 namespace dsps::yarn {
 
-Result<Container> AppMasterContext::allocate(const Resource& resource) {
-  return rm_.allocate_container(app_, resource, /*is_app_master=*/false);
-}
-
-Status AppMasterContext::launch(const Container& container,
-                                std::function<void()> work) {
-  return rm_.launch_container(container, std::move(work));
-}
-
-void AppMasterContext::await(const Container& container) {
-  rm_.await_container(container);
-}
-
-void AppMasterContext::release(const Container& container) {
-  rm_.release_container(container);
-}
-
-ResourceManager::ResourceManager(std::int64_t heartbeat_interval_ms)
-    : heartbeat_interval_ms_(heartbeat_interval_ms),
-      monitor_([this] { monitor_loop(); }) {}
-
-ResourceManager::~ResourceManager() {
-  stopping_.store(true);
-  if (monitor_.joinable()) monitor_.join();
-  std::vector<NodeManager*> nodes;
-  {
-    std::lock_guard lock(mutex_);
-    for (auto& [id, node] : nodes_) nodes.push_back(node.get());
-  }
-  for (auto* node : nodes) node->await_all();
-}
-
-void ResourceManager::monitor_loop() {
-  while (!stopping_.load()) {
-    {
-      std::lock_guard lock(mutex_);
-      for (auto& [id, node] : nodes_) {
-        if (!node->failed()) node->beat();
-      }
-    }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(heartbeat_interval_ms_));
-  }
-}
-
-NodeManager& ResourceManager::add_node(const NodeId& id,
-                                       const Resource& capacity) {
+void ResourceManager::add_node(const NodeId& id, const Resource& capacity) {
   std::lock_guard lock(mutex_);
-  auto [it, inserted] =
-      nodes_.emplace(id, std::make_unique<NodeManager>(id, capacity));
+  const bool inserted = nodes_.emplace(id, Node{.capacity = capacity}).second;
   require(inserted, "duplicate node id");
-  return *it->second;
 }
 
-NodeManager* ResourceManager::node(const NodeId& id) {
-  std::lock_guard lock(mutex_);
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
-}
-
-Result<Container> ResourceManager::allocate_container(ApplicationId app,
-                                                      const Resource& resource,
-                                                      bool is_app_master) {
+Result<Container> ResourceManager::allocate(const Resource& resource) {
   std::lock_guard lock(mutex_);
   // Pick the live node with the most free vcores (simple balancing).
-  NodeManager* best = nullptr;
-  for (auto& [id, candidate] : nodes_) {
-    if (candidate->failed()) continue;
-    if (!fits(resource, candidate->available())) continue;
-    if (best == nullptr ||
-        candidate->available().vcores > best->available().vcores) {
-      best = candidate.get();
+  auto best = nodes_.end();
+  int best_free_vcores = 0;
+  for (auto it = nodes_.begin(); it != nodes_.end(); ++it) {
+    const Resource free = it->second.capacity - it->second.used;
+    if (it->second.failed || !fits(resource, free)) continue;
+    if (best == nodes_.end() || free.vcores > best_free_vcores) {
+      best = it;
+      best_free_vcores = free.vcores;
     }
   }
-  if (best == nullptr) {
+  if (best == nodes_.end()) {
     return Status::resource_exhausted(
         "no node can satisfy the container request");
   }
-  Container container{
-      .id = next_container_id_.fetch_add(1),
-      .app = app,
-      .node = best->id(),
-      .resource = resource,
-      .is_app_master = is_app_master,
-  };
-  if (Status s = best->reserve(container); !s.is_ok()) return s;
-  const auto it = apps_.find(app);
-  if (it != apps_.end()) ++it->second.report.containers_granted;
+  best->second.used = best->second.used + resource;
+  const Container container{
+      .id = next_container_id_++, .node = best->first, .resource = resource};
+  granted_.emplace(container.id, container);
   return container;
 }
 
-Status ResourceManager::launch_container(const Container& container,
-                                         std::function<void()> work) {
-  NodeManager* nm = node(container.node);
-  if (nm == nullptr) return Status::not_found("unknown node");
-  return nm->launch(container.id, std::move(work));
-}
-
-void ResourceManager::await_container(const Container& container) {
-  NodeManager* nm = node(container.node);
-  if (nm != nullptr) nm->await(container.id);
-}
-
-void ResourceManager::release_container(const Container& container) {
-  NodeManager* nm = node(container.node);
-  if (nm != nullptr) nm->release(container.id);
-}
-
-Result<ApplicationId> ResourceManager::submit_application(
-    const std::string& name, const Resource& am_resource,
-    AppMasterFn app_master) {
-  const ApplicationId id = next_app_id_.fetch_add(1);
-  {
-    std::lock_guard lock(mutex_);
-    AppEntry entry;
-    entry.report = ApplicationReport{.id = id,
-                                     .name = name,
-                                     .state = ApplicationState::kSubmitted,
-                                     .containers_granted = 0};
-    apps_.emplace(id, std::move(entry));
-  }
-  auto am_container = allocate_container(id, am_resource,
-                                         /*is_app_master=*/true);
-  if (!am_container.is_ok()) {
-    std::lock_guard lock(mutex_);
-    apps_[id].report.state = ApplicationState::kFailed;
-    return am_container.status();
-  }
-  {
-    std::lock_guard lock(mutex_);
-    apps_[id].am_container = am_container.value();
-    apps_[id].report.state = ApplicationState::kRunning;
-  }
-  Status launched = launch_container(
-      am_container.value(),
-      [this, id, am = std::move(app_master)] {
-        AppMasterContext context(*this, id);
-        am(context);
-        std::lock_guard lock(mutex_);
-        apps_[id].report.state = ApplicationState::kFinished;
-      });
-  if (!launched.is_ok()) {
-    std::lock_guard lock(mutex_);
-    apps_[id].report.state = ApplicationState::kFailed;
-    return launched;
-  }
-  return id;
-}
-
-void ResourceManager::await_application(ApplicationId id) {
-  Container am;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = apps_.find(id);
-    if (it == apps_.end()) return;
-    am = it->second.am_container;
-  }
-  await_container(am);
-}
-
-Result<ApplicationReport> ResourceManager::application_report(
-    ApplicationId id) const {
+void ResourceManager::release(const Container& container) {
   std::lock_guard lock(mutex_);
-  const auto it = apps_.find(id);
-  if (it == apps_.end()) return Status::not_found("unknown application");
-  return it->second.report;
+  const auto it = granted_.find(container.id);
+  if (it == granted_.end()) return;
+  Node& node = nodes_.at(it->second.node);
+  node.used = node.used - it->second.resource;
+  granted_.erase(it);
 }
 
-std::vector<NodeReport> ResourceManager::node_reports() const {
+void ResourceManager::fail_node(const NodeId& id) {
   std::lock_guard lock(mutex_);
-  std::vector<NodeReport> reports;
-  reports.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) {
-    reports.push_back(NodeReport{.id = id,
-                                 .capacity = node->capacity(),
-                                 .used = node->used(),
-                                 .alive = !node->failed()});
+  Node& node = nodes_.at(id);
+  node.failed = true;
+  node.used = Resource{0, 0};
+  for (auto it = granted_.begin(); it != granted_.end();) {
+    it = it->second.node == id ? granted_.erase(it) : std::next(it);
   }
-  return reports;
 }
 
 Resource ResourceManager::cluster_available() const {
   std::lock_guard lock(mutex_);
   Resource total{0, 0};
   for (const auto& [id, node] : nodes_) {
-    if (!node->failed()) total = total + node->available();
+    if (!node.failed) total = total + (node.capacity - node.used);
   }
   return total;
 }

@@ -1,121 +1,93 @@
-// ResourceManager: allocates containers across NodeManagers, runs the
-// per-application AppMaster, and monitors node heartbeats.
+// YARN-sim: the resource ledger Apex-sim deploys through.
+//
+// Of Hadoop YARN (§II-D, Fig. 4) Apex-sim needs one thing: a
+// ResourceManager that hands out containers — logical bundles of vcores +
+// memory tied to a node — from per-node capacity, and takes them back.
+// STRAM (Apex's application master) runs inline on the caller's thread and
+// books its own container plus one per container group here; the group
+// threads themselves belong to the Apex engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/status.hpp"
-#include "yarn/node_manager.hpp"
-#include "yarn/types.hpp"
 
 namespace dsps::yarn {
 
-class ResourceManager;
+/// A logical bundle of resources, e.g. {1 vcore, 1024 MB}.
+struct Resource {
+  int vcores = 1;
+  int memory_mb = 1024;
 
-/// Handed to an AppMaster so it can request/launch/release containers —
-/// the YARN AM-RM + AM-NM protocols collapsed into one in-process interface.
-class AppMasterContext {
- public:
-  AppMasterContext(ResourceManager& rm, ApplicationId app)
-      : rm_(rm), app_(app) {}
-
-  ApplicationId application_id() const noexcept { return app_; }
-
-  /// Requests one container anywhere in the cluster.
-  Result<Container> allocate(const Resource& resource);
-
-  /// Launches work in an allocated container.
-  Status launch(const Container& container, std::function<void()> work);
-
-  /// Waits for a launched container to finish.
-  void await(const Container& container);
-
-  /// Releases a finished container's resources.
-  void release(const Container& container);
-
- private:
-  ResourceManager& rm_;
-  ApplicationId app_;
+  friend bool operator==(const Resource&, const Resource&) = default;
 };
 
-/// The AppMaster body: runs inside the AM container.
-using AppMasterFn = std::function<void(AppMasterContext&)>;
+inline Resource operator+(Resource a, const Resource& b) {
+  a.vcores += b.vcores;
+  a.memory_mb += b.memory_mb;
+  return a;
+}
 
-struct ApplicationReport {
-  ApplicationId id = 0;
-  std::string name;
-  ApplicationState state = ApplicationState::kSubmitted;
-  int containers_granted = 0;
-};
+inline Resource operator-(Resource a, const Resource& b) {
+  a.vcores -= b.vcores;
+  a.memory_mb -= b.memory_mb;
+  return a;
+}
 
-struct NodeReport {
-  NodeId id;
-  Resource capacity;
-  Resource used;
-  bool alive = true;
+/// True when `a` fits inside `b`.
+inline bool fits(const Resource& a, const Resource& b) {
+  return a.vcores <= b.vcores && a.memory_mb <= b.memory_mb;
+}
+
+using ContainerId = std::uint64_t;
+using NodeId = std::string;
+
+/// A granted container: resources reserved on a specific node.
+struct Container {
+  ContainerId id = 0;
+  NodeId node;
+  Resource resource;
 };
 
 class ResourceManager {
  public:
-  /// `heartbeat_interval_ms` drives the node-liveness monitor.
-  explicit ResourceManager(std::int64_t heartbeat_interval_ms = 50);
-  ~ResourceManager();
-
+  ResourceManager() = default;
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
-  /// Adds a node to the cluster.
-  NodeManager& add_node(const NodeId& id, const Resource& capacity);
+  /// Adds a node with the given capacity to the cluster.
+  void add_node(const NodeId& id, const Resource& capacity);
 
-  /// Submits an application: allocates + launches the AM container running
-  /// `app_master`. Returns the application id.
-  Result<ApplicationId> submit_application(const std::string& name,
-                                           const Resource& am_resource,
-                                           AppMasterFn app_master);
+  /// Reserves `resource` on the live node with the most free vcores;
+  /// ResourceExhausted when no live node can fit it.
+  Result<Container> allocate(const Resource& resource);
 
-  /// Blocks until the application's AppMaster returns.
-  void await_application(ApplicationId id);
+  /// Returns a container's resources to its node. Releasing a container
+  /// twice, or one whose node has failed, is a no-op.
+  void release(const Container& container);
 
-  Result<ApplicationReport> application_report(ApplicationId id) const;
-  std::vector<NodeReport> node_reports() const;
+  /// Simulates a node crash: the node takes no further allocations and the
+  /// containers it hosted are dropped from the ledger.
+  void fail_node(const NodeId& id);
 
-  /// Total resources currently free across live nodes.
+  /// Total resources currently free across live nodes. Once every granted
+  /// container is released this equals the live nodes' total capacity.
   Resource cluster_available() const;
 
-  // --- used by AppMasterContext ---
-  Result<Container> allocate_container(ApplicationId app,
-                                       const Resource& resource,
-                                       bool is_app_master);
-  Status launch_container(const Container& container,
-                          std::function<void()> work);
-  void await_container(const Container& container);
-  void release_container(const Container& container);
-
  private:
-  void monitor_loop();
-  NodeManager* node(const NodeId& id);
-
-  struct AppEntry {
-    ApplicationReport report;
-    Container am_container;
+  struct Node {
+    Resource capacity;
+    Resource used{0, 0};
+    bool failed = false;
   };
 
-  const std::int64_t heartbeat_interval_ms_;
   mutable std::mutex mutex_;
-  std::map<NodeId, std::unique_ptr<NodeManager>> nodes_;
-  std::map<ApplicationId, AppEntry> apps_;
-  std::atomic<ContainerId> next_container_id_{1};
-  std::atomic<ApplicationId> next_app_id_{1};
-  std::atomic<bool> stopping_{false};
-  std::thread monitor_;
+  std::map<NodeId, Node> nodes_;
+  std::map<ContainerId, Container> granted_;
+  ContainerId next_container_id_ = 1;
 };
 
 }  // namespace dsps::yarn

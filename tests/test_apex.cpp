@@ -332,9 +332,9 @@ TEST(ApexEngineTest, RunsOnDegradedClusterAfterNodeFailure) {
   // Failure injection: one of two YARN nodes dies before submission; the
   // application must still deploy and complete on the surviving node.
   yarn::ResourceManager rm;
-  auto& doomed = rm.add_node("doomed", yarn::Resource{64, 65536});
+  rm.add_node("doomed", yarn::Resource{64, 65536});
   rm.add_node("survivor", yarn::Resource{64, 65536});
-  doomed.fail_node();
+  rm.fail_node("doomed");
 
   Dag dag;
   const int in = dag.add_input_operator("in", [] {
@@ -349,11 +349,8 @@ TEST(ApexEngineTest, RunsOnDegradedClusterAfterNodeFailure) {
   auto stats = launch_application(rm, dag, EngineConfig{});
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
   EXPECT_EQ(shared->values.size(), 200u);
-  for (const auto& report : rm.node_reports()) {
-    if (report.id == "doomed") {
-      EXPECT_FALSE(report.alive);
-    }
-  }
+  // Only the survivor counts, and it got every container back.
+  EXPECT_EQ(rm.cluster_available(), (yarn::Resource{64, 65536}));
 }
 
 TEST(ApexEngineTest, FailsCleanlyWhenClusterTooSmall) {
@@ -369,6 +366,92 @@ TEST(ApexEngineTest, FailsCleanlyWhenClusterTooSmall) {
                  Locality::kNodeLocal, payload_codec());
   auto stats = launch_application(rm, dag, EngineConfig{});
   EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+}
+
+// --- the YARN-sim ledger balances --------------------------------------------
+//
+// However an application ends, launch_application hands back every
+// container it booked: a leaked reservation would shrink the cluster for
+// every later run (and every reattempt) until it ran out of room.
+
+/// A pass-through operator whose first instance ever built throws on its
+/// first tuple; every later instance (a reattempt's) passes tuples on.
+class ThrowOnceOp final : public Operator {
+ public:
+  explicit ThrowOnceOp(std::shared_ptr<std::atomic<int>> built)
+      : throws_(built->fetch_add(1) == 0),
+        out_(register_output()),
+        in_(register_input([this](const Tuple& t) {
+          if (throws_) throw std::runtime_error("first attempt fails");
+          emit(out_, t);
+        })) {}
+
+ private:
+  bool throws_;
+  int out_;
+  int in_;
+};
+
+/// in -> ThrowOnceOp -> collector, one container per operator.
+Dag throw_once_dag(std::shared_ptr<std::atomic<int>> built,
+                   std::shared_ptr<CollectorOp::Shared> shared) {
+  Dag dag;
+  const int in = dag.add_input_operator("in", [] {
+    return std::make_unique<IntInput>(100);
+  });
+  const int flaky = dag.add_operator("flaky", [built] {
+    return std::make_unique<ThrowOnceOp>(built);
+  });
+  const int out = dag.add_operator("collect", [shared] {
+    return std::make_unique<CollectorOp>(shared);
+  });
+  dag.add_stream("a", PortRef{in, 0}, PortRef{flaky, 0}, Locality::kNodeLocal,
+                 payload_codec());
+  dag.add_stream("b", PortRef{flaky, 0}, PortRef{out, 0},
+                 Locality::kNodeLocal, payload_codec());
+  return dag;
+}
+
+TEST(ApexLedgerTest, CleanRunReleasesEveryContainer) {
+  yarn::ResourceManager rm;
+  rm.add_node("n0", yarn::Resource{8, 4096});
+  rm.add_node("n1", yarn::Resource{8, 4096});
+  // A count of 1 means no instance is the first, so none throws.
+  auto built = std::make_shared<std::atomic<int>>(1);
+  auto shared = std::make_shared<CollectorOp::Shared>();
+  const Dag dag = throw_once_dag(built, shared);
+  ASSERT_TRUE(launch_application(rm, dag, EngineConfig{}).is_ok());
+  EXPECT_EQ(shared->values.size(), 100u);
+  EXPECT_EQ(rm.cluster_available(), (yarn::Resource{16, 8192}));
+}
+
+TEST(ApexLedgerTest, ResourceExhaustedReleasesWhatItBooked) {
+  // Room for the AM and the input's container, not the third one.
+  yarn::ResourceManager rm;
+  rm.add_node("n0", yarn::Resource{2, 512});
+  auto built = std::make_shared<std::atomic<int>>(0);
+  const Dag dag =
+      throw_once_dag(built, std::make_shared<CollectorOp::Shared>());
+  auto stats = launch_application(rm, dag, EngineConfig{});
+  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(rm.cluster_available(), (yarn::Resource{2, 512}));
+}
+
+TEST(ApexLedgerTest, ReattemptAfterAGroupThrowsReleasesBothAttempts) {
+  // Three containers plus the AM fill the node exactly, so a second
+  // attempt can only deploy if the first one released everything.
+  yarn::ResourceManager rm;
+  rm.add_node("n0", yarn::Resource{4, 1024});
+  auto built = std::make_shared<std::atomic<int>>(0);
+  auto shared = std::make_shared<CollectorOp::Shared>();
+  const Dag dag = throw_once_dag(built, shared);
+  EngineConfig config;
+  config.max_attempts = 2;
+  auto stats = launch_application(rm, dag, config);
+  ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
+  EXPECT_EQ(built->load(), 2);  // one instance per attempt
+  EXPECT_EQ(shared->values.size(), 100u);
+  EXPECT_EQ(rm.cluster_available(), (yarn::Resource{4, 1024}));
 }
 
 // --- codecs ---------------------------------------------------------------------------

@@ -130,7 +130,6 @@ TEST(FusionPassTest, IdentityPipelineCollapsesToSourceFusedSink) {
   // still encodes the correct type at the fused boundary.
   EXPECT_EQ(nodes[1].output_coder != nullptr,
             pipeline.graph().nodes()[4].output_coder != nullptr);
-  EXPECT_FALSE(describe(result).empty());
 }
 
 TEST(FusionPassTest, GroupByKeyIsABarrier) {

@@ -316,7 +316,6 @@ TEST(ReportTest, RecoverySummaryShowsPerEngineRowsAndSubstrateCounters) {
   snapshot.counters["fault.injected"] = 5;
   snapshot.counters["fault.operator_throw"] = 5;
   snapshot.counters["runtime.task_restarts"] = 2;
-  snapshot.counters["yarn.container_relaunches"] = 1;
   const std::string rendered = render_recovery_summary(snapshot);
   EXPECT_NE(rendered.find("Flink"), std::string::npos);
   EXPECT_NE(rendered.find("4000"), std::string::npos);
@@ -325,7 +324,6 @@ TEST(ReportTest, RecoverySummaryShowsPerEngineRowsAndSubstrateCounters) {
   EXPECT_NE(rendered.find("faults injected: 5"), std::string::npos);
   EXPECT_NE(rendered.find("operator_throw=5"), std::string::npos);
   EXPECT_NE(rendered.find("task restarts: 2"), std::string::npos);
-  EXPECT_NE(rendered.find("container relaunches: 1"), std::string::npos);
   // Apex saw no activity but still gets a row (all-engine table shape).
   EXPECT_NE(rendered.find("Apex"), std::string::npos);
 }

@@ -122,22 +122,6 @@ TEST(BrokerTest, LogAppendTimeIsMonotonicWithinPartition) {
   }
 }
 
-TEST(BrokerTest, CreateTimeTopicKeepsProducerTimestamp) {
-  Broker broker;
-  broker
-      .create_topic("t", TopicConfig{.partitions = 1,
-                                     .timestamp_type =
-                                         TimestampType::kCreateTime})
-      .expect_ok();
-  broker.append({"t", 0}, ProducerRecord{.value = "x", .create_time = 12345},
-                false)
-      .status()
-      .expect_ok();
-  std::vector<StoredRecord> out;
-  broker.fetch({"t", 0}, 0, 1, out).status().expect_ok();
-  EXPECT_EQ(out[0].timestamp, 12345);
-}
-
 TEST(BrokerTest, AppendBatchStampsOneTimestampPerBatch) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
@@ -231,35 +215,6 @@ TEST(BrokerTest, ConcurrentAppendsProduceDenseOffsets) {
   EXPECT_EQ(broker.end_offset({"t", 0}).value(), kThreads * kEach);
 }
 
-TEST(BrokerTest, OffsetForTimeBinarySearch) {
-  Broker broker;
-  broker
-      .create_topic("t", TopicConfig{.partitions = 1,
-                                     .timestamp_type =
-                                         TimestampType::kCreateTime})
-      .expect_ok();
-  for (const Timestamp t : {100, 200, 200, 300, 500}) {
-    broker
-        .append({"t", 0}, ProducerRecord{.value = "x", .create_time = t},
-                false)
-        .status()
-        .expect_ok();
-  }
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 0).value(), 0);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 100).value(), 0);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 150).value(), 1);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 200).value(), 1);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 201).value(), 3);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 500).value(), 4);
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 501).value(), 5);  // end
-}
-
-TEST(BrokerTest, OffsetForTimeOnEmptyPartitionIsZero) {
-  Broker broker;
-  broker.create_topic("t", single_partition()).expect_ok();
-  EXPECT_EQ(broker.offset_for_time({"t", 0}, 12345).value(), 0);
-}
-
 // --- segmented log ---------------------------------------------------------------
 
 // Appends `count` records valued "0", "1", ... in producer-sized batches.
@@ -289,36 +244,6 @@ TEST(SegmentLogTest, FetchAcrossSegmentBoundary) {
     EXPECT_EQ(out[i].offset, offset);
     EXPECT_EQ(out[i].value, std::to_string(offset));
   }
-}
-
-TEST(SegmentLogTest, OffsetForTimeAcrossSegments) {
-  Broker broker;
-  broker
-      .create_topic("t", TopicConfig{.partitions = 1,
-                                     .timestamp_type =
-                                         TimestampType::kCreateTime})
-      .expect_ok();
-  // Record i carries CreateTime 10 * (i + 1), over three full segments.
-  const std::size_t count = 3 * kSegmentRecords + 10;
-  std::vector<ProducerRecord> batch;
-  for (std::size_t i = 0; i < count; ++i) {
-    batch.push_back(ProducerRecord{
-        .value = "x", .create_time = static_cast<Timestamp>(10 * (i + 1))});
-  }
-  broker.append_batch({"t", 0}, batch, false).status().expect_ok();
-  for (const std::size_t i :
-       {std::size_t{0}, kSegmentRecords - 1, kSegmentRecords,
-        2 * kSegmentRecords + 1, 3 * kSegmentRecords, count - 1}) {
-    const auto stamp = static_cast<Timestamp>(10 * (i + 1));
-    const auto want = static_cast<std::int64_t>(i);
-    EXPECT_EQ(broker.offset_for_time({"t", 0}, stamp).value(), want);
-    EXPECT_EQ(broker.offset_for_time({"t", 0}, stamp - 5).value(), want);
-  }
-  EXPECT_EQ(broker
-                .offset_for_time({"t", 0},
-                                 static_cast<Timestamp>(10 * (count + 1)))
-                .value(),
-            static_cast<std::int64_t>(count));
 }
 
 TEST(SegmentLogTest, RetentionTrimAcrossSegmentsKeepsExactBounds) {
@@ -673,21 +598,6 @@ TEST(ConsumerTest, PollBatchRespectsMaxPollRecords) {
   FetchBatch batch;
   EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kOk);
   EXPECT_EQ(batch.size(), 7u);
-}
-
-TEST(ConsumerTest, SeekRewinds) {
-  Broker broker;
-  broker.create_topic("t", single_partition()).expect_ok();
-  append_numbered(broker, 5);
-  Consumer consumer(broker);
-  consumer.subscribe("t", /*bounded=*/false).expect_ok();
-  FetchBatch batch;
-  (void)consumer.poll_batch(0, batch);
-  consumer.seek({"t", 0}, 2).expect_ok();
-  (void)consumer.poll_batch(0, batch);
-  ASSERT_FALSE(batch.empty());
-  EXPECT_EQ(batch.base_offset, 2);
-  EXPECT_EQ(batch.records[0].value, "2");
 }
 
 TEST(ConsumerTest, PollBatchAdvancesOffsetsPerBatch) {

@@ -1,10 +1,6 @@
-// Tests for YARN-sim: resource accounting, container lifecycle, AppMaster
-// protocol, heartbeats, and failure injection.
+// Tests for the YARN-sim resource ledger: resource arithmetic, reserve and
+// release, over-commit, most-free placement, exhaustion and failed nodes.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "yarn/resource_manager.hpp"
 
@@ -20,184 +16,84 @@ TEST(ResourceTest, Arithmetic) {
   EXPECT_FALSE(fits(a, b));
 }
 
-TEST(NodeManagerTest, ReserveAndRelease) {
-  NodeManager node("n", Resource{4, 4096});
-  Container container{.id = 1, .app = 1, .node = "n",
-                      .resource = Resource{2, 1024}};
-  EXPECT_TRUE(node.reserve(container).is_ok());
-  EXPECT_EQ(node.used().vcores, 2);
-  EXPECT_EQ(node.available().vcores, 2);
-  node.release(1);
-  EXPECT_EQ(node.used().vcores, 0);
-}
-
-TEST(NodeManagerTest, RejectsOverCommit) {
-  NodeManager node("n", Resource{2, 1024});
-  Container big{.id = 1, .resource = Resource{3, 512}};
-  EXPECT_EQ(node.reserve(big).code(), StatusCode::kResourceExhausted);
-}
-
-TEST(NodeManagerTest, LaunchRunsWorkAndFreesResources) {
-  NodeManager node("n", Resource{4, 4096});
-  Container container{.id = 7, .resource = Resource{1, 256}};
-  node.reserve(container).expect_ok();
-  std::atomic<bool> ran{false};
-  node.launch(7, [&ran] { ran.store(true); }).expect_ok();
-  node.await(7);
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(node.state(7), ContainerState::kCompleted);
-  EXPECT_EQ(node.used().vcores, 0);
-}
-
-TEST(NodeManagerTest, LaunchWithoutReserveFails) {
-  NodeManager node("n", Resource{1, 256});
-  EXPECT_EQ(node.launch(99, [] {}).code(), StatusCode::kNotFound);
-}
-
-TEST(NodeManagerTest, DoubleLaunchFails) {
-  NodeManager node("n", Resource{4, 4096});
-  Container container{.id = 1, .resource = Resource{1, 256}};
-  node.reserve(container).expect_ok();
-  node.launch(1, [] {}).expect_ok();
-  EXPECT_EQ(node.launch(1, [] {}).code(), StatusCode::kFailedPrecondition);
-  node.await(1);
-}
-
-TEST(NodeManagerTest, FailedNodeRejectsReservations) {
-  NodeManager node("n", Resource{4, 4096});
-  node.fail_node();
-  Container container{.id = 1, .resource = Resource{1, 256}};
-  EXPECT_EQ(node.reserve(container).code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(node.failed());
-}
-
-TEST(ResourceManagerTest, AllocatesOnNodeWithMostFreeCapacity) {
+TEST(ResourceManagerTest, AllocateReservesAndReleaseReturns) {
   ResourceManager rm;
-  rm.add_node("small", Resource{2, 2048});
-  rm.add_node("big", Resource{8, 8192});
-  auto container = rm.allocate_container(1, Resource{1, 256}, false);
+  rm.add_node("n", Resource{4, 4096});
+  auto container = rm.allocate(Resource{2, 1024});
   ASSERT_TRUE(container.is_ok());
-  EXPECT_EQ(container.value().node, "big");
+  EXPECT_EQ(container.value().node, "n");
+  EXPECT_EQ(rm.cluster_available(), (Resource{2, 3072}));
+  rm.release(container.value());
+  EXPECT_EQ(rm.cluster_available(), (Resource{4, 4096}));
+  rm.release(container.value());  // a second release is a no-op
+  EXPECT_EQ(rm.cluster_available(), (Resource{4, 4096}));
+}
+
+TEST(ResourceManagerTest, RejectsOverCommit) {
+  ResourceManager rm;
+  rm.add_node("n", Resource{2, 1024});
+  ASSERT_TRUE(rm.allocate(Resource{2, 512}).is_ok());
+  // Memory is left but no vcore: the request must not over-commit the node.
+  EXPECT_EQ(rm.allocate(Resource{1, 256}).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(rm.cluster_available(), (Resource{0, 512}));
+}
+
+TEST(ResourceManagerTest, AllocatesOnNodeWithMostFreeVcores) {
+  ResourceManager rm;
+  rm.add_node("small", Resource{2, 8192});
+  rm.add_node("big", Resource{8, 8192});
+  auto first = rm.allocate(Resource{4, 1024});
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_EQ(first.value().node, "big");
+  // big has 4 free vcores to small's 2, so it still wins.
+  auto second = rm.allocate(Resource{1, 1024});
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(second.value().node, "big");
+  ASSERT_TRUE(rm.allocate(Resource{2, 1024}).is_ok());  // big: 1 free vcore
+  // Now small has the most free vcores.
+  auto fourth = rm.allocate(Resource{1, 1024});
+  ASSERT_TRUE(fourth.is_ok());
+  EXPECT_EQ(fourth.value().node, "small");
 }
 
 TEST(ResourceManagerTest, ExhaustionReported) {
   ResourceManager rm;
+  EXPECT_EQ(rm.allocate(Resource{1, 256}).status().code(),
+            StatusCode::kResourceExhausted);  // no nodes at all
   rm.add_node("n", Resource{1, 512});
-  auto first = rm.allocate_container(1, Resource{1, 512}, false);
-  ASSERT_TRUE(first.is_ok());
-  auto second = rm.allocate_container(1, Resource{1, 512}, false);
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ResourceManagerTest, ClusterAvailableSums) {
-  ResourceManager rm;
-  rm.add_node("a", Resource{2, 1024});
-  rm.add_node("b", Resource{3, 2048});
-  EXPECT_EQ(rm.cluster_available().vcores, 5);
-  EXPECT_EQ(rm.cluster_available().memory_mb, 3072);
-}
-
-TEST(ResourceManagerTest, SubmitApplicationRunsAppMaster) {
-  ResourceManager rm;
-  rm.add_node("n", Resource{8, 8192});
-  std::atomic<int> worker_sum{0};
-  auto app = rm.submit_application(
-      "app", Resource{1, 256}, [&worker_sum](AppMasterContext& am) {
-        // The AM requests two worker containers and runs work in them.
-        std::vector<Container> workers;
-        for (int i = 0; i < 2; ++i) {
-          auto container = am.allocate(Resource{1, 256});
-          ASSERT_TRUE(container.is_ok());
-          workers.push_back(container.value());
-        }
-        for (const auto& worker : workers) {
-          am.launch(worker, [&worker_sum] { worker_sum.fetch_add(21); })
-              .expect_ok();
-        }
-        for (const auto& worker : workers) {
-          am.await(worker);
-          am.release(worker);
-        }
-      });
-  ASSERT_TRUE(app.is_ok());
-  rm.await_application(app.value());
-  EXPECT_EQ(worker_sum.load(), 42);
-  auto report = rm.application_report(app.value());
-  ASSERT_TRUE(report.is_ok());
-  EXPECT_EQ(report.value().state, ApplicationState::kFinished);
-  EXPECT_EQ(report.value().containers_granted, 3);  // AM + 2 workers
-}
-
-TEST(ResourceManagerTest, AppMasterAllocationFailureFailsApp) {
-  ResourceManager rm;  // no nodes at all
-  auto app = rm.submit_application("app", Resource{1, 256},
-                                   [](AppMasterContext&) {});
-  EXPECT_EQ(app.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ResourceManagerTest, NodeReportsReflectUsage) {
-  ResourceManager rm;
-  rm.add_node("n", Resource{4, 4096});
-  auto container = rm.allocate_container(1, Resource{2, 1024}, false);
-  ASSERT_TRUE(container.is_ok());
-  const auto reports = rm.node_reports();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].used.vcores, 2);
-  EXPECT_TRUE(reports[0].alive);
-}
-
-TEST(ResourceManagerTest, HeartbeatsAdvance) {
-  ResourceManager rm(/*heartbeat_interval_ms=*/5);
-  auto& node = rm.add_node("n", Resource{1, 256});
-  const auto before = node.last_heartbeat_ms();
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_GT(node.last_heartbeat_ms(), before);
+  EXPECT_EQ(rm.allocate(Resource{2, 256}).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(rm.allocate(Resource{1, 512}).is_ok());
+  EXPECT_EQ(rm.allocate(Resource{1, 256}).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(ResourceManagerTest, FailedNodeExcludedFromAllocation) {
   ResourceManager rm;
-  auto& doomed = rm.add_node("doomed", Resource{8, 8192});
-  rm.add_node("alive", Resource{2, 2048});
-  doomed.fail_node();
-  auto container = rm.allocate_container(1, Resource{1, 256}, false);
-  ASSERT_TRUE(container.is_ok());
-  EXPECT_EQ(container.value().node, "alive");
-  const auto reports = rm.node_reports();
-  int alive = 0;
-  for (const auto& report : reports) alive += report.alive;
-  EXPECT_EQ(alive, 1);
-}
-
-TEST(ResourceManagerTest, UnknownApplicationReport) {
-  ResourceManager rm;
-  EXPECT_EQ(rm.application_report(999).status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(ResourceManagerTest, MultipleConcurrentApplications) {
-  ResourceManager rm;
-  rm.add_node("n0", Resource{16, 16384});
-  rm.add_node("n1", Resource{16, 16384});
-  std::atomic<int> finished{0};
-  std::vector<ApplicationId> apps;
-  for (int i = 0; i < 4; ++i) {
-    auto app = rm.submit_application(
-        "app" + std::to_string(i), Resource{1, 256},
-        [&finished](AppMasterContext& am) {
-          auto worker = am.allocate(Resource{1, 256});
-          ASSERT_TRUE(worker.is_ok());
-          am.launch(worker.value(), [&finished] {
-              std::this_thread::sleep_for(std::chrono::milliseconds(5));
-              finished.fetch_add(1);
-            }).expect_ok();
-          am.await(worker.value());
-          am.release(worker.value());
-        });
-    ASSERT_TRUE(app.is_ok());
-    apps.push_back(app.value());
+  rm.add_node("doomed", Resource{8, 8192});
+  rm.add_node("survivor", Resource{2, 2048});
+  auto hosted = rm.allocate(Resource{1, 256});
+  ASSERT_TRUE(hosted.is_ok());
+  ASSERT_EQ(hosted.value().node, "doomed");
+  rm.fail_node("doomed");
+  EXPECT_EQ(rm.cluster_available(), (Resource{2, 2048}));
+  for (int i = 0; i < 2; ++i) {
+    auto container = rm.allocate(Resource{1, 256});
+    ASSERT_TRUE(container.is_ok());
+    EXPECT_EQ(container.value().node, "survivor");
   }
-  for (const auto app : apps) rm.await_application(app);
-  EXPECT_EQ(finished.load(), 4);
+  EXPECT_EQ(rm.allocate(Resource{1, 256}).status().code(),
+            StatusCode::kResourceExhausted);
+  // The crashed node's container left the ledger with it.
+  rm.release(hosted.value());
+  EXPECT_EQ(rm.cluster_available(), (Resource{0, 1536}));
+}
+
+TEST(ResourceManagerTest, DuplicateNodeRejected) {
+  ResourceManager rm;
+  rm.add_node("n", Resource{1, 256});
+  EXPECT_THROW(rm.add_node("n", Resource{1, 256}), std::invalid_argument);
 }
 
 }  // namespace
