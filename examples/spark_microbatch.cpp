@@ -20,8 +20,7 @@ int main() {
       .expect_ok();
 
   spark::StreamingContext ssc(
-      spark::SparkConf{.app_name = "microbatch-demo",
-                       .default_parallelism = 2},
+      spark::SparkConf{.default_parallelism = 2},
       /*batch_interval_ms=*/25);
 
   // events "<region>:<amount>" -> per-batch revenue per region.

@@ -268,11 +268,13 @@ namespace {
 constexpr yarn::Resource kAppMasterResource{1, 256};
 constexpr yarn::Resource kInstanceResource{1, 256};
 
+/// Mails a thread group's inbound mailbox holds before its writers block.
+constexpr std::size_t kMailboxCapacity = 4096;
+
 /// One YARN application attempt: fresh operator instances, mailboxes and
 /// per-attempt metrics — exactly what a STRAM relaunch redeploys.
 Result<runtime::MetricsSnapshot> run_application_attempt(
-    yarn::ResourceManager& rm, const Dag& dag, const EngineConfig& config,
-    const PhysicalPlan& plan) {
+    yarn::ResourceManager& rm, const Dag& dag, const PhysicalPlan& plan) {
   // Instantiate operators.
   std::vector<std::unique_ptr<Operator>> operators;
   operators.reserve(plan.instances.size());
@@ -333,7 +335,7 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
               .group;
       auto& group = groups[static_cast<std::size_t>(target_group)];
       if (!group.mailbox) {
-        group.mailbox = std::make_shared<Mailbox>(config.mailbox_capacity);
+        group.mailbox = std::make_shared<Mailbox>(kMailboxCapacity);
       }
       for (int pf = 0; pf < from.partitions; ++pf) {
         const int producer_group =
@@ -547,7 +549,7 @@ Result<runtime::MetricsSnapshot> run_application_attempt(
         for (auto* op : group.operators) op->begin_window(window);
         send_markers(group, Mail::Kind::kBeginWindow, window);
         more = invoker.invoke_unfaulted([&] {
-          return group.input->emit_tuples(config.window_tuple_budget);
+          return group.input->emit_tuples(kWindowTupleBudget);
         });
         invoker.invoke_unfaulted([&] {
           for (auto* op : group.operators) op->end_window();
@@ -740,7 +742,7 @@ Result<runtime::MetricsSnapshot> launch_application(yarn::ResourceManager& rm,
   const Status final_status = runtime::run_supervised(
       policy,
       [&](int /*attempt*/) -> Status {
-        auto result = run_application_attempt(rm, dag, config, plan);
+        auto result = run_application_attempt(rm, dag, plan);
         if (!result.is_ok()) return result.status();
         outcome = std::move(result);
         return Status::ok();

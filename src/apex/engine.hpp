@@ -26,10 +26,10 @@
 
 namespace dsps::apex {
 
+/// Tuples an input operator may emit per streaming window.
+inline constexpr std::size_t kWindowTupleBudget = 4096;
+
 struct EngineConfig {
-  /// Tuples an input operator may emit per streaming window.
-  std::size_t window_tuple_budget = 4096;
-  std::size_t mailbox_capacity = 4096;
   /// Application attempts (STRAM relaunch on failure): a failed attempt
   /// releases every container and redeploys fresh operator instances.
   /// Kafka inputs configured with a consumer group resume from their

@@ -6,6 +6,13 @@ namespace dsps::apex {
 
 using runtime::Payload;
 
+namespace {
+
+/// Records one Kafka input poll returns at most.
+constexpr std::size_t kMaxPollRecords = 2048;
+
+}  // namespace
+
 KafkaPayloadInput::KafkaPayloadInput(kafka::Broker& broker, std::string topic)
     : KafkaPayloadInput(broker, Config{.topic = std::move(topic)}) {}
 
@@ -16,7 +23,7 @@ void KafkaPayloadInput::setup(const OperatorContext& context) {
   consumer_ = std::make_unique<kafka::Consumer>(
       broker_,
       kafka::ConsumerConfig{.group_id = config_.group_id,
-                            .max_poll_records = config_.max_poll_records});
+                            .max_poll_records = kMaxPollRecords});
   // Partitioned input: each physical instance reads its own slice.
   consumer_
       ->subscribe(config_.topic, config_.bounded,
@@ -31,10 +38,10 @@ bool KafkaPayloadInput::emit_tuples(std::size_t budget) {
   // Open-loop mode polls with a short timeout instead of 0: when the input
   // is momentarily caught up the operator parks on the broker's fetch
   // condition variable rather than busy-spinning the window loop.
-  const std::int64_t poll_timeout_ms = config_.bounded ? 0 : 1;
+  const std::int64_t timeout_ms = config_.bounded ? 0 : 1;
   while (emitted < budget) {
     const kafka::FetchState state =
-        consumer_->poll_batch(emitted == 0 ? poll_timeout_ms : 0, batch);
+        consumer_->poll_batch(emitted == 0 ? timeout_ms : 0, batch);
     for (auto& record : batch.records) {
       // The record's value is already a refcounted slice of the broker's
       // storage; moving it into the tuple copies no bytes.

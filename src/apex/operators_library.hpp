@@ -35,7 +35,6 @@ class KafkaPayloadInput final : public InputOperator {
     /// only once every deployed group has fully processed the window whose
     /// outputs those offsets produced — at-least-once on relaunch.
     std::string group_id;
-    std::size_t max_poll_records = 2048;
     /// true = read the topic as it stood at setup and finish; false =
     /// open-loop mode: stay scheduled until the topic is sealed
     /// (Broker::seal_topic) and the slice is drained.

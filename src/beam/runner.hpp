@@ -43,7 +43,6 @@ class PipelineRunner {
  public:
   virtual ~PipelineRunner() = default;
   virtual Result<PipelineResult> run(const Pipeline& pipeline) = 0;
-  virtual std::string name() const = 0;
 };
 
 }  // namespace dsps::beam

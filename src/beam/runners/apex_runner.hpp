@@ -38,7 +38,6 @@ class ApexRunner final : public PipelineRunner {
   explicit ApexRunner(ApexRunnerOptions options = {}) : options_(options) {}
 
   Result<PipelineResult> run(const Pipeline& pipeline) override;
-  std::string name() const override { return "ApexRunner"; }
 
   /// The translated physical plan without running.
   Result<std::string> translate_plan(const Pipeline& pipeline) const;

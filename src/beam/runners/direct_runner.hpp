@@ -21,7 +21,6 @@ class DirectRunner final : public PipelineRunner {
       : options_(options) {}
 
   Result<PipelineResult> run(const Pipeline& pipeline) override;
-  std::string name() const override { return "DirectRunner"; }
 
  private:
   DirectRunnerOptions options_;

@@ -41,7 +41,6 @@ class FlinkRunner final : public PipelineRunner {
   explicit FlinkRunner(FlinkRunnerOptions options = {}) : options_(options) {}
 
   Result<PipelineResult> run(const Pipeline& pipeline) override;
-  std::string name() const override { return "FlinkRunner"; }
 
   /// The translated execution plan without running (Fig. 13 reproduction).
   Result<std::string> translate_plan(const Pipeline& pipeline) const;

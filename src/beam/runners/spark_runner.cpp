@@ -225,7 +225,6 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   }
 
   spark::SparkConf conf;
-  conf.app_name = "beam-spark-job";
   conf.default_parallelism = options_.parallelism;
   spark::StreamingContext ssc(conf, options_.batch_interval_ms);
   // The restart hint maps onto Spark's native mechanism: per-batch retry

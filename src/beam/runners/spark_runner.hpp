@@ -48,7 +48,6 @@ class SparkRunner final : public PipelineRunner {
   explicit SparkRunner(SparkRunnerOptions options = {}) : options_(options) {}
 
   Result<PipelineResult> run(const Pipeline& pipeline) override;
-  std::string name() const override { return "SparkRunner"; }
 
  private:
   SparkRunnerOptions options_;

@@ -28,11 +28,6 @@ double relative_stddev(const std::vector<double>& values) {
   return stddev(values) / m;
 }
 
-double min_of(const std::vector<double>& values) {
-  require(!values.empty(), "min_of on empty vector");
-  return *std::min_element(values.begin(), values.end());
-}
-
 double max_of(const std::vector<double>& values) {
   require(!values.empty(), "max_of on empty vector");
   return *std::max_element(values.begin(), values.end());

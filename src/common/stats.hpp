@@ -16,7 +16,6 @@ double stddev(const std::vector<double>& values);
 /// Relative standard deviation = stddev / mean; 0 when the mean is 0.
 double relative_stddev(const std::vector<double>& values);
 
-double min_of(const std::vector<double>& values);
 double max_of(const std::vector<double>& values);
 
 /// Linear-interpolated percentile, p in [0, 100].

@@ -22,7 +22,7 @@ Result<JobResult> StreamExecutionEnvironment::execute(
     return Status::failed_precondition("empty job graph");
   }
   const JobGraph job_graph = build_job_graph(graph_, chaining_enabled_);
-  return execute_job(graph_, job_graph, job_config());
+  return execute_job(graph_, job_graph);
 }
 
 Result<std::unique_ptr<JobHandle>> StreamExecutionEnvironment::execute_async(
@@ -31,7 +31,7 @@ Result<std::unique_ptr<JobHandle>> StreamExecutionEnvironment::execute_async(
     return Status::failed_precondition("empty job graph");
   }
   const JobGraph job_graph = build_job_graph(graph_, chaining_enabled_);
-  return execute_job_async(graph_, job_graph, job_config());
+  return execute_job_async(graph_, job_graph);
 }
 
 std::string StreamExecutionEnvironment::execution_plan() const {

@@ -39,17 +39,6 @@ class StreamExecutionEnvironment {
   void disable_operator_chaining() { chaining_enabled_ = false; }
   bool chaining_enabled() const noexcept { return chaining_enabled_; }
 
-  /// Configures the standalone cluster (default: one TaskManager with
-  /// enough slots for the job).
-  void set_task_managers(std::vector<TaskManagerConfig> task_managers) {
-    task_managers_ = std::move(task_managers);
-  }
-
-  void set_channel_capacity(std::size_t capacity) {
-    require(capacity > 0, "channel capacity must be positive");
-    channel_capacity_ = capacity;
-  }
-
   /// Adds a source. The factory is invoked once per source subtask.
   template <typename T>
   DataStream<T> add_source(SourceFactory factory,
@@ -72,17 +61,9 @@ class StreamExecutionEnvironment {
   const StreamGraph& graph() const noexcept { return graph_; }
 
  private:
-  JobConfig job_config() const {
-    return JobConfig{.task_managers = task_managers_,
-                     .chaining_enabled = chaining_enabled_,
-                     .channel_capacity = channel_capacity_};
-  }
-
   StreamGraph graph_;
   int default_parallelism_ = 1;
   bool chaining_enabled_ = true;
-  std::size_t channel_capacity_ = 1024;
-  std::vector<TaskManagerConfig> task_managers_;
 };
 
 }  // namespace dsps::flink

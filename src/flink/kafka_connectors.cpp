@@ -13,15 +13,17 @@ namespace {
 /// Polls between checkpoint barriers when the source has a coordinator.
 constexpr int kCheckpointIntervalPolls = 4;
 
+/// How long one poll waits for records before the loop re-checks for
+/// cancellation.
+constexpr std::int64_t kPollTimeoutMs = 50;
+
 }  // namespace
 
 void KafkaStringSource::open(const RuntimeContext& context) {
   subtask_index_ = context.subtask_index;
   fault_site_ = "flink.source." + config_.topic;
   consumer_ = std::make_unique<kafka::Consumer>(
-      broker_, kafka::ConsumerConfig{.group_id = config_.group_id,
-                                     .max_poll_records =
-                                         config_.max_poll_records});
+      broker_, kafka::ConsumerConfig{.group_id = config_.group_id});
   consumer_
       ->subscribe(config_.topic, config_.bounded,
                   kafka::Shard{.index = context.subtask_index,
@@ -60,7 +62,7 @@ void KafkaStringSource::run_loop(SourceContext& context,
                                      invoker.operator_id());
     const bool closed =
         invoker.broker_rtt([&] {
-          return consumer_->poll_batch(config_.poll_timeout_ms, batch);
+          return consumer_->poll_batch(kPollTimeoutMs, batch);
         }) == kafka::FetchState::kClosed;
     for (auto& record : batch.records) {
       // Zero-copy hand-off: the Payload shares the broker's storage all the
@@ -91,8 +93,8 @@ void KafkaStringSource::run_loop(SourceContext& context,
 }
 
 void KafkaStringSink::open(const RuntimeContext& context) {
-  producer_ = std::make_unique<kafka::Producer>(
-      broker_, kafka::ProducerConfig{.batch_size = config_.batch_size});
+  producer_ =
+      std::make_unique<kafka::Producer>(broker_, kafka::ProducerConfig{});
   partition_ = config_.partition;
   if (partition_ < 0) {
     const auto count = broker_.partition_count(config_.topic);

@@ -26,8 +26,6 @@ struct KafkaSourceConfig {
   /// without transactional sinks). Empty = no group: start at offset 0.
   std::string group_id;
   bool bounded = true;
-  std::size_t max_poll_records = 1000;
-  std::int64_t poll_timeout_ms = 50;
   /// Barrier-style checkpointing: when set, every kCheckpointIntervalPolls
   /// polls the source runs a barrier (committing its chain's sink epochs via
   /// the coordinator) and then commits its own offsets. Requires the sink of
@@ -64,7 +62,6 @@ struct KafkaSinkConfig {
   /// partition count), so parallel sink subtasks write to disjoint
   /// partition logs instead of serializing on one log mutex.
   int partition = 0;
-  std::size_t batch_size = 500;
   /// Barrier participation: when set, the sink registers with the
   /// coordinator so the source's barrier makes its output durable before
   /// offsets are committed (output-before-offsets, the invariant both

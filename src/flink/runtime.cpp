@@ -269,37 +269,12 @@ JobResult JobHandle::wait() {
 
 namespace {
 
-/// Validates slot demand against the configured TaskManagers and spawns all
-/// task threads. Shared by the sync and async entry points.
-Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
-                                                 const JobGraph& job_graph,
-                                                 const JobConfig& config) {
-  // --- slot scheduling -----------------------------------------------------
-  int slots_needed = 0;
-  for (const auto& vertex : job_graph.vertices) {
-    slots_needed += vertex.parallelism;
-  }
-  std::vector<TaskManagerConfig> task_managers = config.task_managers;
-  if (task_managers.empty()) {
-    // Default standalone deployment: one TaskManager with enough slots.
-    task_managers.push_back(
-        TaskManagerConfig{"taskmanager-0", std::max(1, slots_needed)});
-  }
-  int slots_available = 0;
-  for (const auto& tm : task_managers) slots_available += tm.task_slots;
-  // Flink shares one slot across subtasks of *different* vertices of the
-  // same job (slot sharing groups); the default group needs max(parallelism)
-  // slots, not the sum.
-  int slots_required = 0;
-  for (const auto& vertex : job_graph.vertices) {
-    slots_required = std::max(slots_required, vertex.parallelism);
-  }
-  if (slots_required > slots_available) {
-    return Status::resource_exhausted(
-        "job needs " + std::to_string(slots_required) + " slots, cluster has " +
-        std::to_string(slots_available));
-  }
+/// Envelopes each channel buffers before its writer blocks.
+constexpr std::size_t kChannelCapacity = 1024;
 
+/// Spawns all task threads. Shared by the sync and async entry points.
+std::shared_ptr<JobHandle::State> launch(const StreamGraph& graph,
+                                         const JobGraph& job_graph) {
   // --- channel construction ------------------------------------------------
   // The per-channel producer count (== the EOS count) decides the queue
   // flavor, so it is computed before the channels are built: a channel with
@@ -334,7 +309,7 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
     if (channels.empty()) {
       const bool single_producer = eos_expected.at(edge.to_vertex) == 1;
       for (int s = 0; s < consumer.parallelism; ++s) {
-        channels.push_back(std::make_shared<Channel>(config.channel_capacity,
+        channels.push_back(std::make_shared<Channel>(kChannelCapacity,
                                                      single_producer));
         channels.back()->set_label("v" + std::to_string(edge.to_vertex) +
                                    ".s" + std::to_string(s));
@@ -494,22 +469,16 @@ Result<std::shared_ptr<JobHandle::State>> launch(const StreamGraph& graph,
 }  // namespace
 
 Result<JobResult> execute_job(const StreamGraph& graph,
-                              const JobGraph& job_graph,
-                              const JobConfig& config) {
-  auto state = launch(graph, job_graph, config);
-  if (!state.is_ok()) return state.status();
-  JobResult result = state.value()->join();
+                              const JobGraph& job_graph) {
+  JobResult result = launch(graph, job_graph)->join();
   if (!result.job_status.is_ok()) return result.job_status;
   return result;
 }
 
-Result<std::unique_ptr<JobHandle>> execute_job_async(
-    const StreamGraph& graph, const JobGraph& job_graph,
-    const JobConfig& config) {
-  auto state = launch(graph, job_graph, config);
-  if (!state.is_ok()) return state.status();
+std::unique_ptr<JobHandle> execute_job_async(const StreamGraph& graph,
+                                             const JobGraph& job_graph) {
   auto handle = std::unique_ptr<JobHandle>(new JobHandle());
-  handle->state_ = std::move(state).value();
+  handle->state_ = launch(graph, job_graph);
   return handle;
 }
 

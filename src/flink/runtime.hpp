@@ -1,10 +1,9 @@
-// Flink-sim runtime: JobManager scheduling into TaskManager slots, network
-// channels between unchained vertices, and per-subtask task threads.
+// Flink-sim runtime: network channels between unchained vertices and
+// per-subtask task threads.
 //
-// Mirrors §II-B: the client submits a JobGraph; the JobManager assigns each
-// subtask to a task slot; a TaskManager is a process with >= 1 slots whose
-// subtasks run as threads; chained operator subtasks share a thread and call
-// each other directly, unchained vertices exchange records over channels.
+// Mirrors §II-B: the client submits a JobGraph and every subtask runs as a
+// thread; chained operator subtasks share a thread and call each other
+// directly, unchained vertices exchange records over channels.
 #pragma once
 
 #include <atomic>
@@ -111,21 +110,6 @@ class Channel {
   std::atomic<std::size_t> peak_depth_{0};
 };
 
-/// One TaskManager: a bundle of task slots. Slot accounting is real —
-/// scheduling fails when the cluster has fewer slots than subtasks — and
-/// each scheduled subtask runs on its own thread within the slot, like
-/// subtask threads inside a TaskManager JVM.
-struct TaskManagerConfig {
-  std::string name = "taskmanager-0";
-  int task_slots = 1;
-};
-
-struct JobConfig {
-  std::vector<TaskManagerConfig> task_managers;
-  bool chaining_enabled = true;
-  std::size_t channel_capacity = 1024;
-};
-
 /// Outcome of a finished job. Per-vertex record counters live in the
 /// unified metrics snapshot as `vertex.<id>.records_in` / `.records_out`
 /// (vertex ids index `vertex_names`); the convenience accessors below wrap
@@ -147,11 +131,10 @@ struct JobResult {
   }
 };
 
-/// Executes a bounded job to completion. Returns metrics or a scheduling /
-/// validation error.
+/// Executes a bounded job to completion. Returns metrics, or the failure of
+/// a task that crashed.
 Result<JobResult> execute_job(const StreamGraph& graph,
-                              const JobGraph& job_graph,
-                              const JobConfig& config);
+                              const JobGraph& job_graph);
 
 /// Running job handle for unbounded sources.
 class JobHandle {
@@ -173,14 +156,13 @@ class JobHandle {
   struct State;
 
  private:
-  friend Result<std::unique_ptr<JobHandle>> execute_job_async(
-      const StreamGraph&, const JobGraph&, const JobConfig&);
+  friend std::unique_ptr<JobHandle> execute_job_async(const StreamGraph&,
+                                                      const JobGraph&);
 
   std::shared_ptr<State> state_;
 };
 
-Result<std::unique_ptr<JobHandle>> execute_job_async(
-    const StreamGraph& graph, const JobGraph& job_graph,
-    const JobConfig& config);
+std::unique_ptr<JobHandle> execute_job_async(const StreamGraph& graph,
+                                             const JobGraph& job_graph);
 
 }  // namespace dsps::flink

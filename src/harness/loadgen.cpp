@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -14,12 +13,9 @@ namespace dsps::harness {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// Records appended per broker request (amortizes the append RTT the way a
+/// real producer's batching would).
+constexpr std::size_t kBatchRecords = 256;
 
 }  // namespace
 
@@ -28,30 +24,15 @@ LoadGenerator::LoadGenerator(kafka::Broker& broker, LoadGenConfig config)
   // Pool content comes from the same generator as the closed-loop input so
   // the queries see the paper's selectivities (grep needle, click columns).
   workload::AolGenerator generator(workload::AolGeneratorConfig{
-      .record_count = config_.pool_size, .seed = config_.seed});
-  pool_.reserve(config_.pool_size);
-  payload_pool_.reserve(config_.pool_size);
+      .record_count = kLoadGenPoolSize, .seed = config_.seed});
+  pool_.reserve(kLoadGenPoolSize);
+  payload_pool_.reserve(kLoadGenPoolSize);
   std::string line;
-  for (std::uint64_t i = 0; i < config_.pool_size; ++i) {
+  for (std::uint64_t i = 0; i < kLoadGenPoolSize; ++i) {
     generator.line_at(i, line);
     pool_.push_back(line);
     payload_pool_.emplace_back(pool_.back());  // one copy; reused per cycle
   }
-}
-
-std::size_t LoadGenerator::pool_index(std::uint64_t seq) const noexcept {
-  if (config_.key_skew <= 0.0) {
-    return static_cast<std::size_t>(seq % pool_.size());
-  }
-  // Power-law bias toward low pool indices: u^(1+skew) concentrates mass
-  // near 0 while staying a pure function of (seed, seq).
-  const double u =
-      static_cast<double>(splitmix64(config_.seed ^ seq) >> 11) /
-      static_cast<double>(1ULL << 53);
-  const double biased = std::pow(u, 1.0 + config_.key_skew);
-  auto index = static_cast<std::size_t>(
-      biased * static_cast<double>(pool_.size()));
-  return std::min(index, pool_.size() - 1);
 }
 
 double LoadGenerator::rate_multiplier(std::int64_t elapsed_us) const noexcept {
@@ -73,7 +54,7 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
 
   LoadGenReport report;
   std::vector<kafka::ProducerRecord> batch;
-  batch.reserve(config_.batch_size);
+  batch.reserve(kBatchRecords);
   const std::int64_t start_us = steady_clock_us();
   // Virtual schedule: each offered record advances the due time by the
   // reciprocal of the instantaneous rate, so bursts compress the schedule
@@ -83,7 +64,7 @@ Result<LoadGenReport> LoadGenerator::run(const std::function<bool()>& stop) {
   while (report.offered < config_.records) {
     if (stop && stop()) break;
     batch.clear();
-    while (batch.size() < config_.batch_size &&
+    while (batch.size() < kBatchRecords &&
            report.offered < config_.records) {
       const std::uint64_t seq = report.offered++;
       batch.push_back(kafka::ProducerRecord{

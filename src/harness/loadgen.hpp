@@ -3,10 +3,10 @@
 //
 // Unlike the closed-loop DataSender (preload, then drain), the generator
 // offers records at a target rate while the engine under test is running,
-// optionally with bursts and a skewed choice over a pregenerated payload
-// pool. The schedule is independent of the engine under test: overload
-// shows up as consumer lag and event-time latency, never as a slowed
-// generator, and no offered record is dropped.
+// optionally with bursts, cycling over a pregenerated payload pool. The
+// schedule is independent of the engine under test: overload shows up as
+// consumer lag and event-time latency, never as a slowed generator, and no
+// offered record is dropped.
 //
 // The payload pool is cycled deterministically (pool_index), so a bench
 // can reconstruct exactly which line the i-th admitted record carried —
@@ -25,6 +25,9 @@
 
 namespace dsps::harness {
 
+/// Pregenerated AOL-line pool size; records cycle through it.
+inline constexpr std::size_t kLoadGenPoolSize = 4'096;
+
 struct LoadGenConfig {
   std::string topic;
   /// Offered events per second. Must be > 0.
@@ -32,14 +35,6 @@ struct LoadGenConfig {
   /// Total records to offer.
   std::uint64_t records = 8'000;
   std::uint64_t seed = 42;
-  /// Records appended per broker request (amortizes the append RTT the way
-  /// a real producer's batching would).
-  std::size_t batch_size = 256;
-  /// Pregenerated AOL-line pool size; records cycle through it.
-  std::size_t pool_size = 4'096;
-  /// Key skew exponent: 0 = sequential cycling (uniform); > 0 biases the
-  /// pool choice toward low indices (hot keys), still deterministically.
-  double key_skew = 0.0;
   /// Burst pattern: for `burst_width_ms` out of every `burst_period_ms`
   /// the offered rate is multiplied by `burst_factor`. period 0 = steady.
   double burst_factor = 1.0;
@@ -65,8 +60,9 @@ class LoadGenerator {
   const std::vector<std::string>& pool() const noexcept { return pool_; }
 
   /// Pool index the `seq`-th offered record draws its payload from.
-  /// Deterministic in (config.seed, seq).
-  std::size_t pool_index(std::uint64_t seq) const noexcept;
+  static std::size_t pool_index(std::uint64_t seq) noexcept {
+    return static_cast<std::size_t>(seq % kLoadGenPoolSize);
+  }
 
   /// Paces config.records records into partition 0 of config.topic.
   /// `stop` (optional) is polled between batches for early abort.

@@ -1,9 +1,9 @@
 // MiniKafka broker: topic management and the append/fetch data plane.
 //
 // Replication is bookkept (a topic has a replication factor and per-replica
-// high-water marks) but replicas live in the same process; `acks=all`
-// therefore waits for the simulated follower appends, which is the
-// behavioural difference the data sender's ack setting controls.
+// high-water marks) but replicas live in the same process; an append with
+// `wait_for_replication` (Kafka's acks=all) therefore also writes the
+// simulated follower replicas. The producer waits only for the leader.
 #pragma once
 
 #include <atomic>
@@ -69,7 +69,7 @@ class Broker {
   bool topic_sealed(const std::string& name) const;
   bool partition_sealed(const TopicPartition& tp) const;
 
-  /// Applies size/time retention to every partition (leader + followers) of
+  /// Applies size retention to every partition (leader + followers) of
   /// the topic; a zero config clears it.
   Status set_retention(const std::string& name, RetentionConfig config);
 

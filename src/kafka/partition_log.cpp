@@ -84,29 +84,19 @@ void PartitionLog::copy_out_locked(std::size_t start, std::size_t count,
   }
 }
 
-void PartitionLog::maybe_trim_locked(Timestamp now) {
-  if (retention_.max_bytes <= 0 && retention_.max_age_us <= 0) return;
-  std::size_t trim = 0;
-  std::int64_t bytes = retained_bytes_;
+void PartitionLog::maybe_trim_locked() {
+  if (retention_.max_bytes <= 0 || retained_bytes_ <= retention_.max_bytes) {
+    return;
+  }
   // Once the size bound is exceeded, trim down to ~80% of it so a sustained
   // overload trims in batches instead of one record per append.
-  const std::int64_t target_bytes =
-      retention_.max_bytes > 0 ? retention_.max_bytes * 4 / 5 : 0;
-  bool size_trimming = false;
-  while (trim < size_) {
-    const StoredRecord& head = at_locked(trim);
-    if (retention_.max_bytes > 0 && bytes > retention_.max_bytes) {
-      size_trimming = true;
-    } else if (size_trimming && bytes <= target_bytes) {
-      size_trimming = false;
-    }
-    const bool over_age = retention_.max_age_us > 0 &&
-                          head.timestamp + retention_.max_age_us < now;
-    if (!size_trimming && !over_age) break;
-    bytes -= record_bytes(head);
+  const std::int64_t target_bytes = retention_.max_bytes * 4 / 5;
+  std::size_t trim = 0;
+  std::int64_t bytes = retained_bytes_;
+  while (trim < size_ && bytes > target_bytes) {
+    bytes -= record_bytes(at_locked(trim));
     ++trim;
   }
-  if (trim == 0) return;
   pop_front_locked(trim);
   log_start_offset_ += static_cast<std::int64_t>(trim);
   retained_bytes_ = bytes;
@@ -119,7 +109,7 @@ std::int64_t PartitionLog::append(const ProducerRecord& record) {
     std::lock_guard lock(mutex_);
     const Timestamp stamp = wall_clock_now();
     offset = push_back_locked(record, stamp);
-    maybe_trim_locked(stamp);
+    maybe_trim_locked();
     wake = fetch_waiters_ > 0;
   }
   if (wake) data_arrived_.notify_all();
@@ -138,9 +128,7 @@ std::int64_t PartitionLog::append_batch(
     for (const auto& record : records) {
       last_offset = push_back_locked(record, now);
     }
-    if (retention_.max_bytes > 0 || retention_.max_age_us > 0) {
-      maybe_trim_locked(now);
-    }
+    maybe_trim_locked();
     wake = fetch_waiters_ > 0;
   }
   if (wake) data_arrived_.notify_all();
@@ -198,15 +186,10 @@ std::int64_t PartitionLog::end_offset() const {
   return log_start_offset_ + static_cast<std::int64_t>(size_);
 }
 
-std::int64_t PartitionLog::log_start_offset() const {
-  std::lock_guard lock(mutex_);
-  return log_start_offset_;
-}
-
 void PartitionLog::set_retention(RetentionConfig config) {
   std::lock_guard lock(mutex_);
   retention_ = config;
-  maybe_trim_locked(wall_clock_now());
+  maybe_trim_locked();
 }
 
 std::int64_t PartitionLog::retained_bytes() const {

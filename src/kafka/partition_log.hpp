@@ -22,13 +22,12 @@ struct PartitionInfo {
   Timestamp last_timestamp = 0;   // 0 when empty
 };
 
-/// Size/time-based retention (segment trimming). Zero means unlimited — the
+/// Size-based retention (head trimming). Zero means unlimited — the
 /// default, so every closed-loop benchmark keeps the full log and the
 /// result calculator sees every record. Under sustained load the harness
-/// arms both bounds so broker memory stays bounded at any offered rate.
+/// arms the bound so broker memory stays bounded at any offered rate.
 struct RetentionConfig {
-  std::int64_t max_bytes = 0;   // payload bytes retained per partition
-  std::int64_t max_age_us = 0;  // record age bound (LogAppendTime clock)
+  std::int64_t max_bytes = 0;  // payload bytes retained per partition
 };
 
 /// Record slots per log segment. A log grows and shrinks one whole segment
@@ -92,9 +91,10 @@ class PartitionLog {
 
   /// Copies up to `max_records` records starting at `offset` into `out`.
   /// Returns the number of records copied (0 when `offset` is at the end).
-  /// `offset` below the log start is clamped to the log start — callers
-  /// that must distinguish a trimmed head check log_start_offset() first
-  /// (Consumer does, and surfaces FetchState::kOutOfRange).
+  /// `offset` below the log start is clamped to the log start — a caller
+  /// that must distinguish a trimmed head compares the first record's offset
+  /// with the one it asked for (Consumer does, and surfaces
+  /// FetchState::kOutOfRange).
   std::size_t fetch(std::int64_t offset, std::size_t max_records,
                     std::vector<StoredRecord>& out) const;
 
@@ -113,10 +113,7 @@ class PartitionLog {
 
   std::int64_t end_offset() const;
 
-  /// First retained offset; > 0 once retention trimmed the head.
-  std::int64_t log_start_offset() const;
-
-  /// Installs (or clears, with a zero config) the retention bounds and
+  /// Installs (or clears, with a zero config) the retention bound and
   /// trims immediately.
   void set_retention(RetentionConfig config);
 
@@ -155,10 +152,10 @@ class PartitionLog {
   void copy_out_locked(std::size_t start, std::size_t count,
                        std::vector<StoredRecord>& out) const;
 
-  /// Trims the head while either retention bound is exceeded. Trims down to
-  /// ~80% of max_bytes, so a sustained overload trims in batches that free
-  /// whole segments rather than one record per append. Caller holds mutex_.
-  void maybe_trim_locked(Timestamp now);
+  /// Trims the head once the retention bound is exceeded, down to ~80% of
+  /// max_bytes, so a sustained overload trims in batches that free whole
+  /// segments rather than one record per append. Caller holds mutex_.
+  void maybe_trim_locked();
 
   SegmentPool& pool_;
   mutable std::mutex mutex_;

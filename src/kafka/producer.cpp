@@ -6,11 +6,16 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "runtime/fault.hpp"
 #include "runtime/profiler.hpp"
 
 namespace dsps::kafka {
 
 namespace {
+
+/// The backoff between a flush's retries (see kProducerMaxRetries).
+constexpr runtime::BackoffPolicy kRetryBackoff{
+    .initial_us = 200, .multiplier = 2.0, .max_us = 10'000};
 
 /// Attribution id for produce-side stages (registered once, process-wide).
 std::uint32_t produce_op() {
@@ -121,31 +126,27 @@ Status Producer::flush_buffer(Buffer& buffer) {
   // Sync produce path: append (with retries) plus the modelled ack
   // round-trip are one broker RTT from the caller's point of view.
   runtime::ScopedStage rtt(runtime::Stage::kBrokerRtt, produce_op());
-  const bool wait_replication = config_.acks == Acks::kAll;
   // The buffer is cleared only after an attempt the broker accepted (or a
   // terminal error): a retryable failure must keep the records, or every
   // unavailability window would silently drop a batch.
-  runtime::Backoff backoff(config_.retry_backoff);
+  runtime::Backoff backoff(kRetryBackoff);
   Result<std::int64_t> result = Status::internal("no append attempted");
   for (int attempt = 0;; ++attempt) {
     result = buffer.records.size() == 1
                  ? broker_.append(buffer.tp, buffer.records.front(),
-                                  wait_replication)
+                                  /*wait_for_replication=*/false)
                  : broker_.append_batch(buffer.tp, buffer.records,
-                                        wait_replication);
+                                        /*wait_for_replication=*/false);
     const bool retryable =
         result.status().code() == StatusCode::kUnavailable;
-    if (result.is_ok() || !retryable || attempt >= config_.max_retries) break;
+    if (result.is_ok() || !retryable || attempt >= kProducerMaxRetries) break;
     ++send_retries_;
     backoff.sleep();
   }
   buffer.records.clear();
-  // One network round trip per flush when the broker simulates a network
-  // (acks=0 producers fire and forget: no ack to wait for).
-  if (config_.acks != Acks::kNone) {
-    const std::int64_t rtt_us = broker_.rtt_us();
-    if (rtt_us > 0) wait_until_us(steady_clock_us() + rtt_us);
-  }
+  // One network round trip per flush when the broker simulates a network.
+  const std::int64_t rtt_us = broker_.rtt_us();
+  if (rtt_us > 0) wait_until_us(steady_clock_us() + rtt_us);
   return result.status();
 }
 

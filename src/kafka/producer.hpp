@@ -1,8 +1,8 @@
 // MiniKafka producer.
 //
 // The two producer behaviours that matter to the reproduction:
-//  * acks        — 0 (fire and forget, buffered), 1 (leader sync),
-//                  all (leader + follower replicas sync);
+//  * acks        — every flush waits for the leader's ack (Kafka's acks=1),
+//                  never for follower replicas;
 //  * batching    — records accumulate until `batch_size` or flush(); a
 //                  sink that sends record-by-record with batch_size=1 pays
 //                  one broker round-trip per record, which is exactly how
@@ -21,11 +21,8 @@
 #include "common/status.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/record.hpp"
-#include "runtime/fault.hpp"
 
 namespace dsps::kafka {
-
-enum class Acks { kNone = 0, kLeader = 1, kAll = -1 };
 
 /// How send(topic, record) picks a partition (Kafka's DefaultPartitioner /
 /// RoundRobinPartitioner):
@@ -35,8 +32,13 @@ enum class Acks { kNone = 0, kLeader = 1, kAll = -1 };
 ///   kRoundRobin — strict rotation regardless of keys.
 enum class Partitioner { kKeyHash, kRoundRobin };
 
+/// Send retries per flush (Kafka's `retries`): a flush that fails with a
+/// retryable error (broker unavailability window) is re-attempted up to this
+/// many extra times, backing off 200 us doubling to at most 10 ms, with
+/// +-20% jitter.
+inline constexpr int kProducerMaxRetries = 5;
+
 struct ProducerConfig {
-  Acks acks = Acks::kLeader;
   Partitioner partitioner = Partitioner::kKeyHash;
   /// Records buffered per partition before an automatic flush.
   std::size_t batch_size = 500;
@@ -51,12 +53,6 @@ struct ProducerConfig {
   ///    most 15 records after it (at 500 us, only at >= 32k records/s).
   /// Shipping at `batch_size`, flush() and close() do not depend on it.
   std::int64_t linger_us = 500;
-  /// Send retries per flush (Kafka's `retries`): a flush that fails with a
-  /// retryable error (broker unavailability window) is re-attempted up to
-  /// this many extra times with capped exponential backoff + jitter.
-  int max_retries = 5;
-  runtime::BackoffPolicy retry_backoff{
-      .initial_us = 200, .multiplier = 2.0, .max_us = 10'000};
 };
 
 class Producer {

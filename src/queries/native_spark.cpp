@@ -39,7 +39,6 @@ spark::DStream<Payload> apply_query_transform(
 
 Status run_native_spark(workload::QueryId query, const QueryContext& ctx) {
   spark::SparkConf conf;
-  conf.app_name = workload::query_info(query).name;
   conf.default_parallelism = ctx.parallelism;
   spark::StreamingContext ssc(conf, /*batch_interval_ms=*/50);
   if (ctx.recovery.enabled) {

@@ -173,11 +173,6 @@ void Backoff::sleep() {
   }
 }
 
-void Backoff::reset() {
-  base_us_ = static_cast<double>(policy_.initial_us);
-  rng_ = Xoshiro256(policy_.seed);
-}
-
 Status run_supervised(
     const RestartPolicy& policy,
     const std::function<Status(int attempt)>& attempt_fn,

@@ -166,10 +166,6 @@ class Backoff {
   /// Sleeps for next_delay_us().
   void sleep();
 
-  void reset();
-
-  const BackoffPolicy& policy() const noexcept { return policy_; }
-
  private:
   BackoffPolicy policy_;
   double base_us_;

@@ -105,8 +105,7 @@ void TaskRuntime::record_failure(Status status) {
       handler = failure_handler_;
     }
   }
-  // Outside the lock: the handler usually calls request_stop(), which takes
-  // the mutex to drain stop hooks.
+  // Outside the lock: the handler may call back into this runtime.
   if (handler) handler(status);
 }
 
@@ -134,27 +133,6 @@ void TaskRuntime::wait(TaskId id) {
     tasks_[id]->joined = true;
   }
   task_joined_cv_.notify_all();
-}
-
-void TaskRuntime::request_stop() {
-  std::vector<std::function<void()>> hooks;
-  {
-    std::lock_guard lock(mutex_);
-    if (stop_requested_.exchange(true, std::memory_order_acq_rel)) return;
-    hooks.swap(stop_hooks_);
-  }
-  for (const auto& hook : hooks) hook();
-}
-
-void TaskRuntime::on_stop(std::function<void()> hook) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!stop_requested_.load(std::memory_order_acquire)) {
-      stop_hooks_.push_back(std::move(hook));
-      return;
-    }
-  }
-  hook();
 }
 
 void TaskRuntime::set_failure_handler(
@@ -187,11 +165,6 @@ Status TaskRuntime::join_all() {
     wait(id);
   }
   return first_failure();
-}
-
-std::size_t TaskRuntime::spawned_count() const {
-  std::lock_guard lock(mutex_);
-  return tasks_.size();
 }
 
 }  // namespace dsps::runtime

@@ -10,9 +10,9 @@
 // A TaskRuntime owns named worker threads with a supervised lifecycle:
 //  * spawn()         — start a named task; the name lands on the OS thread
 //                      (pthread_setname_np) so gdb/top show real names;
-//  * request_stop()  — cooperative stop flag + registered stop hooks
-//                      (close queues, cancel sources) so blocked tasks
-//                      unwind instead of hanging;
+//  * request_stop()  — cooperative stop flag, polled by task bodies and by
+//                      supervised restarts (a blocked task unwinds when its
+//                      engine closes the queue it waits on);
 //  * wait()/join_all() — ordered shutdown: join in spawn order, which is
 //                      pipeline order for every engine here (sources first,
 //                      sinks last), so upstream EOS propagates before a
@@ -71,15 +71,13 @@ class TaskRuntime {
   /// before the failing body has published its error.
   void wait(TaskId id);
 
-  /// Sets the cooperative stop flag and runs registered stop hooks once.
-  void request_stop();
+  /// Sets the cooperative stop flag.
+  void request_stop() {
+    stop_requested_.store(true, std::memory_order_release);
+  }
   bool stop_requested() const noexcept {
     return stop_requested_.load(std::memory_order_acquire);
   }
-
-  /// Registers a hook run by request_stop() (e.g. "close the input
-  /// queues"). Runs immediately when stop was already requested.
-  void on_stop(std::function<void()> hook);
 
   /// Called once, with the first failure, from the failing task's thread.
   /// Typical supervisor: log + request_stop(). Set before spawning.
@@ -90,8 +88,6 @@ class TaskRuntime {
 
   /// Joins every task in spawn order and returns first_failure().
   Status join_all();
-
-  std::size_t spawned_count() const;
 
  private:
   struct Task {
@@ -109,7 +105,6 @@ class TaskRuntime {
   mutable std::mutex mutex_;
   std::condition_variable task_joined_cv_;
   std::vector<std::unique_ptr<Task>> tasks_;
-  std::vector<std::function<void()>> stop_hooks_;
   std::function<void(const Status&)> failure_handler_;
   Status first_failure_;
   bool failed_ = false;

@@ -6,9 +6,7 @@ namespace dsps::spark {
 
 SparkContext::SparkContext(SparkConf conf)
     : conf_(std::move(conf)),
-      pool_(static_cast<std::size_t>(
-          std::max(1, conf_.executor_cores > 0 ? conf_.executor_cores
-                                               : conf_.default_parallelism))) {
+      pool_(static_cast<std::size_t>(std::max(1, conf_.default_parallelism))) {
   require(conf_.default_parallelism >= 1,
           "spark.default.parallelism must be >= 1");
 }

@@ -9,7 +9,6 @@
 #include <future>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -19,11 +18,9 @@
 namespace dsps::spark {
 
 struct SparkConf {
-  std::string app_name = "spark-app";
-  /// spark.default.parallelism: partitions per batch / shuffle.
+  /// spark.default.parallelism: partitions per batch / shuffle, and the
+  /// executor threads (cores) that run them.
   int default_parallelism = 1;
-  /// Executor threads (cores). Defaults to default_parallelism when 0.
-  int executor_cores = 0;
 };
 
 class SparkContext {

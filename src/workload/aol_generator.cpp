@@ -1,16 +1,20 @@
 #include "workload/aol_generator.hpp"
 
-#include <algorithm>
 #include <array>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
+#include "workload/streambench.hpp"
 
 namespace dsps::workload {
 
 namespace {
 
+/// One query in every kNeedleModulus carries the Grep needle: the paper's
+/// 3003 matches in 1'000'001 queries, ~0.3003%.
+constexpr std::uint64_t kNeedleModulus = 1'000'001 / 3003;
+/// Record `index` matches when index % kNeedleModulus == kNeedleResidue.
 constexpr std::uint64_t kNeedleResidue = 7;
 
 // Vocabulary for query synthesis. None of these contain "test" as a
@@ -78,22 +82,16 @@ AolRecord AolRecord::from_line(const std::string& line) {
 AolGenerator::AolGenerator(AolGeneratorConfig config)
     : config_(std::move(config)) {
   require(config_.record_count > 0, "record_count must be positive");
-  require(config_.grep_needle_fraction > 0.0 &&
-              config_.grep_needle_fraction < 1.0,
-          "grep_needle_fraction must be in (0, 1)");
-  needle_modulus_ = std::max<std::uint64_t>(
-      2, static_cast<std::uint64_t>(1.0 / config_.grep_needle_fraction));
 }
 
 bool AolGenerator::is_grep_match(std::uint64_t index) const {
-  return index % needle_modulus_ == kNeedleResidue % needle_modulus_;
+  return index % kNeedleModulus == kNeedleResidue;
 }
 
 std::uint64_t AolGenerator::grep_match_count() const {
-  const std::uint64_t full_cycles = config_.record_count / needle_modulus_;
-  const std::uint64_t remainder = config_.record_count % needle_modulus_;
-  return full_cycles +
-         ((kNeedleResidue % needle_modulus_) < remainder ? 1 : 0);
+  const std::uint64_t full_cycles = config_.record_count / kNeedleModulus;
+  const std::uint64_t remainder = config_.record_count % kNeedleModulus;
+  return full_cycles + (kNeedleResidue < remainder ? 1 : 0);
 }
 
 void AolGenerator::line_at(std::uint64_t index, std::string& out) const {
@@ -113,7 +111,7 @@ void AolGenerator::line_at(std::uint64_t index, std::string& out) const {
   }
   if (is_grep_match(index)) {
     out += ' ';
-    out += config_.grep_needle;
+    out += kGrepNeedle;
   }
   out += '\t';
 

@@ -34,9 +34,6 @@ struct AolRecord {
 struct AolGeneratorConfig {
   std::uint64_t record_count = 1'000'001;
   std::uint64_t seed = 42;
-  /// Fraction of queries containing the Grep needle.
-  double grep_needle_fraction = 3003.0 / 1'000'001.0;
-  std::string grep_needle = "test";
 };
 
 class AolGenerator {
@@ -66,7 +63,6 @@ class AolGenerator {
 
  private:
   AolGeneratorConfig config_;
-  std::uint64_t needle_modulus_;  // index % modulus == kNeedleResidue => match
 };
 
 }  // namespace dsps::workload

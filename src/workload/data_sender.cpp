@@ -15,8 +15,7 @@ Result<IngestReport> DataSender::send_generated(
   // log; the scale-out sweep's N partitions fill evenly.
   kafka::Producer producer(
       broker_,
-      kafka::ProducerConfig{.acks = kafka::Acks::kLeader,
-                            .partitioner = kafka::Partitioner::kRoundRobin,
+      kafka::ProducerConfig{.partitioner = kafka::Partitioner::kRoundRobin,
                             .batch_size = 1000});
   const std::uint64_t count = generator.config().record_count;
   std::string line;

@@ -256,7 +256,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ApexEngineTest, WindowLifecycleBalanced) {
   Dag dag;
   const int in = dag.add_input_operator("in", [] {
-    return std::make_unique<IntInput>(10000);
+    return std::make_unique<IntInput>(
+        static_cast<int>(10 * kWindowTupleBudget));
   });
   auto shared = std::make_shared<CollectorOp::Shared>();
   const int op = dag.add_operator("collect", [shared] {
@@ -264,15 +265,13 @@ TEST(ApexEngineTest, WindowLifecycleBalanced) {
   });
   dag.add_stream("s", PortRef{in, 0}, PortRef{op, 0},
                  Locality::kContainerLocal, {});
-  EngineConfig config;
-  config.window_tuple_budget = 1024;
-  auto stats = launch_application(test_rm(), dag, config);
+  auto stats = launch_application(test_rm(), dag, EngineConfig{});
   ASSERT_TRUE(stats.is_ok());
   EXPECT_EQ(shared->setups.load(), 1);
   EXPECT_EQ(shared->teardowns.load(), 1);
   EXPECT_EQ(shared->end_streams.load(), 1);
   EXPECT_EQ(shared->begin_windows.load(), shared->end_windows.load());
-  // 10000 tuples at 1024/window => at least 10 windows were emitted.
+  // Ten windows' worth of tuples => at least 10 windows were emitted.
   EXPECT_GE(stats.value().counter("windows.emitted"), 10u);
 }
 

@@ -1,6 +1,6 @@
 // Open-loop robustness and overload protection.
 //
-// Units: PartitionLog retention (size + age) with the out-of-range consumer
+// Units: PartitionLog size retention with the out-of-range consumer
 // reset; the Queue::push_batch close-race regression. End to end: all
 // 4 queries x 3 engines x {native, Beam} run open loop from a paced
 // generator — every offered record is admitted and output multisets must
@@ -92,26 +92,6 @@ TEST(Retention, ConsumerBehindTrimmedHeadSeesOutOfRange) {
     if (next == kafka::FetchState::kClosed) break;
   }
   EXPECT_EQ(last, 99);
-}
-
-TEST(Retention, AgeBoundTrimsOldRecords) {
-  kafka::Broker broker;
-  broker.create_topic("ret", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  // 50ms age bound (LogAppendTime clock).
-  broker.set_retention("ret", kafka::RetentionConfig{.max_age_us = 50'000})
-      .expect_ok();
-  broker.append({"ret", 0}, kafka::ProducerRecord{.value = "old"}, false)
-      .status()
-      .expect_ok();
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  broker.append({"ret", 0}, kafka::ProducerRecord{.value = "new"}, false)
-      .status()
-      .expect_ok();
-  std::vector<kafka::StoredRecord> out;
-  broker.fetch({"ret", 0}, 0, 100, out).status().expect_ok();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.front().value.str(), "new");
-  EXPECT_EQ(out.front().offset, 1);
 }
 
 // --- queue close race --------------------------------------------------------

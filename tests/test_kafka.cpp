@@ -478,21 +478,6 @@ TEST(ProducerTest, SimulatedRttSlowsPerRecordSyncSends) {
   EXPECT_LT(batched_ms, per_record_ms / 4.0);  // batching amortizes the RTT
 }
 
-TEST(ProducerTest, AcksNoneSkipsRttWait) {
-  Broker broker;
-  broker.create_topic("t", single_partition()).expect_ok();
-  broker.set_rtt_us(500);
-  Producer producer(broker, ProducerConfig{.acks = Acks::kNone,
-                                           .batch_size = 1,
-                                           .linger_us = 0});
-  Stopwatch watch;
-  for (int i = 0; i < 20; ++i) {
-    producer.send("t", 0, ProducerRecord{.value = "v"}).expect_ok();
-  }
-  EXPECT_LT(watch.elapsed_ms(), 5.0);  // fire-and-forget pays no RTT
-  EXPECT_EQ(broker.end_offset({"t", 0}).value(), 20);
-}
-
 // --- producer partitioners ----------------------------------------------------
 
 TEST(PartitionerTest, RoundRobinSpreadsEvenly) {
@@ -1025,15 +1010,16 @@ TEST(ProducerTest, RetriesThroughInjectedBrokerOutage) {
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
   // The second append to "t" opens a 2 ms unavailability window; the
-  // producer's capped-backoff retry loop must ride it out.
+  // producer's capped-backoff retry loop must ride it out. Its five retries
+  // back off 200, 400, 800, 1600 and 3200 us (+-20% jitter), at least
+  // ~5 ms in all.
   injector.arm(7, {runtime::FaultRule{
                       .point = runtime::FaultPoint::kBrokerUnavailable,
                       .site = "t",
                       .after_hits = 1,
                       .times = 1,
                       .param_us = 2'000}});
-  Producer producer(broker,
-                    ProducerConfig{.batch_size = 1, .max_retries = 10});
+  Producer producer(broker, ProducerConfig{.batch_size = 1});
   producer.send("t", 0, ProducerRecord{.value = "first"}).expect_ok();
   producer.send("t", 0, ProducerRecord{.value = "second"}).expect_ok();
   producer.close().expect_ok();
@@ -1051,23 +1037,21 @@ TEST(ProducerTest, SurfacesUnavailableAfterRetryExhaustion) {
   auto& injector = runtime::FaultInjector::instance();
   Broker broker;
   broker.create_topic("t", single_partition()).expect_ok();
-  // A 300 ms outage against a single fast retry: the send must surface
-  // kUnavailable instead of spinning until the window closes.
+  // A 50 ms outage outlasts the five retries' backoff (at most ~7.5 ms):
+  // the send must surface kUnavailable instead of spinning until the window
+  // closes.
   injector.arm(11, {runtime::FaultRule{
                        .point = runtime::FaultPoint::kBrokerUnavailable,
                        .site = "t",
                        .after_hits = 1,
                        .times = 1,
-                       .param_us = 300'000}});
-  Producer producer(
-      broker,
-      ProducerConfig{.batch_size = 1,
-                     .max_retries = 1,
-                     .retry_backoff = {.initial_us = 100, .max_us = 100}});
+                       .param_us = 50'000}});
+  Producer producer(broker, ProducerConfig{.batch_size = 1});
   producer.send("t", 0, ProducerRecord{.value = "first"}).expect_ok();
   const Status second = producer.send("t", 0, ProducerRecord{.value = "x"});
   EXPECT_EQ(second.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(producer.send_retries(), 1u);
+  EXPECT_EQ(producer.send_retries(),
+            static_cast<std::uint64_t>(kProducerMaxRetries));
   injector.disarm();
 }
 
