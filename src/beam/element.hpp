@@ -104,9 +104,8 @@ class Value {
 
   template <typename T>
     requires(!std::is_same_v<std::remove_cvref_t<T>, Value>)
-  Value(T&& value) {  // NOLINT(google-explicit-constructor)
-    assign(std::forward<T>(value));
-  }
+  Value(T&& value)  // NOLINT(google-explicit-constructor)
+      : storage_(make_storage(std::forward<T>(value))) {}
 
   template <typename T>
     requires(!std::is_same_v<std::remove_cvref_t<T>, Value>)
@@ -154,6 +153,23 @@ class Value {
       std::is_same_v<T, ProducerRecordStub> ||
       std::is_same_v<T, std::int64_t> || std::is_same_v<T, double>;
 
+  using Storage =
+      std::variant<std::monostate, std::string, KV<std::string, std::string>,
+                   runtime::Payload, KV<runtime::Payload, runtime::Payload>,
+                   KafkaRecord, ProducerRecordStub, std::int64_t, double,
+                   std::any>;
+
+  /// Constructs the alternative in place (no default-then-assign).
+  template <typename T>
+  static Storage make_storage(T&& value) {
+    using Decayed = std::remove_cvref_t<T>;
+    if constexpr (kInline<Decayed>) {
+      return Storage(std::in_place_type<Decayed>, std::forward<T>(value));
+    } else {
+      return Storage(std::in_place_type<std::any>, std::forward<T>(value));
+    }
+  }
+
   template <typename T>
   void assign(T&& value) {
     using Decayed = std::remove_cvref_t<T>;
@@ -164,11 +180,7 @@ class Value {
     }
   }
 
-  std::variant<std::monostate, std::string, KV<std::string, std::string>,
-               runtime::Payload, KV<runtime::Payload, runtime::Payload>,
-               KafkaRecord, ProducerRecordStub, std::int64_t, double,
-               std::any>
-      storage_;
+  Storage storage_;
 };
 
 /// The window set of one element. Nearly every element lives in exactly one
@@ -229,9 +241,11 @@ struct Element {
   PaneInfo pane{};
 };
 
-// The inline KafkaRecord sets the size. Keep it bounded: Spark's bounded
-// source holds whole shards of Elements in memory at once, so every byte
-// here is multiplied by the input size.
+// The inline KafkaRecord sets the size. Keep it bounded: every translated
+// stage moves Elements by value, and Spark-sim's shuffles (the source
+// repartition at P > 1, GroupByKey) and open-loop batch claims hold a whole
+// micro-batch of them at once, so every byte here is multiplied by the
+// batch size.
 static_assert(sizeof(Element) <= 208);
 
 template <typename T>

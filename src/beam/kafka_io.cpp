@@ -118,13 +118,6 @@ class KafkaSourceReader final : public SourceReader {
     return advance(out) ? ReadNow::kRecord : ReadNow::kDone;
   }
 
-  std::size_t size_hint() const override {
-    if (!consumer_ || !config_.bounded) return 0;
-    // Records still in the fetch batch plus those not yet fetched.
-    return (batch_.records.size() - buffer_index_) +
-           consumer_->remaining_records();
-  }
-
  private:
   kafka::Broker& broker_;
   KafkaReadConfig config_;

@@ -80,30 +80,27 @@ class BeamApexStage final : public apex::Operator {
   void setup(const apex::OperatorContext& /*context*/) override {
     executor_ = factory_();
     executor_->start();
-  }
-
-  void end_stream() override {
-    if (executor_) executor_->finish(emit_fn());
-  }
-
- private:
-  Emit emit_fn() {
-    return [this](Element&& produced) {
+    emit_ = [this](Element&& produced) {
       emit(out_, apex::make_tuple_of<Element>(std::move(produced)));
     };
   }
 
+  void end_stream() override {
+    if (executor_) executor_->finish(emit_);
+  }
+
+ private:
   void on_tuple(const apex::Tuple& tuple) {
-    const Emit emit = emit_fn();
-    executor_->process(apex::tuple_cast<Element>(tuple), emit);
+    executor_->process(apex::tuple_cast<Element>(tuple), emit_);
     // One-element bundles: buffering DoFns (the Kafka writer) flush here.
-    executor_->bundle_boundary(emit);
+    executor_->bundle_boundary(emit_);
   }
 
   StageFactory factory_;
   int in_;
   int out_;
   std::unique_ptr<StageExecutor> executor_;
+  Emit emit_;
 };
 
 Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,

@@ -14,11 +14,84 @@ namespace dsps::beam {
 
 namespace {
 
-/// Beam source as a Spark input DStream. Bounded sources drain their
-/// readers (one per parallelism shard) in the first batch; later batches
-/// are empty. Unbounded sources keep persistent readers and each batch
-/// claims whatever arrived since the last one (advance_now), ending the
-/// claim at kIdle — a direct-stream-style micro-batch over a live topic.
+/// Bounded Beam source as a leaf RDD, one reader shard per split (Beam's
+/// SourceRDD.Bounded): compute(split) opens a fresh reader and the first
+/// stage pulls elements from it as it goes, so no shard is held in memory
+/// and a recompute (a batch retry) re-reads the split from the source, as
+/// Spark recomputes a lost partition from lineage.
+class BoundedSourceRDD final : public spark::RDD<Element> {
+ public:
+  BoundedSourceRDD(ReaderFactory factory, int parallelism)
+      : factory_(std::move(factory)),
+        parallelism_(parallelism),
+        records_read_(static_cast<std::size_t>(parallelism)) {}
+
+  int partitions() const override { return parallelism_; }
+  std::vector<std::shared_ptr<spark::BaseRDD>> dependencies() const override {
+    return {};
+  }
+  spark::IterPtr<Element> compute(int split) const override {
+    auto& read = records_read_.at(static_cast<std::size_t>(split));
+    read.store(0, std::memory_order_relaxed);
+    return std::make_unique<ReaderIterator>(factory_(split, parallelism_),
+                                            read);
+  }
+
+  /// Records read by the latest computation of each split.
+  std::size_t records_read() const {
+    std::size_t total = 0;
+    for (const auto& read : records_read_) {
+      total += read.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+ private:
+  /// Yields a reader's elements and closes it at the end of input or when
+  /// the task lets go early; publishes its count on close.
+  class ReaderIterator final : public spark::Iterator<Element> {
+   public:
+    ReaderIterator(std::unique_ptr<SourceReader> reader,
+                   std::atomic<std::size_t>& read)
+        : reader_(std::move(reader)), read_(read) {
+      reader_->open();
+    }
+    ~ReaderIterator() override { close(); }
+
+    std::optional<Element> next() override {
+      if (!reader_) return std::nullopt;
+      Element element;
+      if (reader_->advance(element)) {
+        ++count_;
+        return element;
+      }
+      close();
+      return std::nullopt;
+    }
+
+   private:
+    void close() {
+      if (!reader_) return;
+      reader_->close();
+      reader_.reset();
+      read_.store(count_, std::memory_order_relaxed);
+    }
+
+    std::unique_ptr<SourceReader> reader_;
+    std::atomic<std::size_t>& read_;
+    std::size_t count_ = 0;
+  };
+
+  ReaderFactory factory_;
+  int parallelism_;
+  mutable std::vector<std::atomic<std::size_t>> records_read_;
+};
+
+/// Beam source as a Spark input DStream. A bounded source is read in the
+/// first batch, inside its tasks (BoundedSourceRDD); later batches are
+/// empty. Unbounded sources keep persistent readers and each batch claims
+/// whatever arrived since the last one (advance_now), ending the claim at
+/// kIdle — a direct-stream-style micro-batch over a live topic.
 class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
                                     public spark::InputDStreamBase {
  public:
@@ -43,26 +116,23 @@ class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
                                  spark::SparkContext& /*sc*/) override {
     std::lock_guard lock(mutex_);
     if (batch == cached_batch_ && cached_) return cached_;
+    cached_batch_ = batch;
+    reading_.reset();
+    if (!unbounded_ && !exhausted_) {
+      exhausted_ = true;  // bounded readers are one-shot
+      reading_ = std::make_shared<BoundedSourceRDD>(factory_, parallelism_);
+      cached_ = reading_;
+      return cached_;
+    }
     std::vector<std::vector<Element>> shards(
         static_cast<std::size_t>(parallelism_));
-    if (unbounded_) {
-      claim_increment_locked(shards);
-    } else if (!exhausted_) {
-      for (int shard = 0; shard < parallelism_; ++shard) {
-        auto reader = factory_(shard, parallelism_);
-        reader->open();
-        shards[static_cast<std::size_t>(shard)] = read_bounded_shard(*reader);
-        reader->close();
-      }
-      exhausted_ = true;  // bounded readers are one-shot
-    }
+    if (unbounded_) claim_increment_locked(shards);
     std::size_t total = 0;
     for (const auto& shard : shards) total += shard.size();
     last_batch_records_ = total;
     cached_ =
         std::make_shared<spark::ParallelCollectionRDD<Element>>(
             std::move(shards));
-    cached_batch_ = batch;
     return cached_;
   }
 
@@ -72,7 +142,7 @@ class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
   }
   std::size_t last_batch_records() const override {
     std::lock_guard lock(mutex_);
-    return last_batch_records_;
+    return reading_ ? reading_->records_read() : last_batch_records_;
   }
 
  private:
@@ -115,7 +185,9 @@ class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<SourceReader>> readers_;  // unbounded only
   bool exhausted_ = false;
-  std::size_t last_batch_records_ = 0;
+  std::size_t last_batch_records_ = 0;  // what an unbounded batch claimed
+  // The bounded read, while it is the current batch's input.
+  std::shared_ptr<BoundedSourceRDD> reading_;
   spark::BatchId cached_batch_ = -1;
   spark::RDDPtr<Element> cached_;
 };
@@ -150,34 +222,40 @@ class UnionDStreamNode final : public spark::DStreamNode<Element> {
 
 /// Lazy stage iterator: pulls input elements through the stage executor one
 /// at a time (pipelined, like a real Spark task), ending bundles every
-/// `bundle_size` elements and finishing the executor at end of input.
+/// `bundle_size` elements and finishing the executor at end of input. It
+/// counts its inputs locally and adds them to `counter` when the task ends.
 class StageIterator final : public spark::Iterator<Element> {
  public:
   StageIterator(const StageFactory& factory, spark::IterPtr<Element> in,
-                std::size_t bundle_size)
+                std::size_t bundle_size, std::atomic<std::uint64_t>& counter)
       : executor_(factory()),
         in_(std::move(in)),
-        bundle_size_(bundle_size) {
+        bundle_size_(bundle_size),
+        counter_(counter),
+        emit_([this](Element&& produced) {
+          buffer_.push_back(std::move(produced));
+        }) {
     executor_->start();
+  }
+  ~StageIterator() override {
+    counter_.fetch_add(inputs_, std::memory_order_relaxed);
   }
 
   std::optional<Element> next() override {
-    const Emit emit = [this](Element&& produced) {
-      buffer_.push_back(std::move(produced));
-    };
     while (buffer_index_ >= buffer_.size()) {
       buffer_.clear();
       buffer_index_ = 0;
       if (auto element = in_->next()) {
-        executor_->process(*element, emit);
+        ++inputs_;
+        executor_->process(*element, emit_);
         if (++since_bundle_ >= bundle_size_) {
           since_bundle_ = 0;
-          executor_->bundle_boundary(emit);
+          executor_->bundle_boundary(emit_);
         }
         continue;
       }
       if (!finished_) {
-        executor_->finish(emit);
+        executor_->finish(emit_);
         finished_ = true;
         continue;
       }
@@ -190,24 +268,16 @@ class StageIterator final : public spark::Iterator<Element> {
   std::unique_ptr<StageExecutor> executor_;
   spark::IterPtr<Element> in_;
   std::size_t bundle_size_;
+  std::atomic<std::uint64_t>& counter_;
+  std::uint64_t inputs_ = 0;
   std::vector<Element> buffer_;
   std::size_t buffer_index_ = 0;
   std::size_t since_bundle_ = 0;
   bool finished_ = false;
+  const Emit emit_;
 };
 
 }  // namespace
-
-std::vector<Element> read_bounded_shard(SourceReader& reader) {
-  std::vector<Element> shard;
-  shard.reserve(reader.size_hint());
-  Element element;
-  while (reader.advance(element)) {
-    shard.push_back(std::move(element));
-    element = Element{};
-  }
-  return shard;
-}
 
 Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   if (pipeline.graph().nodes().empty()) {
@@ -228,7 +298,7 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
   conf.default_parallelism = options_.parallelism;
   spark::StreamingContext ssc(conf, options_.batch_interval_ms);
   // The restart hint maps onto Spark's native mechanism: per-batch retry
-  // against the same cached RDD.
+  // against the same RDD lineage (bounded source splits are recomputed).
   ssc.set_batch_retries(std::max(0, options_.restart.max_restarts),
                         options_.restart.backoff);
 
@@ -286,28 +356,8 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
         input.map_partitions<Element>(
             [factory = node.stage, counter](
                 spark::IterPtr<Element> in) -> spark::IterPtr<Element> {
-              class CountingIter final : public spark::Iterator<Element> {
-               public:
-                CountingIter(spark::IterPtr<Element> in,
-                             std::atomic<std::uint64_t>* counter)
-                    : in_(std::move(in)), counter_(counter) {}
-                std::optional<Element> next() override {
-                  auto element = in_->next();
-                  if (element) {
-                    counter_->fetch_add(1, std::memory_order_relaxed);
-                  }
-                  return element;
-                }
-
-               private:
-                spark::IterPtr<Element> in_;
-                std::atomic<std::uint64_t>* counter_;
-              };
               return std::make_unique<StageIterator>(
-                  factory,
-                  std::make_unique<CountingIter>(std::move(in),
-                                                 counter.get()),
-                  /*bundle_size=*/1000);
+                  factory, std::move(in), /*bundle_size=*/1000, *counter);
             }));
   }
 

@@ -9,13 +9,16 @@
 //    parallelism 1 the repartition is skipped: the source already yields
 //    exactly one shard, so the degenerate single-partition shuffle would
 //    move nothing (pinned by SparkPlanShapeTest);
+//  * a bounded source is read inside the first batch's tasks, one reader
+//    shard per partition (SourceRDD.Bounded): the first stage pulls each
+//    element as the reader yields it, so reading overlaps processing and
+//    no shard is buffered before the batch starts;
 //  * each transform becomes a mapPartitions stage over boxed elements, one
 //    bundle per partition per batch;
 //  * GroupByKey hash-partitions by key and groups within the micro-batch.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "beam/pipeline.hpp"
 #include "beam/runner.hpp"
@@ -32,16 +35,12 @@ struct SparkRunnerOptions {
   /// one per transform. Off by default (paper-faithful translation).
   bool fuse_stages = false;
   /// Translated to Spark's micro-batch retry: a failed batch re-runs
-  /// against the same cached RDD (same input slice), at-least-once.
+  /// against the same RDD lineage, at-least-once. A bounded source split is
+  /// recomputed from a fresh reader over the same input slice; at
+  /// parallelism > 1 the retry reads the source repartition's shuffle
+  /// output instead.
   RestartHint restart{};
 };
-
-/// Reads an opened bounded reader to its end into one shard vector, as the
-/// runner's bounded source does for each shard in the first batch. The
-/// vector is reserved from the reader's size_hint(): a shard holds every
-/// Element of its slice at once, and growing it by doubling would leave up
-/// to half its capacity unused.
-std::vector<Element> read_bounded_shard(SourceReader& reader);
 
 class SparkRunner final : public PipelineRunner {
  public:

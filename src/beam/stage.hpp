@@ -57,11 +57,6 @@ class SourceReader {
   virtual ReadNow advance_now(Element& out) {
     return advance(out) ? ReadNow::kRecord : ReadNow::kDone;
   }
-  /// Elements an opened reader has left to yield, or 0 if unknown (always
-  /// for unbounded sources). Like Beam's BoundedSource
-  /// getEstimatedSizeBytes, runners may size buffers from it; it never
-  /// limits what advance() returns.
-  virtual std::size_t size_hint() const { return 0; }
   virtual void close() {}
 };
 
@@ -90,31 +85,23 @@ class ParDoExecutor final : public StageExecutor {
     const In& value = element_value<In>(element);
     typename DoFn<In, Out>::ProcessContext context(
         value, element, [&element, &emit](Out out, Timestamp timestamp) {
-          Element produced;
-          produced.value = std::move(out);
-          produced.timestamp = timestamp;
-          produced.windows = element.windows;
-          produced.pane = element.pane;
-          emit(std::move(produced));
+          emit(Element{.value = std::move(out),
+                       .timestamp = timestamp,
+                       .windows = element.windows,
+                       .pane = element.pane});
         });
     fn_->process(context);
   }
 
   void bundle_boundary(const Emit& emit) override {
-    fn_->finish_bundle([&emit](Out out) {
-      Element produced;
-      produced.value = std::move(out);
-      emit(std::move(produced));
-    });
+    fn_->finish_bundle(
+        [&emit](Out out) { emit(Element{.value = std::move(out)}); });
     fn_->start_bundle();
   }
 
   void finish(const Emit& emit) override {
-    fn_->finish_bundle([&emit](Out out) {
-      Element produced;
-      produced.value = std::move(out);
-      emit(std::move(produced));
-    });
+    fn_->finish_bundle(
+        [&emit](Out out) { emit(Element{.value = std::move(out)}); });
     fn_->teardown();
   }
 

@@ -190,16 +190,4 @@ std::vector<std::pair<TopicPartition, std::int64_t>> Consumer::positions()
   return out;
 }
 
-std::size_t Consumer::remaining_records() const {
-  std::size_t remaining = 0;
-  for (const auto& assignment : assignments_) {
-    if (assignment.end == kUntilSealed) return 0;
-    if (assignment.position < assignment.end) {
-      remaining += static_cast<std::size_t>(assignment.end -
-                                            assignment.position);
-    }
-  }
-  return remaining;
-}
-
 }  // namespace dsps::kafka

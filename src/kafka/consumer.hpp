@@ -91,11 +91,6 @@ class Consumer {
   /// Current fetch position per assigned partition.
   std::vector<std::pair<TopicPartition, std::int64_t>> positions() const;
 
-  /// Records a bounded slice has left to return: the sum of end − position
-  /// over its partitions, with the end offsets subscribe() recorded. 0 once
-  /// the slice is finished, and 0 (unknown) for an open-loop slice.
-  std::size_t remaining_records() const;
-
  private:
   /// Assignment::end of a partition read until its topic is sealed.
   static constexpr std::int64_t kUntilSealed = -1;

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "beam/kafka_io.hpp"
 #include "beam/pipeline.hpp"
@@ -14,6 +17,8 @@
 #include "beam/runners/direct_runner.hpp"
 #include "beam/runners/flink_runner.hpp"
 #include "beam/runners/spark_runner.hpp"
+#include "runtime/fault.hpp"
+#include "runtime/metrics.hpp"
 
 namespace dsps::beam {
 namespace {
@@ -477,6 +482,129 @@ TEST(FlinkRunnerTest, FanOutConsumersNeverShareARecycledBox) {
   for (const int parallelism : {1, 2}) {
     EXPECT_EQ(run_fan_out({RunnerKind::kFlink, parallelism, ""}), expected)
         << "parallelism " << parallelism;
+  }
+}
+
+/// Yields 0..count-1 and counts the records it has handed out.
+class CountingReader final : public SourceReader {
+ public:
+  CountingReader(std::int64_t count, std::atomic<int>& advances)
+      : count_(count), advances_(advances) {}
+  bool advance(Element& out) override {
+    if (next_ >= count_) return false;
+    out = make_element<std::int64_t>(next_++);
+    advances_.fetch_add(1);
+    return true;
+  }
+
+ private:
+  std::int64_t count_;
+  std::int64_t next_ = 0;
+  std::atomic<int>& advances_;
+};
+
+TEST(SparkRunnerTest, BoundedSourceIsReadInsideTheTask) {
+  // Beam's SourceRDD.Bounded reads inside the task: the first stage sees
+  // its first element after one read, not after the whole shard.
+  struct FirstSeen final : DoFn<std::int64_t, std::int64_t> {
+    FirstSeen(const std::atomic<int>& advances, int& seen)
+        : advances(advances), seen(seen) {}
+    void process(ProcessContext& context) override {
+      if (seen < 0) seen = advances.load();
+      context.output(context.element());
+    }
+    const std::atomic<int>& advances;
+    int& seen;
+  };
+  static constexpr int kRecords = 500;
+  std::atomic<int> advances{0};
+  int seen = -1;
+  Pipeline pipeline;
+  pipeline
+      .apply(ReadTransform<std::int64_t>(
+          [&advances](int /*shard*/, int /*num_shards*/)
+              -> std::unique_ptr<SourceReader> {
+            return std::make_unique<CountingReader>(kRecords, advances);
+          },
+          "CountingSource"))
+      .apply(ParDo::of<std::int64_t, std::int64_t>(
+          std::make_shared<FirstSeen>(advances, seen), "FirstSeen"));
+  auto& global = runtime::MetricsRegistry::global();
+  const auto before = global.snapshot();
+  SparkRunner runner(SparkRunnerOptions{.batch_interval_ms = 10});
+  const auto result = pipeline.run(runner);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(seen, 1);
+  EXPECT_EQ(advances.load(), kRecords);
+  EXPECT_EQ(result.value().elements_in.at("FirstSeen"),
+            static_cast<std::uint64_t>(kRecords));
+  // The batch reports the records its tasks read.
+  EXPECT_EQ(global.snapshot().counter("spark.input.records") -
+                before.counter("spark.input.records"),
+            static_cast<std::uint64_t>(kRecords));
+}
+
+TEST(SparkRunnerTest, BoundedSourceRetryReplaysTheSlice) {
+  // A fault after the batch's outputs ran: the retry re-reads the source
+  // split (P1) or the source shuffle's output (P2), so every record is
+  // written twice, and the replay is counted once.
+  constexpr int kRecords = 600;
+  for (const int parallelism : {1, 2}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    kafka::Broker broker;
+    broker.create_topic("in", kafka::TopicConfig{.partitions = 2})
+        .expect_ok();
+    for (int i = 0; i < kRecords; ++i) {
+      broker
+          .append({"in", i % 2},
+                  kafka::ProducerRecord{.value = "value-" + std::to_string(i)},
+                  false)
+          .status()
+          .expect_ok();
+    }
+    broker.create_topic("out", kafka::TopicConfig{.partitions = 1})
+        .expect_ok();
+    Pipeline pipeline;
+    pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
+        .apply(KafkaIO::without_metadata())
+        .apply(Values<runtime::Payload>::create<runtime::Payload>())
+        .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
+
+    auto& injector = runtime::FaultInjector::instance();
+    // after_hits = 1 plus one burned hit: the rule strikes the first batch.
+    injector.arm(7, {runtime::FaultRule{
+                        .point = runtime::FaultPoint::kOperatorThrow,
+                        .site = "spark.batch",
+                        .after_hits = 1,
+                        .times = 1}});
+    injector.maybe_throw(runtime::FaultPoint::kOperatorThrow, "spark.batch");
+    auto& global = runtime::MetricsRegistry::global();
+    const auto before = global.snapshot();
+    SparkRunner runner(SparkRunnerOptions{
+        .parallelism = parallelism,
+        .batch_interval_ms = 10,
+        .restart = RestartHint{.max_restarts = 1}});
+    const auto result = pipeline.run(runner);
+    const std::uint64_t injected = injector.injected_count();
+    injector.disarm();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(injected, 1u);
+
+    std::map<std::string, int> copies;
+    for (const auto& value : read_topic(broker, "out")) ++copies[value];
+    ASSERT_EQ(copies.size(), static_cast<std::size_t>(kRecords));
+    for (const auto& [value, count] : copies) {
+      EXPECT_EQ(count, 2) << value;
+    }
+    const auto after = global.snapshot();
+    const auto delta = [&](const char* name) {
+      return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(delta("spark.recovery.batch_retries"), 1u);
+    EXPECT_EQ(delta("spark.recovery.replayed_records"),
+              static_cast<std::uint64_t>(kRecords));
+    EXPECT_EQ(delta("spark.input.records"),
+              static_cast<std::uint64_t>(kRecords));
   }
 }
 

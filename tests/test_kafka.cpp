@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "beam/kafka_io.hpp"
-#include "beam/runners/spark_runner.hpp"
 #include "common/clock.hpp"
 #include "kafka/broker.hpp"
 #include "kafka/consumer.hpp"
@@ -847,17 +845,16 @@ TEST(ConsumerContractTest, CommittedOffsetsAreIsolatedPerPartition) {
   EXPECT_EQ(broker.committed_offset("other", {"t", 0}), -1);
 }
 
-TEST(ConsumerContractTest, RemainingRecordsCountsDownABoundedSlice) {
+TEST(ConsumerContractTest, BoundedSliceStopsAtSubscribeOffsetsPerPartition) {
   Broker broker;
   broker.create_topic("t", TopicConfig{.partitions = 2}).expect_ok();
   append_numbered(broker, 7, 0);
   append_numbered(broker, 5, 1);
   Consumer consumer(broker, ConsumerConfig{.max_poll_records = 3});
   consumer.subscribe("t", /*bounded=*/true).expect_ok();
-  // Appended after subscribe: beyond the recorded end, never counted.
+  // Appended after subscribe: beyond the recorded end, never read.
   append_numbered(broker, 4, 0);
   const std::int64_t ends[] = {7, 5};
-  EXPECT_EQ(consumer.remaining_records(), 12u);
 
   FetchBatch batch;
   FetchState state = FetchState::kOk;
@@ -865,58 +862,18 @@ TEST(ConsumerContractTest, RemainingRecordsCountsDownABoundedSlice) {
   while (state != FetchState::kClosed) {
     state = consumer.poll_batch(0, batch);
     read += batch.size();
-    std::int64_t end_minus_position = 0;
-    for (const auto& [tp, position] : consumer.positions()) {
-      end_minus_position += ends[tp.partition] - position;
+    for (const auto& record : batch.records) {
+      EXPECT_LT(record.offset, ends[batch.tp.partition])
+          << "p" << batch.tp.partition;
     }
-    EXPECT_EQ(consumer.remaining_records(),
-              static_cast<std::size_t>(end_minus_position));
-    EXPECT_EQ(consumer.remaining_records(), 12u - read);
   }
   EXPECT_EQ(read, 12u);
-  EXPECT_EQ(consumer.remaining_records(), 0u);
-
-  // Open loop: the end is unknown until the seal, so it reports 0.
-  Consumer open(broker);
-  open.subscribe("t", /*bounded=*/false).expect_ok();
-  EXPECT_EQ(open.remaining_records(), 0u);
-  EXPECT_EQ(open.poll_batch(0, batch), FetchState::kOk);
-  EXPECT_FALSE(batch.empty());
-  EXPECT_EQ(open.remaining_records(), 0u);
-}
-
-TEST(ConsumerContractTest, SparkBeamBoundedShardsAreSizedExactly) {
-  Broker broker;
-  broker.create_topic("t", TopicConfig{.partitions = 3}).expect_ok();
-  append_numbered(broker, 1500, 0);
-  append_numbered(broker, 700, 1);
-  append_numbered(broker, 300, 2);
-  beam::Pipeline pipeline;
-  pipeline.apply(beam::KafkaIO::read(broker, beam::KafkaReadConfig{.topic = "t"}));
-  const beam::ReaderFactory& factory = pipeline.graph().nodes().front().reader;
-  ASSERT_TRUE(factory);
-
-  // Shard 0 of 2 owns partitions 0 and 2; shard 1 owns partition 1.
-  const std::size_t expected[] = {1800, 700};
-  for (int index = 0; index < 2; ++index) {
-    auto reader = factory(index, 2);
-    reader->open();
-    EXPECT_EQ(reader->size_hint(), expected[index]);
-    const std::vector<beam::Element> shard = beam::read_bounded_shard(*reader);
-    reader->close();
-    EXPECT_EQ(shard.size(), expected[index]);
-    // Reserved once from the hint: no doubling slack left behind.
-    EXPECT_EQ(shard.capacity(), shard.size());
+  for (const auto& [tp, position] : consumer.positions()) {
+    EXPECT_EQ(position, ends[tp.partition]) << "p" << tp.partition;
   }
-
-  // An open-loop reader does not know its size.
-  beam::Pipeline open_pipeline;
-  open_pipeline.apply(beam::KafkaIO::read(
-      broker, beam::KafkaReadConfig{.topic = "t", .bounded = false}));
-  auto open_reader = open_pipeline.graph().nodes().front().reader(0, 1);
-  open_reader->open();
-  EXPECT_EQ(open_reader->size_hint(), 0u);
-  open_reader->close();
+  // Finished: the later appends stay unread.
+  EXPECT_EQ(consumer.poll_batch(0, batch), FetchState::kClosed);
+  EXPECT_TRUE(batch.empty());
 }
 
 // --- producer/consumer integration ------------------------------------------------
