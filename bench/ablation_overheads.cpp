@@ -84,7 +84,7 @@ void BM_BeamElementBoxing(benchmark::State& state) {
   const std::string value = "1234567\tsome aol search query\t2006-03-01";
   for (auto _ : state) {
     // What every translated stage does: box into the windowed envelope,
-    // copy the window set, unbox via any_cast.
+    // copy the window and pane, unbox.
     beam::Element element = beam::make_element<std::string>(value, 42);
     beam::Element downstream;
     downstream.value = element.value;

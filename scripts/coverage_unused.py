@@ -16,7 +16,11 @@ src/ file, unexecuted/total lines and the files never linked into a binary
 that ran. It then builds the rest of the repository, runs `ctest` and
 perfbench's own tests in the same builds, and splits the functions with
 zero hits in those measured runs into two lists: "tests only" (a test runs
-them) and "nothing" (not even a test does).
+them) and "nothing" (not even a test does). A header template that no
+measured object instantiates appears in neither list, so a third one names
+the functions that only test or example objects instantiate: their (file,
+start line) shows up in the test-phase data and in no measured object.
+This third list is informational and does not change the exit code.
 
 Exits 1 when a src/**/*.cpp has no executed line and is not on KEEP, 2 when
 a build fails or a measured run dies (its coverage would be lost), else 0.
@@ -188,6 +192,15 @@ def report(lines, functions, linked, tested_functions):
               "%s (%d):" % (label, len(entries)))
         for entry in entries:
             print(entry)
+
+    test_only = ["  %s:%d  %s" % (rel, start, name)
+                 for rel in sorted(tested_functions)
+                 for start, (name, _) in sorted(tested_functions[rel].items())
+                 if start not in functions.get(rel, {})]
+    print("\nfunctions instantiated only by tests or examples (%d):"
+          % len(test_only))
+    for entry in test_only:
+        print(entry)
 
     dead = sorted(rel for rel in sources
                   if not any(lines.get(rel, {}).values()))

@@ -1,6 +1,6 @@
 // Coders: how Beam-sim materializes elements to bytes at runner-chosen
 // boundaries. The Apex runner encodes the *full windowed value* (value +
-// timestamp + windows + pane) on every inter-container hop, which is real
+// timestamp + window + pane) on every inter-container hop, which is real
 // serialization work per element per stage.
 //
 // Fast-path hooks layered on the seed interface:
@@ -186,7 +186,9 @@ struct CoderTraits<KV<K, V>> {
   }
 };
 
-/// Serializes the full windowed value: payload + timestamp + windows + pane.
+/// Serializes the full windowed value: payload + timestamp + window + pane.
+/// The wire format keeps Beam's window list: a count, always 1 here, then
+/// the window's bounds.
 class WindowedValueCoder {
  public:
   explicit WindowedValueCoder(CoderPtr value_coder)
@@ -200,7 +202,7 @@ class WindowedValueCoder {
     if (value_size == 0) return 0;
     return sizeof(std::int64_t)                       // timestamp
            + sizeof(std::uint32_t)                    // window count
-           + element.windows.size() * 2 * sizeof(std::int64_t)
+           + 2 * sizeof(std::int64_t)                 // window bounds
            + sizeof(std::uint8_t)                     // pane bits
            + sizeof(std::int64_t)                     // pane index
            + value_size;
@@ -208,11 +210,9 @@ class WindowedValueCoder {
 
   void encode(const Element& element, BinaryWriter& writer) const {
     writer.write_i64(element.timestamp);
-    writer.write_u32(static_cast<std::uint32_t>(element.windows.size()));
-    for (const auto& window : element.windows) {
-      writer.write_i64(window.start);
-      writer.write_i64(window.end);
-    }
+    writer.write_u32(1);
+    writer.write_i64(element.windows.start);
+    writer.write_i64(element.windows.end);
     writer.write_u8(static_cast<std::uint8_t>((element.pane.is_first << 1) |
                                               element.pane.is_last));
     writer.write_i64(element.pane.index);
@@ -250,23 +250,9 @@ class WindowedValueCoder {
   Element decode(BinaryReader& reader) const {
     Element element;
     element.timestamp = reader.read_i64();
-    const std::uint32_t window_count = reader.read_u32();
-    if (window_count == 1) {
-      BoundedWindow window;
-      window.start = reader.read_i64();
-      window.end = reader.read_i64();
-      element.windows = {window};
-    } else {
-      std::vector<BoundedWindow> windows;
-      windows.reserve(window_count);
-      for (std::uint32_t w = 0; w < window_count; ++w) {
-        BoundedWindow window;
-        window.start = reader.read_i64();
-        window.end = reader.read_i64();
-        windows.push_back(window);
-      }
-      element.windows = WindowSet(std::move(windows));
-    }
+    require(reader.read_u32() == 1, "windowed value must carry one window");
+    element.windows.start = reader.read_i64();
+    element.windows.end = reader.read_i64();
     const std::uint8_t pane_bits = reader.read_u8();
     element.pane.is_first = (pane_bits & 2) != 0;
     element.pane.is_last = (pane_bits & 1) != 0;

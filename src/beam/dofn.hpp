@@ -26,7 +26,7 @@ class DoFn {
 
     const In& element() const noexcept { return element_; }
     Timestamp timestamp() const noexcept { return raw_.timestamp; }
-    const WindowSet& windows() const noexcept { return raw_.windows; }
+    const BoundedWindow& windows() const noexcept { return raw_.windows; }
     PaneInfo pane() const noexcept { return raw_.pane; }
 
     void output(Out value) { output_(std::move(value), raw_.timestamp); }

@@ -1,31 +1,29 @@
 // The Beam-sim runtime element: a type-erased value plus the windowing
-// metadata (timestamp, window set, pane) the Dataflow model attaches to
-// every record. Carrying this envelope through every translated transform —
-// boxing on entry, unboxing per stage, copying the window set — is the
+// metadata (timestamp, window, pane) the Dataflow model attaches to every
+// record. Carrying this envelope through every translated transform —
+// boxing on entry, unboxing per stage, copying the window and pane — is the
 // structural per-element cost of the abstraction layer the paper measures.
 //
 // The envelope itself is kept lean so the measured overhead is the *model's*
 // (the extra translated operators, the coder hops, the per-record writer),
 // not accidental allocator traffic: every payload type the translated
 // queries move — KafkaIO's KafkaRecord and ProducerRecordStub included —
-// lives inline in a variant instead of a heap-boxed std::any, and the
-// window set stores the ubiquitous single-window case without allocating.
+// lives inline in a variant instead of a heap-boxed std::any. The paper's
+// queries never reassign windows, so every element sits in exactly one
+// window (the global one) and the envelope stores it inline.
 // Moving an Element of these types never allocates; whether the box around
 // it does is the runner's business (the Flink runner reuses solely owned
 // boxes, beam/runners/flink_runner.cpp).
 #pragma once
 
-#include <algorithm>
 #include <any>
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <variant>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "runtime/payload.hpp"
@@ -50,7 +48,7 @@ struct PaneInfo {
   std::int64_t index = 0;
 };
 
-/// Key/value pair, the currency of GroupByKey and stateful ParDo.
+/// Key/value pair, the input of a stateful ParDo.
 template <typename K, typename V>
 struct KV {
   using key_t = K;
@@ -183,70 +181,21 @@ class Value {
   Storage storage_;
 };
 
-/// The window set of one element. Nearly every element lives in exactly one
-/// window — the global window until a WindowInto reassigns it — so that
-/// case is stored inline and never allocates. A multi-window set (a
-/// WindowFn may assign several) spills all windows to a vector, keeping
-/// iteration contiguous either way.
-class WindowSet {
- public:
-  /// A fresh element belongs to the global window, as in Beam.
-  WindowSet() = default;
-
-  WindowSet(std::initializer_list<BoundedWindow> windows)
-      : size_(windows.size()) {
-    if (size_ == 1) {
-      first_ = *windows.begin();
-    } else if (size_ > 1) {
-      overflow_.assign(windows.begin(), windows.end());
-    }
-  }
-
-  WindowSet(std::vector<BoundedWindow> windows)  // NOLINT
-      : size_(windows.size()) {
-    if (size_ == 1) {
-      first_ = windows.front();
-    } else if (size_ > 1) {
-      overflow_ = std::move(windows);
-    }
-  }
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  const BoundedWindow* begin() const noexcept {
-    return size_ > 1 ? overflow_.data() : &first_;
-  }
-  const BoundedWindow* end() const noexcept { return begin() + size_; }
-
-  const BoundedWindow& operator[](std::size_t index) const {
-    return begin()[index];
-  }
-
-  friend bool operator==(const WindowSet& a, const WindowSet& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-
- private:
-  BoundedWindow first_ = global_window();
-  std::vector<BoundedWindow> overflow_;  // holds *all* windows when size_ > 1
-  std::size_t size_ = 1;
-};
-
 /// One windowed value.
 struct Element {
   Value value;
   Timestamp timestamp = std::numeric_limits<Timestamp>::min();
-  WindowSet windows;
+  /// The element's one window; the name follows Beam's
+  /// WindowedValue.getWindows().
+  BoundedWindow windows = global_window();
   PaneInfo pane{};
 };
 
 // The inline KafkaRecord sets the size. Keep it bounded: every translated
-// stage moves Elements by value, and Spark-sim's shuffles (the source
-// repartition at P > 1, GroupByKey) and open-loop batch claims hold a whole
-// micro-batch of them at once, so every byte here is multiplied by the
-// batch size.
-static_assert(sizeof(Element) <= 208);
+// stage moves Elements by value, and Spark-sim's source repartition at
+// P > 1 and its open-loop batch claims hold a whole micro-batch of them at
+// once, so every byte here is multiplied by the batch size.
+static_assert(sizeof(Element) <= 168);
 
 template <typename T>
 Element make_element(T value,

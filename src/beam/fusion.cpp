@@ -78,7 +78,7 @@ std::string fused_name(const std::vector<std::string>& members) {
 
 bool fusible(const TransformNode& node) {
   return node.kind == TransformKind::kParDo && !node.stateful &&
-         !node.key_hash && node.inputs.size() == 1;
+         !node.key_hash;
 }
 
 StageFactory fused_stage(std::vector<StageFactory> members) {
@@ -94,8 +94,8 @@ FusionResult fuse_graph(const BeamGraph& graph) {
   // Consumer lists once, up front (consumers_of is a scan per call).
   std::vector<std::vector<int>> consumers(nodes.size());
   for (const auto& node : nodes) {
-    for (const int input : node.inputs) {
-      consumers[static_cast<std::size_t>(input)].push_back(node.id);
+    if (node.input >= 0) {
+      consumers[static_cast<std::size_t>(node.input)].push_back(node.id);
     }
   }
 
@@ -144,7 +144,6 @@ FusionResult fuse_graph(const BeamGraph& graph) {
     std::vector<std::string> member_names;
     if (group.size() == 1) {
       fused = head;
-      fused.inputs.clear();
     } else {
       const TransformNode& last =
           nodes[static_cast<std::size_t>(group.back())];
@@ -164,9 +163,7 @@ FusionResult fuse_graph(const BeamGraph& graph) {
       fused.output_coder = last.output_coder;
       fused.parallelism_hint = head.parallelism_hint;
     }
-    for (const int input : head.inputs) {
-      fused.inputs.push_back(old_to_new.at(input));
-    }
+    if (head.input >= 0) fused.input = old_to_new.at(head.input);
     const int new_id = result.graph.add_node(std::move(fused));
     for (const int member : group) old_to_new[member] = new_id;
     if (group.size() > 1) {

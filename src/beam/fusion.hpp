@@ -10,8 +10,8 @@
 //   * sources            (readers stay their own operator)
 //   * sinks              (terminal transforms; the writer keeps its own
 //                         bundle/flush cadence)
-//   * GroupByKey / any keyed redistribution (key_hash set)
-//   * stateful ParDos    (keyed routing owns their state placement)
+//   * stateful ParDos    (keyed routing, key_hash set, owns their state
+//                         placement)
 //   * parallelism changes (differing parallelism_hint = redistribution)
 //   * multi-consumer outputs (a fan-out point must materialize its output
 //                         once per consumer)
@@ -50,7 +50,7 @@ struct FusionResult {
 };
 
 /// True when the pass may place `node` inside a fused chain: an element-wise
-/// ParDo with a single input and no keyed routing or state. (Being a chain
+/// ParDo with no keyed routing or state. (Being a chain
 /// *interior* additionally requires a single consumer; being a chain member
 /// at all requires not being terminal — the pass checks both.)
 bool fusible(const TransformNode& node);

@@ -16,9 +16,6 @@ namespace dsps::beam {
 enum class TransformKind {
   kRead,
   kParDo,
-  kGroupByKey,
-  kFlatten,
-  kWindowInto,
 };
 
 /// Well-known URNs (mirroring beam:transform:*).
@@ -31,9 +28,6 @@ inline constexpr const char* kParDo = "beam:transform:pardo:v1";
 /// A chain of one-to-one ParDos collapsed by the fusion pass
 /// (beam/fusion.hpp) into a single bundle-executing stage.
 inline constexpr const char* kFused = "beam:transform:fused:v1";
-inline constexpr const char* kGroupByKey = "beam:transform:group_by_key:v1";
-inline constexpr const char* kFlatten = "beam:transform:flatten:v1";
-inline constexpr const char* kWindowInto = "beam:transform:window_into:v1";
 }  // namespace urns
 
 struct TransformNode {
@@ -41,14 +35,14 @@ struct TransformNode {
   TransformKind kind = TransformKind::kParDo;
   std::string name;  // user-facing transform name
   std::string urn;
-  std::vector<int> inputs;
-  StageFactory stage;            // all kinds except kRead
+  int input = -1;                // the producer's id; -1 for kRead
+  StageFactory stage;            // kParDo
   ReaderFactory reader;          // kRead
   /// kRead only: the readers never report end-of-input until the external
   /// source terminates (topic seal). Micro-batch runners must claim from
   /// them incrementally (advance_now) instead of draining in one shot.
   bool unbounded_source = false;
-  /// Keyed routing for the GBK input edge (null otherwise).
+  /// Keyed routing for a stateful ParDo's input edge (null otherwise).
   std::function<std::uint64_t(const Element&)> key_hash;
   /// Coder for this node's output elements (used where a runner serializes).
   CoderPtr output_coder;
@@ -82,9 +76,7 @@ class BeamGraph {
   std::vector<int> consumers_of(int id) const {
     std::vector<int> out;
     for (const auto& node : nodes_) {
-      for (const int input : node.inputs) {
-        if (input == id) out.push_back(node.id);
-      }
+      if (node.input == id) out.push_back(node.id);
     }
     return out;
   }

@@ -99,7 +99,7 @@ class KafkaSourceReader final : public SourceReader {
                             .key = std::move(record.key),
                             .value = std::move(record.value)};
     out.timestamp = record.timestamp;
-    out.windows = {global_window()};
+    out.windows = global_window();
     out.pane = PaneInfo{};
     return true;
   }

@@ -88,7 +88,7 @@ class ParDoTransform {
     node.kind = TransformKind::kParDo;
     node.name = name_;
     node.urn = urns::kParDo;
-    node.inputs = {input.node_id()};
+    node.input = input.node_id();
     node.stage = [fn = fn_] {
       return std::make_unique<ParDoExecutor<In, Out>>(fn);
     };
@@ -190,87 +190,6 @@ class Filter {
   std::string name_;
 };
 
-/// GroupByKey.create(): KV<K,V> -> KV<K, vector<V>> per window.
-template <typename K, typename V>
-class GroupByKey {
- public:
-  static GroupByKey create() { return GroupByKey(); }
-
-  PCollection<KV<K, std::vector<V>>> expand(
-      const PCollection<KV<K, V>>& input) const {
-    TransformNode node;
-    node.kind = TransformKind::kGroupByKey;
-    node.name = "GroupByKey";
-    node.urn = urns::kGroupByKey;
-    node.inputs = {input.node_id()};
-    node.stage = [] { return std::make_unique<GroupByKeyExecutor<K, V>>(); };
-    node.key_hash = kv_key_hash<K, V>;
-    const int id = input.pipeline()->graph().add_node(std::move(node));
-    return PCollection<KV<K, std::vector<V>>>(input.pipeline(), id);
-  }
-};
-
-/// Window.into(window_fn).
-template <typename T>
-class WindowInto {
- public:
-  explicit WindowInto(WindowFn fn, std::string name = "Window.Into")
-      : fn_(std::move(fn)), name_(std::move(name)) {}
-
-  PCollection<T> expand(const PCollection<T>& input) const {
-    TransformNode node;
-    node.kind = TransformKind::kWindowInto;
-    node.name = name_;
-    node.urn = urns::kWindowInto;
-    node.inputs = {input.node_id()};
-    node.stage = [fn = fn_] {
-      return std::make_unique<WindowIntoExecutor>(fn);
-    };
-    if constexpr (requires { CoderTraits<T>::of(); }) {
-      node.output_coder = CoderTraits<T>::of();
-    }
-    const int id = input.pipeline()->graph().add_node(std::move(node));
-    return PCollection<T>(input.pipeline(), id);
-  }
-
- private:
-  WindowFn fn_;
-  std::string name_;
-};
-
-/// Flatten: merges same-typed PCollections into one (§II-A).
-template <typename T>
-PCollection<T> flatten(const std::vector<PCollection<T>>& inputs,
-                       const std::string& name = "Flatten") {
-  require(!inputs.empty(), "flatten needs at least one input");
-  Pipeline* pipeline = inputs.front().pipeline();
-  TransformNode node;
-  node.kind = TransformKind::kFlatten;
-  node.name = name;
-  node.urn = urns::kFlatten;
-  for (const auto& input : inputs) {
-    require(input.pipeline() == pipeline,
-            "flatten inputs must share a pipeline");
-    node.inputs.push_back(input.node_id());
-  }
-  // Identity stage: flatten only merges streams.
-  node.stage = [] {
-    class Identity final : public StageExecutor {
-     public:
-      void process(const Element& element, const Emit& emit) override {
-        emit(Element{element});
-      }
-      void finish(const Emit&) override {}
-    };
-    return std::make_unique<Identity>();
-  };
-  if constexpr (requires { CoderTraits<T>::of(); }) {
-    node.output_coder = CoderTraits<T>::of();
-  }
-  const int id = pipeline->graph().add_node(std::move(node));
-  return PCollection<T>(pipeline, id);
-}
-
 /// Values.create(): KV<K,V> -> V (drops keys; §III-C3's plan walkthrough).
 template <typename V>
 struct Values {
@@ -286,53 +205,6 @@ struct Values {
   template <typename K = std::string>
   static OfKv<K> create() {
     return OfKv<K>{};
-  }
-};
-
-/// Combine.per_key(fn): composite of GBK + a reducing ParDo.
-template <typename K, typename V>
-class CombinePerKey {
- public:
-  CombinePerKey(std::function<V(const V&, const V&)> fn,
-                std::string name = "Combine.PerKey")
-      : fn_(std::move(fn)), name_(std::move(name)) {}
-
-  PCollection<KV<K, V>> expand(const PCollection<KV<K, V>>& input) const {
-    auto grouped = GroupByKey<K, V>::create().expand(input);
-    return MapElements<KV<K, std::vector<V>>, KV<K, V>>::via(
-               [fn = fn_](const KV<K, std::vector<V>>& group) {
-                 V accumulator = group.value.front();
-                 for (std::size_t i = 1; i < group.value.size(); ++i) {
-                   accumulator = fn(accumulator, group.value[i]);
-                 }
-                 return KV<K, V>{group.key, accumulator};
-               },
-               name_)
-        .expand(grouped);
-  }
-
- private:
-  std::function<V(const V&, const V&)> fn_;
-  std::string name_;
-};
-
-/// Count.per_element(): element -> KV<element, count>.
-template <typename T>
-class CountPerElement {
- public:
-  PCollection<KV<T, std::int64_t>> expand(const PCollection<T>& input) const {
-    auto keyed = MapElements<T, KV<T, std::int64_t>>::via(
-                     [](const T& value) {
-                       return KV<T, std::int64_t>{value, 1};
-                     },
-                     "Count.PerElement/Init")
-                     .expand(input);
-    return CombinePerKey<T, std::int64_t>(
-               [](const std::int64_t& a, const std::int64_t& b) {
-                 return a + b;
-               },
-               "Count.PerElement/Sum")
-        .expand(keyed);
   }
 };
 

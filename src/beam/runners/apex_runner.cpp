@@ -128,32 +128,29 @@ Status translate(const BeamGraph& graph, const ApexRunnerOptions& options,
         return std::make_unique<BeamApexStage>(factory);
       });
       const bool terminal = graph.consumers_of(node.id).empty();
-      const bool partitionable = node.kind == TransformKind::kParDo &&
-                                 !node.key_hash && !node.stateful &&
+      const bool partitionable = !node.key_hash && !node.stateful &&
                                  !terminal;
       if (partitionable && node_parallelism > 1) {
         dag.set_partitions(apex_id, node_parallelism);
       }
     }
     beam_to_apex[node.id] = apex_id;
+    if (node.kind == TransformKind::kRead) continue;
 
-    for (const int input : node.inputs) {
-      const auto& producer = graph.node(input);
-      apex::CodecFactory codec;
-      apex::Locality locality = apex::Locality::kContainerLocal;
-      if (producer.output_coder != nullptr) {
-        // One container per operator: the hop serializes.
-        locality = apex::Locality::kNodeLocal;
-        codec = [coder = producer.output_coder] {
-          return std::make_unique<BeamTupleCodec>(coder);
-        };
-      }
-      dag.add_stream("s_" + std::to_string(input) + "_" +
-                         std::to_string(node.id),
-                     apex::PortRef{beam_to_apex.at(input), 0},
-                     apex::PortRef{beam_to_apex.at(node.id), 0}, locality,
-                     std::move(codec));
+    const auto& producer = graph.node(node.input);
+    apex::CodecFactory codec;
+    apex::Locality locality = apex::Locality::kContainerLocal;
+    if (producer.output_coder != nullptr) {
+      // One container per operator: the hop serializes.
+      locality = apex::Locality::kNodeLocal;
+      codec = [coder = producer.output_coder] {
+        return std::make_unique<BeamTupleCodec>(coder);
+      };
     }
+    dag.add_stream("s_" + std::to_string(node.input) + "_" +
+                       std::to_string(node.id),
+                   apex::PortRef{beam_to_apex.at(node.input), 0},
+                   apex::PortRef{apex_id, 0}, locality, std::move(codec));
   }
   return Status::ok();
 }

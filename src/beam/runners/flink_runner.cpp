@@ -116,19 +116,12 @@ class BeamStageOperator final : public flink::StreamOperator {
 };
 
 const char* translated_name(const TransformNode& node) {
-  switch (node.kind) {
-    case TransformKind::kRead:
-      return "PTransformTranslation.UnknownRawPTransform";
-    case TransformKind::kGroupByKey:
-      return "GroupByKey";
-    case TransformKind::kWindowInto:
-    case TransformKind::kFlatten:
-    case TransformKind::kParDo:
-      if (node.urn == urns::kFused) return node.name.c_str();
-      return node.urn == urns::kReadExpand ? "Flat Map"
-                                           : "ParDoTranslation.RawParDo";
+  if (node.kind == TransformKind::kRead) {
+    return "PTransformTranslation.UnknownRawPTransform";
   }
-  return "ParDoTranslation.RawParDo";
+  if (node.urn == urns::kFused) return node.name.c_str();
+  return node.urn == urns::kReadExpand ? "Flat Map"
+                                       : "ParDoTranslation.RawParDo";
 }
 
 /// Builds the Flink-sim job for the (possibly fused) Beam graph.
@@ -173,24 +166,23 @@ Status translate(const BeamGraph& graph, const FlinkRunnerOptions& options,
     const int flink_id = env.add_node(std::move(flink_node));
     beam_to_flink[node.id] = flink_id;
 
-    for (const int input : node.inputs) {
-      flink::StreamEdge edge;
-      edge.from = beam_to_flink.at(input);
-      edge.to = flink_id;
-      if (node.key_hash) {
-        edge.mode = flink::PartitionMode::kHash;
-        edge.key_fn = [hash = node.key_hash](const flink::Elem& elem) {
-          return hash(flink::elem_cast<Element>(elem));
-        };
-      } else if (beam_parallelism.at(input) != node_parallelism) {
-        // A parallelism change is a redistribution point: round-robin the
-        // producer's output over the consumer's subtasks.
-        edge.mode = flink::PartitionMode::kRebalance;
-      } else {
-        edge.mode = flink::PartitionMode::kForward;
-      }
-      env.add_edge(std::move(edge));
+    if (node.kind == TransformKind::kRead) continue;
+    flink::StreamEdge edge;
+    edge.from = beam_to_flink.at(node.input);
+    edge.to = flink_id;
+    if (node.key_hash) {
+      edge.mode = flink::PartitionMode::kHash;
+      edge.key_fn = [hash = node.key_hash](const flink::Elem& elem) {
+        return hash(flink::elem_cast<Element>(elem));
+      };
+    } else if (beam_parallelism.at(node.input) != node_parallelism) {
+      // A parallelism change is a redistribution point: round-robin the
+      // producer's output over the consumer's subtasks.
+      edge.mode = flink::PartitionMode::kRebalance;
+    } else {
+      edge.mode = flink::PartitionMode::kForward;
     }
+    env.add_edge(std::move(edge));
   }
   return Status::ok();
 }

@@ -192,34 +192,6 @@ class BeamSourceDStreamNode final : public spark::DStreamNode<Element>,
   spark::RDDPtr<Element> cached_;
 };
 
-/// Unions several parent streams batch-wise (the Flatten translation).
-class UnionDStreamNode final : public spark::DStreamNode<Element> {
- public:
-  explicit UnionDStreamNode(
-      std::vector<std::shared_ptr<spark::DStreamNode<Element>>> parents)
-      : parents_(std::move(parents)) {}
-
-  spark::RDDPtr<Element> rdd_for(spark::BatchId batch,
-                                 spark::SparkContext& sc) override {
-    std::lock_guard lock(mutex_);
-    if (batch == cached_batch_ && cached_) return cached_;
-    std::vector<spark::RDDPtr<Element>> rdds;
-    rdds.reserve(parents_.size());
-    for (const auto& parent : parents_) {
-      rdds.push_back(parent->rdd_for(batch, sc));
-    }
-    cached_ = std::make_shared<spark::UnionRDD<Element>>(std::move(rdds));
-    cached_batch_ = batch;
-    return cached_;
-  }
-
- private:
-  std::vector<std::shared_ptr<spark::DStreamNode<Element>>> parents_;
-  std::mutex mutex_;
-  spark::BatchId cached_batch_ = -1;
-  spark::RDDPtr<Element> cached_;
-};
-
 /// Lazy stage iterator: pulls input elements through the stage executor one
 /// at a time (pipelined, like a real Spark task), ending bundles every
 /// `bundle_size` elements and finishing the executor at end of input. It
@@ -329,31 +301,9 @@ Result<PipelineResult> SparkRunner::run(const Pipeline& pipeline) {
       continue;
     }
 
-    require(!node.inputs.empty(), "non-source node without inputs");
-    spark::DStream<Element> input = translated.at(node.inputs.front());
-    if (node.inputs.size() > 1) {
-      // Flatten: union the parent streams batch-wise.
-      std::vector<std::shared_ptr<spark::DStreamNode<Element>>> parents;
-      parents.reserve(node.inputs.size());
-      for (const int parent : node.inputs) {
-        parents.push_back(translated.at(parent).node());
-      }
-      input = spark::DStream<Element>(
-          &ssc, std::make_shared<UnionDStreamNode>(std::move(parents)));
-    }
-
-    if (node.key_hash) {
-      input = input.transform<Element>(
-          [hash = node.key_hash,
-           parallelism = node_parallelism](
-              spark::RDDPtr<Element> rdd) -> spark::RDDPtr<Element> {
-            return std::make_shared<spark::KeyPartitionRDD<Element>>(
-                std::move(rdd), hash, parallelism);
-          });
-    }
     translated.emplace(
         node.id,
-        input.map_partitions<Element>(
+        translated.at(node.input).map_partitions<Element>(
             [factory = node.stage, counter](
                 spark::IterPtr<Element> in) -> spark::IterPtr<Element> {
               return std::make_unique<StageIterator>(

@@ -14,8 +14,7 @@
 //    element as the reader yields it, so reading overlaps processing and
 //    no shard is buffered before the batch starts;
 //  * each transform becomes a mapPartitions stage over boxed elements, one
-//    bundle per partition per batch;
-//  * GroupByKey hash-partitions by key and groups within the micro-batch.
+//    bundle per partition per batch.
 #pragma once
 
 #include <cstdint>

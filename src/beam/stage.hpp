@@ -5,11 +5,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "beam/dofn.hpp"
@@ -28,7 +25,7 @@ class StageExecutor {
   /// buffers (e.g. the Kafka writer) flushes here — so a runner with tiny
   /// bundles pays per-element flush costs (the Apex runner, §III-C3).
   virtual void bundle_boundary(const Emit& /*emit*/) {}
-  /// Called once after the last element (flush groupings, finish bundles).
+  /// Called once after the last element (finish bundles).
   virtual void finish(const Emit& emit) = 0;
 };
 
@@ -111,69 +108,7 @@ class ParDoExecutor final : public StageExecutor {
   DoFnPtr<In, Out> fn_;
 };
 
-/// GroupByKey: per (window, key) accumulation; the default trigger on
-/// bounded data fires once at end of input, per window.
-template <typename K, typename V>
-class GroupByKeyExecutor final : public StageExecutor {
- public:
-  void process(const Element& element, const Emit& /*emit*/) override {
-    const auto& kv = element_value<KV<K, V>>(element);
-    for (const auto& window : element.windows) {
-      groups_[{window.start, window.end}][kv.key].push_back(kv.value);
-    }
-  }
-
-  void finish(const Emit& emit) override {
-    for (auto& [window_key, by_key] : groups_) {
-      const BoundedWindow window{window_key.first, window_key.second};
-      for (auto& [key, values] : by_key) {
-        Element out;
-        out.value = KV<K, std::vector<V>>{key, std::move(values)};
-        out.timestamp = window.end == std::numeric_limits<Timestamp>::max()
-                            ? window.end
-                            : window.end - 1;
-        out.windows = {window};
-        out.pane = PaneInfo{.is_first = true, .is_last = true, .index = 0};
-        emit(std::move(out));
-      }
-    }
-    groups_.clear();
-  }
-
- private:
-  std::map<std::pair<Timestamp, Timestamp>,
-           std::unordered_map<K, std::vector<V>>>
-      groups_;
-};
-
-/// Assigns windows from the element timestamp.
-using WindowFn = std::function<std::vector<BoundedWindow>(Timestamp)>;
-
-class WindowIntoExecutor final : public StageExecutor {
- public:
-  explicit WindowIntoExecutor(WindowFn fn) : fn_(std::move(fn)) {}
-
-  void process(const Element& element, const Emit& emit) override {
-    Element out = element;
-    out.windows = fn_(element.timestamp);
-    emit(std::move(out));
-  }
-  void finish(const Emit& /*emit*/) override {}
-
- private:
-  WindowFn fn_;
-};
-
-/// Fixed (tumbling) event-time windows of the given size.
-inline WindowFn fixed_windows(std::int64_t size_ms) {
-  return [size_ms](Timestamp timestamp) {
-    Timestamp start = timestamp - (timestamp % size_ms);
-    if (timestamp < 0 && timestamp % size_ms != 0) start -= size_ms;
-    return std::vector<BoundedWindow>{{start, start + size_ms}};
-  };
-}
-
-/// Hash of the key of a KV element, for keyed routing at GBK boundaries.
+/// Hash of the key of a KV element, for a stateful ParDo's keyed routing.
 template <typename K, typename V>
 std::uint64_t kv_key_hash(const Element& element) {
   const auto& kv = element_value<KV<K, V>>(element);

@@ -239,7 +239,7 @@ class BinaryReader {
   bool failed_ = false;
 };
 
-/// FNV-1a 64-bit hash; used for key partitioning in shuffles and GroupByKey.
+/// FNV-1a 64-bit hash; used for key partitioning in shuffles and keyed routing.
 std::uint64_t fnv1a(std::string_view data) noexcept;
 
 inline Bytes to_bytes(std::string_view s) {

@@ -104,12 +104,6 @@ class DStream {
     });
   }
 
-  /// Arbitrary per-batch RDD-to-RDD transformation (Spark's transform()).
-  template <typename R>
-  DStream<R> transform(std::function<RDDPtr<R>(RDDPtr<T>)> fn) const {
-    return derive<R>(std::move(fn));
-  }
-
   /// Registers an output operation; defined in streaming_context.hpp.
   void foreach_rdd(
       std::function<void(SparkContext&, const RDDPtr<T>&)> action) const;
@@ -133,12 +127,16 @@ template <typename K, typename V>
 DStream<std::pair<K, V>> reduce_by_key(
     const DStream<std::pair<K, V>>& stream,
     std::function<V(const V&, const V&)> reduce, int partitions) {
-  return stream.template transform<std::pair<K, V>>(
-      [reduce = std::move(reduce),
-       partitions](RDDPtr<std::pair<K, V>> rdd) -> RDDPtr<std::pair<K, V>> {
-        return std::make_shared<ReduceByKeyRDD<K, V>>(std::move(rdd), reduce,
-                                                      partitions);
-      });
+  using Pair = std::pair<K, V>;
+  return DStream<Pair>(
+      stream.context(),
+      std::make_shared<TransformedDStreamNode<Pair, Pair>>(
+          stream.node(),
+          [reduce = std::move(reduce),
+           partitions](RDDPtr<Pair> rdd) -> RDDPtr<Pair> {
+            return std::make_shared<ReduceByKeyRDD<K, V>>(std::move(rdd),
+                                                          reduce, partitions);
+          }));
 }
 
 }  // namespace dsps::spark

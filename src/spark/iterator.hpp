@@ -25,28 +25,6 @@ class Iterator {
 template <typename T>
 using IterPtr = std::unique_ptr<Iterator<T>>;
 
-/// Iterates an owned vector.
-template <typename T>
-class VectorIterator final : public Iterator<T> {
- public:
-  explicit VectorIterator(std::vector<T> values)
-      : values_(std::move(values)) {}
-
-  std::optional<T> next() override {
-    if (index_ >= values_.size()) return std::nullopt;
-    return std::move(values_[index_++]);
-  }
-
- private:
-  std::vector<T> values_;
-  std::size_t index_ = 0;
-};
-
-template <typename T>
-IterPtr<T> iter_from_vector(std::vector<T> values) {
-  return std::make_unique<VectorIterator<T>>(std::move(values));
-}
-
 /// Iterates a shared vector in place, returning a copy of each element.
 /// The iterator holds a reference to the vector, so it stays valid after
 /// every other owner lets go.

@@ -3,9 +3,9 @@
 // compute(split) returns a pull-based iterator: narrow dependencies
 // (map/filter/flatMap/mapPartitions) pipeline through the whole chain one
 // record at a time, exactly like a Spark stage. Wide dependencies
-// (repartition, partition-by, reduce_by_key) materialize a shuffle: the
-// parent side runs as its own stage and writes hash buckets the child side
-// iterates (see SparkContext::prepare_shuffles).
+// (repartition, reduce_by_key) materialize a shuffle: the parent side runs
+// as its own stage and writes buckets the child side iterates (see
+// SparkContext::prepare_shuffles).
 #pragma once
 
 #include <cstdint>
@@ -209,6 +209,13 @@ class MapPartitionsRDD final : public RDD<R> {
   PartitionFn fn_;
 };
 
+/// A materialized shuffle's output, one shared bucket per child partition.
+/// compute(split) walks its bucket in place (SliceIterator), copying one row
+/// per pull: the bucket is never copied whole and never moved from, so a
+/// batch retry recomputes the split from the same rows.
+template <typename T>
+using Buckets = std::vector<std::shared_ptr<const std::vector<T>>>;
+
 /// Wide dependency: redistributes elements round-robin into
 /// `target_partitions` buckets via a materialized shuffle.
 template <typename T>
@@ -229,7 +236,8 @@ class RepartitionRDD final : public RDD<T> {
   IterPtr<T> compute(int split) const override {
     std::lock_guard lock(mutex_);
     require(materialized_, "RepartitionRDD computed before its shuffle ran");
-    return iter_from_vector(buckets_.at(static_cast<std::size_t>(split)));
+    return std::make_unique<SliceIterator<T>>(
+        buckets_.at(static_cast<std::size_t>(split)));
   }
 
  private:
@@ -237,43 +245,7 @@ class RepartitionRDD final : public RDD<T> {
   int target_;
   mutable std::mutex mutex_;
   bool materialized_ = false;
-  std::vector<std::vector<T>> buckets_;
-};
-
-/// Wide dependency: redistributes elements into `target_partitions` buckets
-/// chosen by a caller-supplied hash (keyed routing for grouping operators).
-template <typename T>
-class KeyPartitionRDD final : public RDD<T> {
- public:
-  KeyPartitionRDD(RDDPtr<T> parent,
-                  std::function<std::uint64_t(const T&)> hash_of,
-                  int target_partitions)
-      : parent_(std::move(parent)),
-        hash_of_(std::move(hash_of)),
-        target_(target_partitions) {
-    require(target_partitions >= 1, "partition_by target must be >= 1");
-  }
-
-  int partitions() const override { return target_; }
-  std::vector<std::shared_ptr<BaseRDD>> dependencies() const override {
-    return {parent_};
-  }
-  bool has_shuffle_dependency() const override { return true; }
-  void run_shuffle(SparkContext& context) override;
-
-  IterPtr<T> compute(int split) const override {
-    std::lock_guard lock(mutex_);
-    require(materialized_, "KeyPartitionRDD computed before its shuffle ran");
-    return iter_from_vector(buckets_.at(static_cast<std::size_t>(split)));
-  }
-
- private:
-  RDDPtr<T> parent_;
-  std::function<std::uint64_t(const T&)> hash_of_;
-  int target_;
-  mutable std::mutex mutex_;
-  bool materialized_ = false;
-  std::vector<std::vector<T>> buckets_;
+  Buckets<T> buckets_;
 };
 
 /// Wide dependency: groups (key, value) pairs by key hash and reduces the
@@ -300,7 +272,8 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>> {
   IterPtr<std::pair<K, V>> compute(int split) const override {
     std::lock_guard lock(mutex_);
     require(materialized_, "ReduceByKeyRDD computed before its shuffle ran");
-    return iter_from_vector(buckets_.at(static_cast<std::size_t>(split)));
+    return std::make_unique<SliceIterator<std::pair<K, V>>>(
+        buckets_.at(static_cast<std::size_t>(split)));
   }
 
  private:
@@ -317,34 +290,7 @@ class ReduceByKeyRDD final : public RDD<std::pair<K, V>> {
   int target_;
   mutable std::mutex mutex_;
   bool materialized_ = false;
-  std::vector<std::vector<std::pair<K, V>>> buckets_;
-};
-
-template <typename T>
-class UnionRDD final : public RDD<T> {
- public:
-  explicit UnionRDD(std::vector<RDDPtr<T>> parents)
-      : parents_(std::move(parents)) {}
-
-  int partitions() const override {
-    int total = 0;
-    for (const auto& parent : parents_) total += parent->partitions();
-    return total;
-  }
-  std::vector<std::shared_ptr<BaseRDD>> dependencies() const override {
-    return {parents_.begin(), parents_.end()};
-  }
-  IterPtr<T> compute(int split) const override {
-    for (const auto& parent : parents_) {
-      if (split < parent->partitions()) return parent->compute(split);
-      split -= parent->partitions();
-    }
-    require(false, "UnionRDD split out of range");
-    return nullptr;
-  }
-
- private:
-  std::vector<RDDPtr<T>> parents_;
+  Buckets<std::pair<K, V>> buckets_;
 };
 
 }  // namespace dsps::spark

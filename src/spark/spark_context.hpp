@@ -142,7 +142,7 @@ template <typename T>
 void RepartitionRDD<T>::run_shuffle(SparkContext& context) {
   std::lock_guard lock(mutex_);
   if (materialized_) return;
-  buckets_.assign(static_cast<std::size_t>(target_), {});
+  std::vector<std::vector<T>> buckets(static_cast<std::size_t>(target_));
   std::mutex bucket_mutex;
   const int parent_parts = parent_->partitions();
   std::atomic<std::size_t> next{0};
@@ -150,27 +150,13 @@ void RepartitionRDD<T>::run_shuffle(SparkContext& context) {
     std::vector<T> data = drain(*parent_->compute(p));
     std::lock_guard inner(bucket_mutex);
     for (T& value : data) {
-      buckets_[next.fetch_add(1) % buckets_.size()].push_back(
-          std::move(value));
+      buckets[next.fetch_add(1) % buckets.size()].push_back(std::move(value));
     }
   });
-  context.note_shuffle();
-  materialized_ = true;
-}
-
-template <typename T>
-void KeyPartitionRDD<T>::run_shuffle(SparkContext& context) {
-  std::lock_guard lock(mutex_);
-  if (materialized_) return;
-  buckets_.assign(static_cast<std::size_t>(target_), {});
-  std::mutex bucket_mutex;
-  context.run_stage(parent_->partitions(), [&](int p) {
-    std::vector<T> data = drain(*parent_->compute(p));
-    std::lock_guard inner(bucket_mutex);
-    for (T& value : data) {
-      buckets_[hash_of_(value) % buckets_.size()].push_back(std::move(value));
-    }
-  });
+  for (auto& bucket : buckets) {
+    buckets_.push_back(
+        std::make_shared<const std::vector<T>>(std::move(bucket)));
+  }
   context.note_shuffle();
   materialized_ = true;
 }
@@ -193,9 +179,9 @@ void ReduceByKeyRDD<K, V>::run_shuffle(SparkContext& context) {
       if (!inserted) it->second = reduce_(it->second, pair->second);
     }
   });
-  buckets_.assign(buckets, {});
-  for (std::size_t b = 0; b < buckets; ++b) {
-    buckets_[b].assign(maps[b].begin(), maps[b].end());
+  for (const auto& map : maps) {
+    buckets_.push_back(std::make_shared<const std::vector<std::pair<K, V>>>(
+        map.begin(), map.end()));
   }
   context.note_shuffle();
   materialized_ = true;

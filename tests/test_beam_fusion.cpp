@@ -54,12 +54,12 @@ std::vector<std::string> read_topic(kafka::Broker& broker,
 
 // --- graph rewrite -----------------------------------------------------------
 
-TransformNode pardo_node(std::string name, std::vector<int> inputs) {
+TransformNode pardo_node(std::string name, int input) {
   TransformNode node;
   node.kind = TransformKind::kParDo;
   node.name = std::move(name);
   node.urn = urns::kParDo;
-  node.inputs = std::move(inputs);
+  node.input = input;
   return node;
 }
 
@@ -80,24 +80,17 @@ bool any_stage_contains(const FusionResult& result, const std::string& name) {
   return false;
 }
 
-TEST(FusionPassTest, FusibleRequiresPlainSingleInputParDo) {
-  EXPECT_TRUE(fusible(pardo_node("a", {0})));
+TEST(FusionPassTest, FusibleRequiresPlainParDo) {
+  EXPECT_TRUE(fusible(pardo_node("a", 0)));
   EXPECT_FALSE(fusible(read_node()));
 
-  TransformNode gbk = pardo_node("g", {0});
-  gbk.kind = TransformKind::kGroupByKey;
-  EXPECT_FALSE(fusible(gbk));
-
-  TransformNode stateful = pardo_node("s", {0});
+  TransformNode stateful = pardo_node("s", 0);
   stateful.stateful = true;
   EXPECT_FALSE(fusible(stateful));
 
-  TransformNode keyed = pardo_node("k", {0});
+  TransformNode keyed = pardo_node("k", 0);
   keyed.key_hash = [](const Element&) { return std::uint64_t{0}; };
   EXPECT_FALSE(fusible(keyed));
-
-  TransformNode two_inputs = pardo_node("f", {0, 1});
-  EXPECT_FALSE(fusible(two_inputs));
 }
 
 TEST(FusionPassTest, IdentityPipelineCollapsesToSourceFusedSink) {
@@ -124,47 +117,12 @@ TEST(FusionPassTest, IdentityPipelineCollapsesToSourceFusedSink) {
   EXPECT_EQ(nodes[0].kind, TransformKind::kRead);
   EXPECT_EQ(nodes[1].urn, urns::kFused);
   EXPECT_TRUE(nodes[1].name.starts_with("Fused[")) << nodes[1].name;
-  EXPECT_EQ(nodes[1].inputs, std::vector<int>{0});
-  EXPECT_EQ(nodes[2].inputs, std::vector<int>{1});
+  EXPECT_EQ(nodes[1].input, 0);
+  EXPECT_EQ(nodes[2].input, 1);
   // The fused stage reports the tail's output coder so a serializing runner
   // still encodes the correct type at the fused boundary.
   EXPECT_EQ(nodes[1].output_coder != nullptr,
             pipeline.graph().nodes()[4].output_coder != nullptr);
-}
-
-TEST(FusionPassTest, GroupByKeyIsABarrier) {
-  kafka::Broker broker;
-  load_topic(broker, "in", 1);
-  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  using Keyed = KV<std::string, std::int64_t>;
-  using Grouped = KV<std::string, std::vector<std::int64_t>>;
-  Pipeline pipeline;
-  pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
-      .apply(KafkaIO::without_metadata())
-      .apply(Values<Payload>::create<Payload>())
-      .apply(MapElements<Payload, Keyed>::via(
-          [](const Payload& s) { return Keyed{s.str(), 1}; }, "Key"))
-      .apply(GroupByKey<std::string, std::int64_t>::create())
-      .apply(MapElements<Grouped, std::string>::via(
-          [](const Grouped& g) { return g.key; }, "Unkey"))
-      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
-
-  const FusionResult result = fuse_graph(pipeline.graph());
-  // The GBK survives as its own node; the ParDos fuse on each side of it.
-  std::size_t gbk_count = 0;
-  for (const auto& node : result.graph.nodes()) {
-    if (node.kind == TransformKind::kGroupByKey) ++gbk_count;
-    if (node.urn == urns::kFused) {
-      EXPECT_NE(node.inputs.size(), 0u);
-    }
-  }
-  EXPECT_EQ(gbk_count, 1u);
-  ASSERT_EQ(result.stages.size(), 2u);
-  EXPECT_FALSE(any_stage_contains(result, "GroupByKey"));
-  // Pre-GBK chain: flat map, withoutMetadata, Values, Key.
-  EXPECT_EQ(result.stages[0].members.size(), 4u);
-  // Post-GBK chain: Unkey + ToProducerRecord.
-  EXPECT_EQ(result.stages[1].members.size(), 2u);
 }
 
 TEST(FusionPassTest, DivergingConsumersAreABarrier) {
@@ -172,11 +130,11 @@ TEST(FusionPassTest, DivergingConsumersAreABarrier) {
   // it; b and c only feed terminals, so no chain forms anywhere.
   BeamGraph diverging;
   const int read = diverging.add_node(read_node());
-  const int a = diverging.add_node(pardo_node("a", {read}));
-  const int b = diverging.add_node(pardo_node("b", {a}));
-  const int c = diverging.add_node(pardo_node("c", {a}));
-  diverging.add_node(pardo_node("sink-b", {b}));
-  diverging.add_node(pardo_node("sink-c", {c}));
+  const int a = diverging.add_node(pardo_node("a", read));
+  const int b = diverging.add_node(pardo_node("b", a));
+  const int c = diverging.add_node(pardo_node("c", a));
+  diverging.add_node(pardo_node("sink-b", b));
+  diverging.add_node(pardo_node("sink-c", c));
 
   const FusionResult result = fuse_graph(diverging);
   EXPECT_EQ(result.nodes_eliminated(), 0u);
@@ -185,14 +143,14 @@ TEST(FusionPassTest, DivergingConsumersAreABarrier) {
   // Control: the same chain without the second consumer fuses.
   BeamGraph linear;
   const int lread = linear.add_node(read_node());
-  TransformNode la = pardo_node("a", {lread});
+  TransformNode la = pardo_node("a", lread);
   TransformNode lb;
   la.stage = [] { return nullptr; };
-  lb = pardo_node("b", {1});
+  lb = pardo_node("b", 1);
   lb.stage = [] { return nullptr; };
   linear.add_node(std::move(la));
   linear.add_node(std::move(lb));
-  linear.add_node(pardo_node("sink", {2}));
+  linear.add_node(pardo_node("sink", 2));
   const FusionResult fused = fuse_graph(linear);
   ASSERT_EQ(fused.stages.size(), 1u);
   EXPECT_EQ(fused.stages[0].members,
@@ -204,18 +162,18 @@ TEST(FusionPassTest, ParallelismChangeIsABarrier) {
   // redistribution point, so `a` stays alone while b+c fuse.
   BeamGraph graph;
   const int read = graph.add_node(read_node());
-  TransformNode a = pardo_node("a", {read});
+  TransformNode a = pardo_node("a", read);
   a.parallelism_hint = 1;
-  TransformNode b = pardo_node("b", {1});
+  TransformNode b = pardo_node("b", 1);
   b.parallelism_hint = 2;
   b.stage = [] { return nullptr; };
-  TransformNode c = pardo_node("c", {2});
+  TransformNode c = pardo_node("c", 2);
   c.parallelism_hint = 2;
   c.stage = [] { return nullptr; };
   graph.add_node(std::move(a));
   graph.add_node(std::move(b));
   graph.add_node(std::move(c));
-  graph.add_node(pardo_node("sink", {3}));
+  graph.add_node(pardo_node("sink", 3));
 
   const FusionResult result = fuse_graph(graph);
   ASSERT_EQ(result.stages.size(), 1u);
@@ -229,18 +187,18 @@ TEST(FusionPassTest, StatefulParDoIsABarrier) {
   // remaining fragments are single transforms, so nothing fuses.
   BeamGraph graph;
   const int read = graph.add_node(read_node());
-  graph.add_node(pardo_node("a", {read}));
-  TransformNode s = pardo_node("s", {1});
+  graph.add_node(pardo_node("a", read));
+  TransformNode s = pardo_node("s", 1);
   s.stateful = true;
   graph.add_node(std::move(s));
-  graph.add_node(pardo_node("b", {2}));
-  graph.add_node(pardo_node("sink", {3}));
+  graph.add_node(pardo_node("b", 2));
+  graph.add_node(pardo_node("sink", 3));
 
   const FusionResult result = fuse_graph(graph);
   EXPECT_EQ(result.nodes_eliminated(), 0u);
   EXPECT_TRUE(result.stages.empty());
   // Input wiring survives the (identity) rewrite.
-  EXPECT_EQ(result.graph.nodes()[2].inputs, std::vector<int>{1});
+  EXPECT_EQ(result.graph.nodes()[2].input, 1);
 }
 
 // --- fused composite executor ------------------------------------------------

@@ -137,72 +137,6 @@ TEST_P(AllRunnersTest, MapPipelineTransformsEveryElement) {
   for (const auto& value : values) EXPECT_EQ(value, "value");
 }
 
-TEST_P(AllRunnersTest, GroupByKeyCollectsAllValuesPerKey) {
-  kafka::Broker broker;
-  load_topic(broker, "in", 120);
-  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
-
-  using Keyed = KV<std::string, std::int64_t>;
-  using Grouped = KV<std::string, std::vector<std::int64_t>>;
-  Pipeline pipeline;
-  pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
-      .apply(KafkaIO::without_metadata())
-      .apply(Values<runtime::Payload>::create<runtime::Payload>())
-      .apply(MapElements<runtime::Payload, Keyed>::via(
-          [](const runtime::Payload& s) {
-            const auto n = std::stoll(std::string(s.view().substr(6)));
-            return Keyed{"mod" + std::to_string(n % 4), n};
-          }))
-      .apply(GroupByKey<std::string, std::int64_t>::create())
-      .apply(MapElements<Grouped, std::string>::via([](const Grouped& g) {
-        return g.key + ":" + std::to_string(g.value.size());
-      }))
-      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
-  auto runner = make_runner(GetParam());
-  auto result = pipeline.run(*runner);
-  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-
-  auto values = read_topic(broker, "out");
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(values, (std::vector<std::string>{"mod0:30", "mod1:30",
-                                              "mod2:30", "mod3:30"}));
-}
-
-TEST_P(AllRunnersTest, FlattenMergesTwoSources) {
-  kafka::Broker broker;
-  load_topic(broker, "a", 150);
-  load_topic(broker, "b", 70);
-  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
-
-  // Each source tags its records with its topic, so the merged output
-  // shows which input every record came from.
-  Pipeline pipeline;
-  const auto tagged = [&](const std::string& topic) {
-    return pipeline
-        .apply(KafkaIO::read(broker, KafkaReadConfig{.topic = topic}))
-        .apply(KafkaIO::without_metadata())
-        .apply(Values<runtime::Payload>::create<runtime::Payload>())
-        .apply(MapElements<runtime::Payload, std::string>::via(
-            [topic](const runtime::Payload& s) {
-              return topic + ":" + s.str();
-            },
-            "Tag-" + topic));
-  };
-  flatten<std::string>({tagged("a"), tagged("b")})
-      .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
-  auto runner = make_runner(GetParam());
-  auto result = pipeline.run(*runner);
-  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-
-  auto values = read_topic(broker, "out");
-  std::sort(values.begin(), values.end());
-  std::vector<std::string> expected;
-  for (int i = 0; i < 150; ++i) expected.push_back("a:value-" + std::to_string(i));
-  for (int i = 0; i < 70; ++i) expected.push_back("b:value-" + std::to_string(i));
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(values, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Runners, AllRunnersTest,
     ::testing::Values(RunnerCase{RunnerKind::kDirect, 1, "Direct"},
@@ -360,50 +294,6 @@ TEST(SparkRunnerTest, PipelineWithoutTerminalTransformRejected) {
   SparkRunner runner;
   EXPECT_EQ(empty.run(runner).status().code(),
             StatusCode::kFailedPrecondition);
-}
-
-TEST(AllRunnersWindowedTest, WindowedGroupByKeyAgreesAcrossEngineRunners) {
-  // Event-time windowed GBK, checked on each engine runner against a
-  // directly computed reference — windowing survives translation.
-  using Keyed = KV<std::string, std::int64_t>;
-  using Grouped = KV<std::string, std::vector<std::int64_t>>;
-  for (auto param : {RunnerCase{RunnerKind::kFlink, 2, ""},
-                     RunnerCase{RunnerKind::kSpark, 2, ""},
-                     RunnerCase{RunnerKind::kApex, 1, ""}}) {
-    kafka::Broker broker;
-    load_topic(broker, "in", 90);
-    broker.create_topic("out", kafka::TopicConfig{.partitions = 1})
-        .expect_ok();
-    struct Stamp final : DoFn<runtime::Payload, Keyed> {
-      void process(ProcessContext& ctx) override {
-        const std::int64_t n =
-            std::stoll(std::string(ctx.element().view().substr(6)));
-        ctx.output_with_timestamp(Keyed{"k" + std::to_string(n % 3), n},
-                                  n * 10);
-      }
-    };
-    Pipeline pipeline;
-    pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
-        .apply(KafkaIO::without_metadata())
-        .apply(Values<runtime::Payload>::create<runtime::Payload>())
-        .apply(ParDo::of<runtime::Payload, Keyed>(std::make_shared<Stamp>()))
-        .apply(WindowInto<Keyed>(fixed_windows(300)))  // 30 stamps/window
-        .apply(GroupByKey<std::string, std::int64_t>::create())
-        .apply(MapElements<Grouped, std::string>::via([](const Grouped& g) {
-          return g.key + ":" + std::to_string(g.value.size());
-        }))
-        .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
-    auto runner = make_runner(param);
-    ASSERT_TRUE(pipeline.run(*runner).is_ok());
-    auto values = read_topic(broker, "out");
-    std::sort(values.begin(), values.end());
-    // 90 records at timestamps 0..890, window 300 => 3 windows x 3 keys,
-    // each (key, window) holding 10 values.
-    ASSERT_EQ(values.size(), 9u);
-    for (const auto& value : values) {
-      EXPECT_TRUE(value.ends_with(":10")) << value;
-    }
-  }
 }
 
 TEST(FlinkRunnerTest, BundleSizeDoesNotAffectResults) {

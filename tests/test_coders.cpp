@@ -179,13 +179,12 @@ TEST(CoderRoundTripTest, EveryBuiltInRoundTripsWithExactHints) {
 
 Element sample_element() {
   Element element = make_element<std::string>("first\tsecond\tthird", 1234);
-  element.windows = WindowSet({BoundedWindow{0, 100}, BoundedWindow{50, 150},
-                               BoundedWindow{100, 200}});
+  element.windows = BoundedWindow{100, 200};
   element.pane = PaneInfo{.is_first = false, .is_last = true, .index = 5};
   return element;
 }
 
-TEST(WindowedValueCoderTest, RoundTripsEnvelopeIncludingMultiWindow) {
+TEST(WindowedValueCoderTest, RoundTripsEnvelopeWithNonGlobalWindow) {
   const WindowedValueCoder coder(CoderTraits<std::string>::of());
   const Element element = sample_element();
   const Bytes bytes = coder.encode(element);
@@ -198,6 +197,26 @@ TEST(WindowedValueCoderTest, RoundTripsEnvelopeIncludingMultiWindow) {
   EXPECT_EQ(decoded.pane.is_first, false);
   EXPECT_EQ(decoded.pane.is_last, true);
   EXPECT_EQ(decoded.pane.index, 5);
+}
+
+// The envelope every serialized hop pays: timestamp (8 B, little-endian),
+// window count (4 B, always 1), window start and end (8 B each), pane bits
+// (1 B) and pane index (8 B) — 37 bytes before the value.
+TEST(WindowedValueCoderTest, GlobalWindowEnvelopeBytesArePinned) {
+  const WindowedValueCoder coder(CoderTraits<Payload>::of());
+  PayloadArena arena;
+  const Payload encoded =
+      coder.encode(make_element<Payload>(Payload("hello"), 1234), arena);
+  const std::vector<unsigned char> expected = {
+      0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // timestamp 1234
+      0x01, 0x00, 0x00, 0x00,                          // one window
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // start: min
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,  // end: max
+      0x03,                                            // first | last
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // pane index 0
+      0x05, 0x68, 0x65, 0x6c, 0x6c, 0x6f};             // "hello"
+  const std::string_view view = encoded.view();
+  EXPECT_EQ(std::vector<unsigned char>(view.begin(), view.end()), expected);
 }
 
 TEST(WindowedValueCoderTest, ArenaEncodeIsByteIdenticalToGrowable) {

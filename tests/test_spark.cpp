@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "spark/kafka_io.hpp"
 #include "spark/streaming_context.hpp"
@@ -126,21 +129,12 @@ TEST(RddTest, MapPartitionsSeesWholePartitionLazily) {
       base, [](IterPtr<int> in) -> IterPtr<int> {
         int sum = 0;
         while (auto v = in->next()) sum += *v;
-        return iter_from_vector(std::vector<int>{sum});
+        return std::make_unique<SliceIterator<int>>(
+            std::make_shared<const std::vector<int>>(1, sum));
       });
   auto collected = sc.collect(summed);
   ASSERT_EQ(collected.size(), 2u);
   EXPECT_EQ(collected[0] + collected[1], 45);
-}
-
-TEST(RddTest, UnionConcatenatesPartitions) {
-  SparkContext sc(SparkConf{.default_parallelism = 2});
-  auto a = sc.parallelize(ints(5), 2);
-  auto b = sc.parallelize(ints(3), 1);
-  RDDPtr<int> unioned = std::make_shared<UnionRDD<int>>(
-      std::vector<RDDPtr<int>>{a, b});
-  EXPECT_EQ(unioned->partitions(), 3);
-  EXPECT_EQ(sc.count(unioned), 8u);
 }
 
 // --- shuffles --------------------------------------------------------------------
@@ -167,23 +161,46 @@ TEST(ShuffleTest, RepartitionBalances) {
   }
 }
 
-TEST(ShuffleTest, KeyPartitionGroupsByHash) {
-  SparkContext sc(SparkConf{.default_parallelism = 4});
-  auto base = sc.parallelize(ints(1000), 3);
-  auto keyed = std::make_shared<KeyPartitionRDD<int>>(
-      base, [](const int& v) { return static_cast<std::uint64_t>(v % 7); },
-      4);
-  sc.prepare_shuffles(keyed);
-  // Every residue class mod 7 lands wholly in one partition.
-  std::map<int, std::set<int>> residue_to_partitions;
-  for (int p = 0; p < 4; ++p) {
-    for (const int v : drain(*keyed->compute(p))) {
-      residue_to_partitions[v % 7].insert(p);
-    }
+/// Counts copy constructions; moves are free.
+struct CopyCounted {
+  static inline std::atomic<int> copies{0};
+  int value = 0;
+
+  explicit CopyCounted(int v) : value(v) {}
+  CopyCounted(const CopyCounted& other) : value(other.value) {
+    copies.fetch_add(1);
   }
-  for (const auto& [residue, partitions] : residue_to_partitions) {
-    EXPECT_EQ(partitions.size(), 1u) << "residue " << residue << " split";
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(const CopyCounted& other) {
+    value = other.value;
+    copies.fetch_add(1);
+    return *this;
   }
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+TEST(ShuffleTest, BucketIsCopiedRowByRowAndSurvivesRecompute) {
+  SparkContext sc(SparkConf{.default_parallelism = 2});
+  std::vector<CopyCounted> rows;
+  for (int i = 0; i < 100; ++i) rows.emplace_back(i);
+  auto base = sc.parallelize(std::move(rows), 2);
+  auto repartitioned = std::make_shared<RepartitionRDD<CopyCounted>>(base, 2);
+  sc.prepare_shuffles(repartitioned);
+
+  const auto values_of = [](IterPtr<CopyCounted> iter) {
+    std::vector<int> values;
+    while (auto row = iter->next()) values.push_back(row->value);
+    return values;
+  };
+  CopyCounted::copies.store(0);
+  auto iter = repartitioned->compute(0);
+  // Opening a task copies nothing; each pull copies one row.
+  EXPECT_EQ(CopyCounted::copies.load(), 0);
+  const std::vector<int> first = values_of(std::move(iter));
+  EXPECT_EQ(first.size(), 50u);
+  EXPECT_EQ(CopyCounted::copies.load(), 50);
+  // A retry recomputes the split from the kept bucket.
+  EXPECT_EQ(values_of(repartitioned->compute(0)), first);
 }
 
 TEST(ShuffleTest, ReduceByKeyAggregates) {
@@ -330,30 +347,33 @@ TEST(DStreamTest, MultipleOutputsShareOneLineagePerBatch) {
         .expect_ok();
   }
   StreamingContext ssc(SparkConf{.default_parallelism = 1}, 10);
-  std::atomic<int> transform_calls{0};
-  auto stream =
-      ssc.kafka_direct_stream(broker, "in")
-          .transform<kafka::Payload>(
-              [&transform_calls](RDDPtr<kafka::Payload> rdd)
-                  -> RDDPtr<kafka::Payload> {
-                transform_calls.fetch_add(1);
-                return rdd;
-              });
+  auto stream = ssc.kafka_direct_stream(broker, "in")
+                    .map_partitions<kafka::Payload>(
+                        [](IterPtr<kafka::Payload> in) { return in; });
+  // Each output keeps every batch's RDD alive, so two distinct lineages
+  // could never share an address.
+  std::mutex mutex;
+  std::vector<RDDPtr<kafka::Payload>> seen_a, seen_b;
   std::atomic<int> a{0}, b{0};
-  stream.foreach_rdd([&a](SparkContext& sc,
-                          const RDDPtr<kafka::Payload>& rdd) {
+  stream.foreach_rdd([&](SparkContext& sc,
+                         const RDDPtr<kafka::Payload>& rdd) {
     a.fetch_add(static_cast<int>(sc.count(rdd)));
+    std::lock_guard lock(mutex);
+    seen_a.push_back(rdd);
   });
-  stream.foreach_rdd([&b](SparkContext& sc,
-                          const RDDPtr<kafka::Payload>& rdd) {
+  stream.foreach_rdd([&](SparkContext& sc,
+                         const RDDPtr<kafka::Payload>& rdd) {
     b.fetch_add(static_cast<int>(sc.count(rdd)));
+    std::lock_guard lock(mutex);
+    seen_b.push_back(rdd);
   });
   ASSERT_TRUE(ssc.run_bounded().is_ok());
   EXPECT_EQ(a.load(), 10);
   EXPECT_EQ(b.load(), 10);
-  // Memoized per batch: the transform ran once per batch, not per output.
-  EXPECT_EQ(transform_calls.load(),
-            static_cast<int>(ssc.metrics().counter("batch.count")));
+  // Memoized per batch: one lineage per batch, shared by both outputs.
+  EXPECT_EQ(seen_a.size(),
+            static_cast<std::size_t>(ssc.metrics().counter("batch.count")));
+  EXPECT_EQ(seen_a, seen_b);
 }
 
 TEST(DStreamTest, ReduceByKeyHelper) {
