@@ -103,8 +103,11 @@ std::size_t find_by_memchr(const char* haystack, std::size_t n,
 
 }  // namespace
 
-std::size_t find_substring(std::string_view haystack,
-                           std::string_view needle) noexcept {
+// Cache-line aligned: the Grep scan's loop is hot enough that its offset
+// inside a 64-byte line moved native Flink Grep by 5-8%, so an unrelated
+// edit elsewhere in this file could shift the benchmark. Pinned at offset 0.
+[[gnu::aligned(64)]] std::size_t find_substring(
+    std::string_view haystack, std::string_view needle) noexcept {
   const std::size_t n = haystack.size();
   const std::size_t k = needle.size();
   if (k == 0) return 0;

@@ -1,6 +1,9 @@
 #include "workload/aol_generator.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstring>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
@@ -19,35 +22,67 @@ constexpr std::uint64_t kNeedleResidue = 7;
 
 // Vocabulary for query synthesis. None of these contain "test" as a
 // substring ("contest", "protest", "latest" are deliberately absent), so
-// needle occurrence is fully controlled by the generator.
-constexpr std::array kWords = {
+// needle occurrence is fully controlled by the generator. String views, so
+// the kernel below copies each with a length fixed at compile time.
+constexpr auto kWords = std::to_array<std::string_view>({
     "weather",  "lyrics",  "recipe",   "movie",   "hotel",   "flight",
     "games",    "news",    "pictures", "school",  "music",   "phone",
     "house",    "jobs",    "car",      "credit",  "dollar",  "health",
     "store",    "beach",   "county",   "city",    "map",     "code",
     "florida",  "texas",   "free",     "online",  "cheap",   "best",
     "york",     "sale",    "book",     "radio",   "tickets", "college",
-};
+});
 
-constexpr std::array kDomains = {
+constexpr auto kDomains = std::to_array<std::string_view>({
     "example.com",   "search.net",   "shopping.org", "travelsite.com",
     "localnews.com", "bigstore.com", "questions.net", "photos.org",
-};
+});
 
-void append_decimal(std::string& out, std::uint64_t value) {
-  char digits[20];
-  std::size_t count = 0;
-  do {
-    digits[count++] = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  while (count > 0) out += digits[--count];
+constexpr std::string_view kNeedle = kGrepNeedle;
+constexpr std::uint64_t kMaxQueryWords = 4;
+constexpr std::string_view kYear = "2006-";
+constexpr std::string_view kUrlPrefix = "\thttp://www.";
+
+template <std::size_t N>
+constexpr std::size_t longest(const std::array<std::string_view, N>& texts) {
+  std::size_t size = 0;
+  for (const std::string_view text : texts) size = std::max(size, text.size());
+  return size;
 }
 
-/// `value` < 100, zero-padded to two digits.
-void append_two_digits(std::string& out, std::uint64_t value) {
-  out += static_cast<char>('0' + value / 10);
-  out += static_cast<char>('0' + value % 10);
+/// The longest line line_at can write: six-digit user id, tab; the longest
+/// query (kMaxQueryWords of the longest word, space-separated, plus " test"),
+/// tab; the query time, tab; rank "10" and the longest URL.
+constexpr std::size_t kLongestLine =
+    6 + 1 + kMaxQueryWords * longest(kWords) + (kMaxQueryWords - 1) + 1 +
+    kNeedle.size() + 1 + std::string_view("2006-MM-DD HH:MM:SS").size() + 1 +
+    2 + kUrlPrefix.size() + longest(kDomains);
+
+/// line_at formats into a stack buffer of this size.
+constexpr std::size_t kLineBufferBytes = 128;
+static_assert(kLineBufferBytes >= kLongestLine,
+              "a vocabulary edit made the longest line outgrow line_at's "
+              "buffer");
+
+/// "00".."99" back to back: two digits are one two-byte copy.
+constexpr auto kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// Writes `value` < 100 as two digits at `out`; returns the end.
+char* put_two_digits(char* out, std::uint64_t value) {
+  std::memcpy(out, &kDigitPairs[2 * value], 2);
+  return out + 2;
+}
+
+char* put(char* out, std::string_view text) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
 }
 
 }  // namespace
@@ -98,22 +133,28 @@ void AolGenerator::line_at(std::uint64_t index, std::string& out) const {
   // A per-record generator keyed on (seed, index) makes records independent
   // of generation order.
   Xoshiro256 rng(config_.seed ^ (index * 0x9E3779B97F4A7C15ULL + 1));
-  out.clear();
+  // A byte kernel: every field goes into `line` at a known width, and `out`
+  // is written once at the end.
+  char line[kLineBufferBytes];
+  char* end = line;
 
-  append_decimal(out, 100000 + rng.next_below(900000));  // user id
-  out += '\t';
+  const std::uint64_t user_id = 100000 + rng.next_below(900000);  // 6 digits
+  end = put_two_digits(end, user_id / 10000);
+  end = put_two_digits(end, user_id / 100 % 100);
+  end = put_two_digits(end, user_id % 100);
+  *end++ = '\t';
 
   // 1-4 vocabulary words; the needle is injected deterministically.
-  const std::uint64_t word_count = 1 + rng.next_below(4);
+  const std::uint64_t word_count = 1 + rng.next_below(kMaxQueryWords);
   for (std::uint64_t w = 0; w < word_count; ++w) {
-    if (w > 0) out += ' ';
-    out += kWords[rng.next_below(kWords.size())];
+    if (w > 0) *end++ = ' ';
+    end = put(end, kWords[rng.next_below(kWords.size())]);
   }
   if (is_grep_match(index)) {
-    out += ' ';
-    out += kGrepNeedle;
+    *end++ = ' ';
+    end = put(end, kNeedle);
   }
-  out += '\t';
+  *end++ = '\t';
 
   // AOL log timeframe: March–May 2006. The fields are drawn second first,
   // one statement each, so the dataset does not depend on the order a
@@ -123,26 +164,32 @@ void AolGenerator::line_at(std::uint64_t index, std::string& out) const {
   const std::uint64_t hour = rng.next_below(24);
   const std::uint64_t day = 1 + rng.next_below(28);
   const std::uint64_t month = 3 + rng.next_below(3);
-  out += "2006-";
-  append_two_digits(out, month);
-  out += '-';
-  append_two_digits(out, day);
-  out += ' ';
-  append_two_digits(out, hour);
-  out += ':';
-  append_two_digits(out, minute);
-  out += ':';
-  append_two_digits(out, second);
-  out += '\t';
+  end = put(end, kYear);
+  end = put_two_digits(end, month);
+  *end++ = '-';
+  end = put_two_digits(end, day);
+  *end++ = ' ';
+  end = put_two_digits(end, hour);
+  *end++ = ':';
+  end = put_two_digits(end, minute);
+  *end++ = ':';
+  end = put_two_digits(end, second);
+  *end++ = '\t';
 
   // Roughly half the records carry a clicked result.
   if (rng.next_below(2) == 0) {
-    append_decimal(out, 1 + rng.next_below(10));  // item rank
-    out += "\thttp://www.";
-    out += kDomains[rng.next_below(kDomains.size())];
+    const std::uint64_t rank = 1 + rng.next_below(10);  // item rank, 1-10
+    if (rank == 10) {
+      end = put_two_digits(end, rank);
+    } else {
+      *end++ = static_cast<char>('0' + rank);
+    }
+    end = put(end, kUrlPrefix);
+    end = put(end, kDomains[rng.next_below(kDomains.size())]);
   } else {
-    out += '\t';
+    *end++ = '\t';
   }
+  out.assign(line, static_cast<std::size_t>(end - line));
 }
 
 AolRecord AolGenerator::record_at(std::uint64_t index) const {

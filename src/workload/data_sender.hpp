@@ -26,6 +26,11 @@ struct IngestReport {
   double duration_ms = 0.0;
 };
 
+/// Generation runs one chunk ahead of sending, as a KafkaProducer's caller
+/// and Sender threads do: during send_generated a helper task formats and
+/// interns chunks of 1,000 lines while the calling thread sends the chunk
+/// before, so broker appends and ack round trips overlap formatting.
+///
 /// Every value sent is interned into the sender's PayloadArena, so a run
 /// of small records shares one 64 KiB chunk instead of taking a heap block
 /// each. A stored record keeps its chunk alive after the sender is gone;
@@ -36,6 +41,7 @@ class DataSender {
 
   /// Streams records straight from the generator (no materialized vector —
   /// supports the full 1,000,001-record paper scale without holding it).
+  /// A failed send stops the helper and joins it before the Status returns.
   Result<IngestReport> send_generated(const AolGenerator& generator);
 
  private:

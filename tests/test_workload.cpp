@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/strings.hpp"
+#include "runtime/fault.hpp"
 #include "workload/aol_generator.hpp"
 #include "workload/data_sender.hpp"
 #include "workload/streambench.hpp"
@@ -140,20 +141,49 @@ TEST(AolGeneratorTest, RejectsBadConfig) {
 // --- data sender --------------------------------------------------------------
 
 TEST(DataSenderTest, SendsAllRecordsInOrder) {
+  // Two full 1,000-line chunks and a partial one.
+  constexpr std::uint64_t kRecords = 2500;
   kafka::Broker broker;
   create_benchmark_topic(broker, "in").expect_ok();
-  AolGenerator generator({.record_count = 500, .seed = 42});
+  AolGenerator generator({.record_count = kRecords, .seed = 42});
   DataSender sender(broker, DataSenderConfig{.topic = "in"});
   auto report = sender.send_generated(generator);
   ASSERT_TRUE(report.is_ok());
-  EXPECT_EQ(report.value().records_sent, 500u);
-  EXPECT_EQ(broker.end_offset({"in", 0}).value(), 500);
+  EXPECT_EQ(report.value().records_sent, kRecords);
+  EXPECT_EQ(broker.end_offset({"in", 0}).value(),
+            static_cast<std::int64_t>(kRecords));
 
   std::vector<kafka::StoredRecord> stored;
-  broker.fetch({"in", 0}, 0, 1000, stored).status().expect_ok();
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(stored[i].value, generator.record_at(i).to_line());
+  broker.fetch({"in", 0}, 0, 2 * kRecords, stored).status().expect_ok();
+  ASSERT_EQ(stored.size(), kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(stored[i].value, generator.record_at(i).to_line())
+        << "record " << i;
   }
+}
+
+TEST(DataSenderTest, BrokerOutageMidIngestStopsTheGenerator) {
+  auto& injector = runtime::FaultInjector::instance();
+  kafka::Broker broker;
+  create_benchmark_topic(broker, "in").expect_ok();
+  // The third flush opens a 50 ms outage, which outlasts the producer's
+  // five retries (at most ~7.5 ms of backoff). The generator is chunks
+  // ahead by then and must be stopped and joined, not left blocked.
+  injector.arm(11, {runtime::FaultRule{
+                       .point = runtime::FaultPoint::kBrokerUnavailable,
+                       .site = "in",
+                       .after_hits = 2,
+                       .times = 1,
+                       .param_us = 50'000}});
+  AolGenerator generator({.record_count = 10'000, .seed = 42});
+  DataSender sender(broker, DataSenderConfig{.topic = "in"});
+  const auto report = sender.send_generated(generator);
+  injector.disarm();
+
+  EXPECT_EQ(report.status().code(), StatusCode::kUnavailable);
+  // A flush ships at 1,000 records or, on a slow run, earlier at its linger,
+  // so only the stop itself is certain: the input ends short.
+  EXPECT_LT(broker.end_offset({"in", 0}).value(), 10'000);
 }
 
 TEST(DataSenderTest, ArenaValuesOutliveTheSender) {
