@@ -1,11 +1,12 @@
 // Native Flink-sim API tour: a streaming word count over search queries —
-// flat_map into words, key_by word, continuous keyed reduce — plus the
-// execution plan and the chaining effect.
+// map each query to its words, rebalance, and tally the words in a sink
+// shared by all subtasks — plus the execution plan and the chaining effect.
 //
 //   $ ./examples/flink_wordcount
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "common/strings.hpp"
 #include "flink/environment.hpp"
@@ -13,11 +14,6 @@
 using namespace dsps;
 
 namespace {
-
-struct WordCount {
-  std::string word;
-  int count = 1;
-};
 
 flink::SourceFactory query_source() {
   class QuerySource final : public flink::SourceFunction {
@@ -53,39 +49,29 @@ int main() {
   flink::StreamExecutionEnvironment env;
   env.set_parallelism(2);
 
-  auto final_counts = std::make_shared<std::map<std::string, int>>();
+  auto counts = std::make_shared<std::map<std::string, int>>();
   auto mutex = std::make_shared<std::mutex>();
 
   env.add_source<std::string>(query_source(), "Search Queries")
-      .flat_map<WordCount>(
-          [](const std::string& query,
-             const std::function<void(WordCount)>& out) {
-            for (const auto& word : split(query, ' ')) {
-              out(WordCount{word, 1});
-            }
-          },
+      .map<std::vector<std::string>>(
+          [](const std::string& query) { return split(query, ' '); },
           "Tokenize")
-      .key_by<std::string>([](const WordCount& wc) { return wc.word; })
-      .reduce(
-          [](const WordCount& a, const WordCount& b) {
-            return WordCount{a.word, a.count + b.count};
-          },
-          "Count")
+      .rebalance()
       .for_each(
-          [final_counts, mutex](const WordCount& wc) {
+          [counts, mutex](const std::vector<std::string>& words) {
             std::lock_guard lock(*mutex);
-            (*final_counts)[wc.word] = wc.count;  // last update wins
+            for (const auto& word : words) ++(*counts)[word];
           },
-          "Collect");
+          "Tally");
 
-  std::printf("=== execution plan (keyed exchange breaks the chain) ===\n%s\n",
+  std::printf("=== execution plan (rebalance breaks the chain) ===\n%s\n",
               env.execution_plan().c_str());
 
   auto result = env.execute("wordcount");
   result.status().expect_ok();
 
   std::printf("=== word counts ===\n");
-  for (const auto& [word, count] : *final_counts) {
+  for (const auto& [word, count] : *counts) {
     std::printf("  %-10s %d\n", word.c_str(), count);
   }
   std::printf("\njob ran in %.2f ms across %zu job vertices\n",

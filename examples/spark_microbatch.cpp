@@ -1,11 +1,12 @@
 // Native Spark-sim API tour: a live micro-batch topology — records arrive
-// while the batch generator ticks, and per-batch reduce_by_key aggregates
-// flow out continuously. Shows the D-Stream model (a stream as a sequence
-// of RDDs) and the batch history.
+// while the batch generator ticks, and per-batch revenue totals, summed
+// from each collected batch, flow out continuously. Shows the D-Stream
+// model (a stream as a sequence of RDDs) and the batch history.
 //
 //   $ ./examples/spark_microbatch
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -24,25 +25,24 @@ int main() {
       /*batch_interval_ms=*/25);
 
   // events "<region>:<amount>" -> per-batch revenue per region.
-  auto per_region = spark::reduce_by_key<std::string, int>(
-      ssc.kafka_direct_stream(broker, "events")
-          .map<std::pair<std::string, int>>(
-              [](const kafka::Payload& event) {
-                const auto line = event.view();
-                const auto colon = line.find(':');
-                return std::make_pair(
-                    std::string(line.substr(0, colon)),
-                    std::stoi(std::string(line.substr(colon + 1))));
-              }),
-      [](const int& a, const int& b) { return a + b; },
-      /*partitions=*/2);
+  auto sales = ssc.kafka_direct_stream(broker, "events")
+                   .map<std::pair<std::string, int>>(
+                       [](const kafka::Payload& event) {
+                         const auto line = event.view();
+                         const auto colon = line.find(':');
+                         return std::make_pair(
+                             std::string(line.substr(0, colon)),
+                             std::stoi(std::string(line.substr(colon + 1))));
+                       });
 
   auto print_mutex = std::make_shared<std::mutex>();
-  per_region.foreach_rdd(
+  sales.foreach_rdd(
       [print_mutex](spark::SparkContext& sc,
                     const spark::RDDPtr<std::pair<std::string, int>>& rdd) {
-        const auto totals = sc.collect(rdd);
-        if (totals.empty()) return;
+        const auto rows = sc.collect(rdd);
+        if (rows.empty()) return;
+        std::map<std::string, int> totals;
+        for (const auto& [region, amount] : rows) totals[region] += amount;
         std::lock_guard lock(*print_mutex);
         std::printf("batch:");
         for (const auto& [region, revenue] : totals) {

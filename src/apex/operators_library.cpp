@@ -182,16 +182,4 @@ OperatorFactory filter_payload_factory(
   };
 }
 
-OperatorFactory flat_map_payload_factory(
-    std::function<std::vector<Payload>(const Payload&)> fn) {
-  return [fn = std::move(fn)] {
-    return std::make_unique<FunctionOperator>(
-        [fn](const Tuple& tuple, const std::function<void(Tuple)>& emit) {
-          for (auto& value : fn(tuple_cast<Payload>(tuple))) {
-            emit(make_tuple_of<Payload>(std::move(value)));
-          }
-        });
-  };
-}
-
 }  // namespace dsps::apex

@@ -133,7 +133,5 @@ OperatorFactory map_payload_factory(
     std::function<runtime::Payload(const runtime::Payload&)> fn);
 OperatorFactory filter_payload_factory(
     std::function<bool(const runtime::Payload&)> predicate);
-OperatorFactory flat_map_payload_factory(
-    std::function<std::vector<runtime::Payload>(const runtime::Payload&)> fn);
 
 }  // namespace dsps::apex

@@ -88,28 +88,6 @@ class VarIntCoder final : public Coder {
   }
 };
 
-class DoubleCoder final : public Coder {
- public:
-  void encode(const Value& value, BinaryWriter& out) const override {
-    const double v = value.get<double>();
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    out.write_u64(bits);
-  }
-  Value decode(BinaryReader& in) const override {
-    const std::uint64_t bits = in.read_u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  std::string name() const override { return "DoubleCoder"; }
-  std::size_t encoded_size_hint(const Value& value) const override {
-    (void)value;
-    return sizeof(std::uint64_t);
-  }
-};
-
 /// Coder for KV<K, V> given the component coders and the concrete types.
 template <typename K, typename V>
 class KvCoder final : public Coder {
@@ -167,11 +145,6 @@ struct CoderTraits<runtime::Payload> {
 template <>
 struct CoderTraits<std::int64_t> {
   static CoderPtr of() { return std::make_shared<VarIntCoder>(); }
-};
-
-template <>
-struct CoderTraits<double> {
-  static CoderPtr of() { return std::make_shared<DoubleCoder>(); }
 };
 
 template <typename K, typename V>

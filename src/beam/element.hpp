@@ -93,7 +93,7 @@ struct ProducerRecordStub {
 
 /// Type-erased element payload. The payload types the translated queries
 /// move in bulk — refcounted Payload slices, strings, KV pairs, KafkaIO's
-/// record types and the numeric scalars — are stored inline in a variant;
+/// record types and int64 counts — are stored inline in a variant;
 /// any other type falls back to std::any, paying the heap boxing every
 /// payload used to pay.
 class Value {
@@ -149,13 +149,12 @@ class Value {
       std::is_same_v<T, KV<runtime::Payload, runtime::Payload>> ||
       std::is_same_v<T, KafkaRecord> ||
       std::is_same_v<T, ProducerRecordStub> ||
-      std::is_same_v<T, std::int64_t> || std::is_same_v<T, double>;
+      std::is_same_v<T, std::int64_t>;
 
   using Storage =
       std::variant<std::monostate, std::string, KV<std::string, std::string>,
                    runtime::Payload, KV<runtime::Payload, runtime::Payload>,
-                   KafkaRecord, ProducerRecordStub, std::int64_t, double,
-                   std::any>;
+                   KafkaRecord, ProducerRecordStub, std::int64_t, std::any>;
 
   /// Constructs the alternative in place (no default-then-assign).
   template <typename T>

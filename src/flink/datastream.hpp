@@ -9,13 +9,9 @@
 #include <string>
 #include <utility>
 
-#include "common/bytes.hpp"
 #include "flink/environment.hpp"
 
 namespace dsps::flink {
-
-template <typename T, typename K>
-class KeyedStream;
 
 template <typename T>
 class DataStream {
@@ -44,54 +40,6 @@ class DataStream {
       });
     };
     return attach<T>(std::move(factory), name);
-  }
-
-  /// Zero-or-more outputs per input via the `out` callback.
-  template <typename R>
-  DataStream<R> flat_map(
-      std::function<void(const T&, const std::function<void(R)>&)> fn,
-      const std::string& name = "Flat Map") const {
-    OperatorFactory factory = [fn = std::move(fn)] {
-      return std::make_unique<FlatMapOperator>(
-          [fn](const Elem& elem, Collector& out) {
-            fn(elem_cast<T>(elem),
-               [&out](R value) { out.collect(make_elem<R>(std::move(value))); });
-          });
-    };
-    return attach<R>(std::move(factory), name);
-  }
-
-  /// Partitions the stream by key; downstream keyed operators see all
-  /// elements of one key in one subtask.
-  template <typename K>
-  KeyedStream<T, K> key_by(std::function<K(const T&)> key_of) const;
-
-  /// Merges this stream with others of the same type (Flink's union()).
-  DataStream<T> union_with(const std::vector<DataStream<T>>& others,
-                           const std::string& name = "Union") const {
-    StreamNode node;
-    node.name = name;
-    node.kind = NodeKind::kOperator;
-    node.parallelism = env_->parallelism();
-    node.make_operator = [] {
-      return std::make_unique<MapOperator>(
-          [](const Elem& elem) { return elem; });
-    };
-    node.chainable = false;  // multiple producers feed one consumer
-    const int id = env_->add_node(std::move(node));
-    env_->add_edge(StreamEdge{.from = node_id_,
-                              .to = id,
-                              .mode = PartitionMode::kRebalance,
-                              .key_fn = {}});
-    for (const auto& other : others) {
-      require(other.environment() == env_,
-              "union_with requires streams from one environment");
-      env_->add_edge(StreamEdge{.from = other.node_id(),
-                                .to = id,
-                                .mode = PartitionMode::kRebalance,
-                                .key_fn = {}});
-    }
-    return DataStream<T>(env_, id);
   }
 
   /// Redistributes round-robin (breaks chaining; used to force a shuffle).
@@ -131,7 +79,8 @@ class DataStream {
                               .key_fn = {}});
   }
 
-  /// Convenience sink invoking `fn` per element (single-subtask tests).
+  /// Convenience sink invoking `fn` per element. Each subtask calls its own
+  /// copy of `fn`, so state the copies share through captures needs a lock.
   void for_each(std::function<void(const T&)> fn,
                 const std::string& name = "ForEach") const {
     class FnSink final : public SinkFunction {
@@ -151,109 +100,24 @@ class DataStream {
 
  private:
   template <typename R>
-  DataStream<R> attach(OperatorFactory factory, const std::string& name,
-                       PartitionMode mode = PartitionMode::kForward,
-                       KeyFn key_fn = {}) const {
-    StreamNode node;
-    node.name = name;
-    node.kind = NodeKind::kOperator;
-    node.parallelism = env_->parallelism();
-    node.make_operator = std::move(factory);
-    const int id = env_->add_node(std::move(node));
-    env_->add_edge(StreamEdge{
-        .from = node_id_, .to = id, .mode = mode, .key_fn = std::move(key_fn)});
-    return DataStream<R>(env_, id);
-  }
-
-  template <typename, typename>
-  friend class KeyedStream;
-
-  StreamExecutionEnvironment* env_;
-  int node_id_;
-};
-
-/// Hash helper turning a typed key into the partitioning hash.
-template <typename K>
-std::uint64_t hash_key(const K& key) {
-  if constexpr (std::is_integral_v<K>) {
-    return static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
-  } else {
-    return fnv1a(std::string_view{key});
-  }
-}
-
-template <typename T, typename K>
-class KeyedStream {
- public:
-  KeyedStream(StreamExecutionEnvironment* env, int node_id,
-              std::function<K(const T&)> key_of)
-      : env_(env), node_id_(node_id), key_of_(std::move(key_of)) {}
-
-  /// Continuous reduce: emits the running aggregate per key on every input.
-  DataStream<T> reduce(std::function<T(const T&, const T&)> fn,
-                       const std::string& name = "Keyed Reduce") const {
-    auto key_fn = erased_key_fn();
-    OperatorFactory factory = [key_fn, fn = std::move(fn)] {
-      return std::make_unique<KeyedReduceOperator>(
-          key_fn, [fn](const Elem& a, const Elem& b) {
-            return make_elem<T>(fn(elem_cast<T>(a), elem_cast<T>(b)));
-          });
-    };
-    return attach(std::move(factory), name);
-  }
-
-  /// Tumbling count window per key with a reduce function; partial windows
-  /// flush at end of input.
-  DataStream<T> count_window_reduce(
-      std::size_t window_size, std::function<T(const T&, const T&)> fn,
-      const std::string& name = "Count Window Reduce") const {
-    require(window_size > 0, "window size must be positive");
-    auto key_fn = erased_key_fn();
-    OperatorFactory factory = [key_fn, fn = std::move(fn), window_size] {
-      return std::make_unique<CountWindowReduceOperator>(
-          key_fn,
-          [fn](const Elem& a, const Elem& b) {
-            return make_elem<T>(fn(elem_cast<T>(a), elem_cast<T>(b)));
-          },
-          window_size);
-    };
-    return attach(std::move(factory), name);
-  }
-
- private:
-  KeyFn erased_key_fn() const {
-    return [key_of = key_of_](const Elem& elem) {
-      return hash_key<K>(key_of(elem_cast<T>(elem)));
-    };
-  }
-
-  DataStream<T> attach(OperatorFactory factory,
+  DataStream<R> attach(OperatorFactory factory,
                        const std::string& name) const {
     StreamNode node;
     node.name = name;
     node.kind = NodeKind::kOperator;
     node.parallelism = env_->parallelism();
     node.make_operator = std::move(factory);
-    node.chainable = false;  // keyed exchange always crosses a channel
     const int id = env_->add_node(std::move(node));
     env_->add_edge(StreamEdge{.from = node_id_,
                               .to = id,
-                              .mode = PartitionMode::kHash,
-                              .key_fn = erased_key_fn()});
-    return DataStream<T>(env_, id);
+                              .mode = PartitionMode::kForward,
+                              .key_fn = {}});
+    return DataStream<R>(env_, id);
   }
 
   StreamExecutionEnvironment* env_;
   int node_id_;
-  std::function<K(const T&)> key_of_;
 };
-
-template <typename T>
-template <typename K>
-KeyedStream<T, K> DataStream<T>::key_by(
-    std::function<K(const T&)> key_of) const {
-  return KeyedStream<T, K>(env_, node_id_, std::move(key_of));
-}
 
 template <typename T>
 DataStream<T> StreamExecutionEnvironment::add_source(SourceFactory factory,

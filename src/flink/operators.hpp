@@ -2,13 +2,9 @@
 // operator implementations the typed DataStream API instantiates.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "flink/element.hpp"
 
@@ -93,80 +89,6 @@ class FilterOperator final : public StreamOperator {
 
  private:
   std::function<bool(const Elem&)> predicate_;
-};
-
-class FlatMapOperator final : public StreamOperator {
- public:
-  explicit FlatMapOperator(std::function<void(const Elem&, Collector&)> fn)
-      : fn_(std::move(fn)) {}
-  void process(Elem element, Collector& out) override { fn_(element, out); }
-
- private:
-  std::function<void(const Elem&, Collector&)> fn_;
-};
-
-/// Continuous per-key reduce: every input emits the updated aggregate for
-/// its key (Flink's KeyedStream::reduce semantics).
-class KeyedReduceOperator final : public StreamOperator {
- public:
-  KeyedReduceOperator(std::function<std::uint64_t(const Elem&)> key_of,
-                      std::function<Elem(const Elem&, const Elem&)> reduce)
-      : key_of_(std::move(key_of)), reduce_(std::move(reduce)) {}
-
-  void process(Elem element, Collector& out) override {
-    const std::uint64_t key = key_of_(element);
-    auto [it, inserted] = state_.try_emplace(key, element);
-    if (!inserted) it->second = reduce_(it->second, element);
-    out.collect(it->second);
-  }
-
- private:
-  std::function<std::uint64_t(const Elem&)> key_of_;
-  std::function<Elem(const Elem&, const Elem&)> reduce_;
-  std::unordered_map<std::uint64_t, Elem> state_;
-};
-
-/// Per-key tumbling count window with a reduce function: emits one result
-/// per full window; partial windows flush at end of input.
-class CountWindowReduceOperator final : public StreamOperator {
- public:
-  CountWindowReduceOperator(
-      std::function<std::uint64_t(const Elem&)> key_of,
-      std::function<Elem(const Elem&, const Elem&)> reduce,
-      std::size_t window_size)
-      : key_of_(std::move(key_of)),
-        reduce_(std::move(reduce)),
-        window_size_(window_size) {}
-
-  void process(Elem element, Collector& out) override {
-    const std::uint64_t key = key_of_(element);
-    auto& window = state_[key];
-    window.accumulator = window.count == 0
-                             ? element
-                             : reduce_(window.accumulator, element);
-    if (++window.count >= window_size_) {
-      out.collect(std::move(window.accumulator));
-      window = {};
-    }
-  }
-
-  void close(Collector& out) override {
-    for (auto& [key, window] : state_) {
-      if (window.count > 0) out.collect(std::move(window.accumulator));
-    }
-    state_.clear();
-  }
-
- private:
-  struct Window {
-    Elem accumulator;
-    std::size_t count = 0;
-  };
-
-  std::function<std::uint64_t(const Elem&)> key_of_;
-  std::function<Elem(const Elem&, const Elem&)> reduce_;
-  std::size_t window_size_;
-  std::unordered_map<std::uint64_t, Window> state_;
 };
 
 /// Adapts a SinkFunction to the operator interface so sinks can be chained.

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -82,13 +81,6 @@ class DStream {
         });
   }
 
-  template <typename R>
-  DStream<R> flat_map(std::function<std::vector<R>(const T&)> fn) const {
-    return derive<R>([fn = std::move(fn)](RDDPtr<T> rdd) -> RDDPtr<R> {
-      return std::make_shared<FlatMapRDD<T, R>>(std::move(rdd), fn);
-    });
-  }
-
   /// Iterator-in / iterator-out partition transformation (lazy).
   template <typename R>
   DStream<R> map_partitions(
@@ -121,22 +113,5 @@ class DStream {
   StreamingContext* context_;
   std::shared_ptr<DStreamNode<T>> node_;
 };
-
-/// Pair-stream helper: reduce_by_key over each batch.
-template <typename K, typename V>
-DStream<std::pair<K, V>> reduce_by_key(
-    const DStream<std::pair<K, V>>& stream,
-    std::function<V(const V&, const V&)> reduce, int partitions) {
-  using Pair = std::pair<K, V>;
-  return DStream<Pair>(
-      stream.context(),
-      std::make_shared<TransformedDStreamNode<Pair, Pair>>(
-          stream.node(),
-          [reduce = std::move(reduce),
-           partitions](RDDPtr<Pair> rdd) -> RDDPtr<Pair> {
-            return std::make_shared<ReduceByKeyRDD<K, V>>(std::move(rdd),
-                                                          reduce, partitions);
-          }));
-}
 
 }  // namespace dsps::spark

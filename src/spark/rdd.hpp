@@ -1,22 +1,18 @@
 // RDDs: immutable, partitioned, lazily evaluated collections with lineage.
 //
 // compute(split) returns a pull-based iterator: narrow dependencies
-// (map/filter/flatMap/mapPartitions) pipeline through the whole chain one
-// record at a time, exactly like a Spark stage. Wide dependencies
-// (repartition, reduce_by_key) materialize a shuffle: the parent side runs
-// as its own stage and writes buckets the child side iterates (see
-// SparkContext::prepare_shuffles).
+// (map/filter/mapPartitions) pipeline through the whole chain one record at
+// a time, exactly like a Spark stage. The one wide dependency, repartition,
+// materializes a shuffle: the parent side runs as its own stage and writes
+// buckets the child side iterates (see SparkContext::prepare_shuffles).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "spark/iterator.hpp"
 
@@ -145,46 +141,6 @@ class FilterRDD final : public RDD<T> {
   std::function<bool(const T&)> predicate_;
 };
 
-template <typename T, typename R>
-class FlatMapRDD final : public RDD<R> {
- public:
-  FlatMapRDD(RDDPtr<T> parent, std::function<std::vector<R>(const T&)> fn)
-      : parent_(std::move(parent)), fn_(std::move(fn)) {}
-
-  int partitions() const override { return parent_->partitions(); }
-  std::vector<std::shared_ptr<BaseRDD>> dependencies() const override {
-    return {parent_};
-  }
-  IterPtr<R> compute(int split) const override {
-    class FlatMapIter final : public Iterator<R> {
-     public:
-      FlatMapIter(IterPtr<T> in,
-                  const std::function<std::vector<R>(const T&)>& fn)
-          : in_(std::move(in)), fn_(fn) {}
-      std::optional<R> next() override {
-        while (buffer_index_ >= buffer_.size()) {
-          auto value = in_->next();
-          if (!value) return std::nullopt;
-          buffer_ = fn_(*value);
-          buffer_index_ = 0;
-        }
-        return std::move(buffer_[buffer_index_++]);
-      }
-
-     private:
-      IterPtr<T> in_;
-      const std::function<std::vector<R>(const T&)>& fn_;
-      std::vector<R> buffer_;
-      std::size_t buffer_index_ = 0;
-    };
-    return std::make_unique<FlatMapIter>(parent_->compute(split), fn_);
-  }
-
- private:
-  RDDPtr<T> parent_;
-  std::function<std::vector<R>(const T&)> fn_;
-};
-
 /// Iterator-to-iterator transformation of a whole partition (Spark's
 /// mapPartitions) — what the Beam Spark runner uses per translated
 /// transform. Lazy: the returned iterator pulls from the input iterator.
@@ -246,51 +202,6 @@ class RepartitionRDD final : public RDD<T> {
   mutable std::mutex mutex_;
   bool materialized_ = false;
   Buckets<T> buckets_;
-};
-
-/// Wide dependency: groups (key, value) pairs by key hash and reduces the
-/// values per key.
-template <typename K, typename V>
-class ReduceByKeyRDD final : public RDD<std::pair<K, V>> {
- public:
-  ReduceByKeyRDD(RDDPtr<std::pair<K, V>> parent,
-                 std::function<V(const V&, const V&)> reduce,
-                 int target_partitions)
-      : parent_(std::move(parent)),
-        reduce_(std::move(reduce)),
-        target_(target_partitions) {
-    require(target_partitions >= 1, "reduce_by_key target must be >= 1");
-  }
-
-  int partitions() const override { return target_; }
-  std::vector<std::shared_ptr<BaseRDD>> dependencies() const override {
-    return {parent_};
-  }
-  bool has_shuffle_dependency() const override { return true; }
-  void run_shuffle(SparkContext& context) override;
-
-  IterPtr<std::pair<K, V>> compute(int split) const override {
-    std::lock_guard lock(mutex_);
-    require(materialized_, "ReduceByKeyRDD computed before its shuffle ran");
-    return std::make_unique<SliceIterator<std::pair<K, V>>>(
-        buckets_.at(static_cast<std::size_t>(split)));
-  }
-
- private:
-  static std::uint64_t hash_of(const K& key) {
-    if constexpr (std::is_integral_v<K>) {
-      return static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
-    } else {
-      return fnv1a(std::string_view{key});
-    }
-  }
-
-  RDDPtr<std::pair<K, V>> parent_;
-  std::function<V(const V&, const V&)> reduce_;
-  int target_;
-  mutable std::mutex mutex_;
-  bool materialized_ = false;
-  Buckets<std::pair<K, V>> buckets_;
 };
 
 }  // namespace dsps::spark

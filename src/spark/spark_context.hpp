@@ -117,7 +117,7 @@ class SparkContext {
   /// Executes stage tasks for shuffle materialization (used by RDDs).
   void run_stage(int tasks, const std::function<void(int)>& body);
 
-  // Scheduler metrics (ablation benches assert on these).
+  // Scheduler metrics (tests assert on these).
   std::uint64_t jobs_run() const noexcept { return jobs_run_.load(); }
   std::uint64_t tasks_launched() const noexcept {
     return tasks_launched_.load();
@@ -156,32 +156,6 @@ void RepartitionRDD<T>::run_shuffle(SparkContext& context) {
   for (auto& bucket : buckets) {
     buckets_.push_back(
         std::make_shared<const std::vector<T>>(std::move(bucket)));
-  }
-  context.note_shuffle();
-  materialized_ = true;
-}
-
-template <typename K, typename V>
-void ReduceByKeyRDD<K, V>::run_shuffle(SparkContext& context) {
-  std::lock_guard lock(mutex_);
-  if (materialized_) return;
-  const auto buckets = static_cast<std::size_t>(target_);
-  std::vector<std::unordered_map<K, V>> maps(buckets);
-  std::vector<std::mutex> map_mutexes(buckets);
-  const int parent_parts = parent_->partitions();
-  context.run_stage(parent_parts, [&](int p) {
-    auto iter = parent_->compute(p);
-    while (auto pair = iter->next()) {
-      const std::size_t bucket = hash_of(pair->first) % buckets;
-      std::lock_guard inner(map_mutexes[bucket]);
-      auto [it, inserted] = maps[bucket].try_emplace(pair->first,
-                                                     pair->second);
-      if (!inserted) it->second = reduce_(it->second, pair->second);
-    }
-  });
-  for (const auto& map : maps) {
-    buckets_.push_back(std::make_shared<const std::vector<std::pair<K, V>>>(
-        map.begin(), map.end()));
   }
   context.note_shuffle();
   materialized_ = true;

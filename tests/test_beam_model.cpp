@@ -72,13 +72,6 @@ TEST(CoderTest, VarIntRoundTrip) {
   }
 }
 
-TEST(CoderTest, DoubleRoundTrip) {
-  const auto coder = CoderTraits<double>::of();
-  for (const double v : {0.0, -3.25, 1e300, 1e-300}) {
-    EXPECT_EQ(coder_round_trip<double>(coder, v), v);
-  }
-}
-
 TEST(CoderTest, KvCoderRoundTrip) {
   const auto coder = CoderTraits<KV<std::string, std::int64_t>>::of();
   const KV<std::string, std::int64_t> kv{"key", 77};

@@ -7,9 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "beam/kafka_io.hpp"
 #include "beam/pipeline.hpp"
@@ -150,20 +155,28 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- runner-specific behaviours ------------------------------------------------------
 
-Pipeline& stateful_pipeline(Pipeline& pipeline, kafka::Broker& broker) {
+/// `on_key`, when set, sees each record's key on the thread that counts it.
+Pipeline& stateful_pipeline(
+    Pipeline& pipeline, kafka::Broker& broker,
+    std::function<void(const std::string&)> on_key = {}) {
   using Keyed = KV<std::string, std::int64_t>;
   struct Counting final
       : StatefulDoFn<std::string, std::int64_t, std::int64_t, std::int64_t> {
+    explicit Counting(std::function<void(const std::string&)> on_key)
+        : on_key_(std::move(on_key)) {}
     void process_stateful(Context& ctx, std::int64_t& state) override {
+      if (on_key_) on_key_(ctx.element().key);
       ctx.output(++state);
     }
+    std::function<void(const std::string&)> on_key_;
   };
   pipeline.apply(KafkaIO::read(broker, KafkaReadConfig{.topic = "in"}))
       .apply(KafkaIO::without_metadata())
       .apply(Values<runtime::Payload>::create<runtime::Payload>())
       .apply(MapElements<runtime::Payload, Keyed>::via(
           [](const runtime::Payload& s) { return Keyed{s.str(), 1}; }))
-      .apply(ParDo::of<Keyed, std::int64_t>(std::make_shared<Counting>()))
+      .apply(ParDo::of<Keyed, std::int64_t>(
+          std::make_shared<Counting>(std::move(on_key))))
       .apply(MapElements<std::int64_t, std::string>::via(
           [](const std::int64_t& n) { return std::to_string(n); }))
       .apply(KafkaIO::write(broker, KafkaWriteConfig{.topic = "out"}));
@@ -191,6 +204,50 @@ TEST(FlinkRunnerTest, SupportsStatefulParDo) {
   FlinkRunner runner;
   ASSERT_TRUE(pipeline.run(runner).is_ok());
   EXPECT_EQ(read_topic(broker, "out").size(), 10u);
+}
+
+TEST(FlinkRunnerTest, StatefulParDoSeesEveryRecordOfAKeyInOneSubtask) {
+  // The stateful ParDo's input edge is hash-partitioned: every record of a
+  // key reaches the one subtask that owns the key. Key k occurs 20 * (k + 1)
+  // times, spread over four input partitions. Flink-sim runs each subtask
+  // on its own thread, so a key split across subtasks shows up as a key
+  // counted on more than one thread.
+  kafka::Broker broker;
+  broker.create_topic("in", kafka::TopicConfig{.partitions = 4}).expect_ok();
+  broker.create_topic("out", kafka::TopicConfig{.partitions = 1}).expect_ok();
+  std::vector<std::string> expected;
+  int next_partition = 0;
+  for (int key = 0; key < 5; ++key) {
+    const int occurrences = 20 * (key + 1);
+    for (int n = 1; n <= occurrences; ++n) {
+      broker
+          .append({"in", next_partition++ % 4},
+                  kafka::ProducerRecord{.value = "key-" + std::to_string(key)},
+                  false)
+          .status()
+          .expect_ok();
+      expected.push_back(std::to_string(n));
+    }
+  }
+  std::mutex mutex;
+  std::map<std::string, std::set<std::thread::id>> threads_of_key;
+  Pipeline pipeline;
+  stateful_pipeline(pipeline, broker, [&](const std::string& key) {
+    std::lock_guard lock(mutex);
+    threads_of_key[key].insert(std::this_thread::get_id());
+  });
+  FlinkRunner runner(FlinkRunnerOptions{.parallelism = 4});
+  ASSERT_TRUE(pipeline.run(runner).is_ok());
+  ASSERT_EQ(threads_of_key.size(), 5u);
+  for (const auto& [key, threads] : threads_of_key) {
+    EXPECT_EQ(threads.size(), 1u) << key << " was counted on several subtasks";
+  }
+  // Each key emits its running counts 1..occurrences, so its largest count
+  // equals its number of occurrences.
+  auto values = read_topic(broker, "out");
+  std::sort(values.begin(), values.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(values, expected);
 }
 
 TEST(ApexRunnerTest, SupportsStatefulParDo) {

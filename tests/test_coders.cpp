@@ -163,9 +163,6 @@ TEST(CoderRoundTripTest, EveryBuiltInRoundTripsWithExactHints) {
       EXPECT_EQ(v.get<std::int64_t>(), i);
     });
   }
-  expect_round_trip(DoubleCoder{}, Value{3.14159}, [](const Value& v) {
-    EXPECT_EQ(v.get<double>(), 3.14159);
-  });
   using Pair = KV<std::string, std::int64_t>;
   const KvCoder<std::string, std::int64_t> kv(
       CoderTraits<std::string>::of(), CoderTraits<std::int64_t>::of());

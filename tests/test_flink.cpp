@@ -1,5 +1,5 @@
 // Tests for Flink-sim: the DataStream API, the chaining optimizer, the
-// runtime (channels, parallelism), keyed state, and connectors.
+// runtime (channels, parallelism, routing), and connectors.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,20 +84,6 @@ TEST(FlinkTest, FilterDropsElements) {
   ASSERT_TRUE(env.execute().is_ok());
   EXPECT_EQ(collected->sorted(),
             (std::vector<int>{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}));
-}
-
-TEST(FlinkTest, FlatMapEmitsZeroOrMore) {
-  StreamExecutionEnvironment env;
-  auto collected = std::make_shared<Collected>();
-  env.add_source<int>(int_source(10))
-      .flat_map<int>([](const int& v, const std::function<void(int)>& out) {
-        for (int i = 0; i < v % 3; ++i) out(v);
-      })
-      .for_each([collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  // v emits (v % 3) copies: 1,2,2,4,5,5,7,8,8 -> 9 values.
-  EXPECT_EQ(collected->sorted(),
-            (std::vector<int>{1, 2, 2, 4, 5, 5, 7, 8, 8}));
 }
 
 TEST(FlinkTest, EmptyGraphFailsPrecondition) {
@@ -295,66 +281,6 @@ TEST(FlinkRuntimeTest, SparseUnchainedEdgeFlushesMidStream) {
   EXPECT_EQ(collected->sorted(), iota(2));
 }
 
-// --- keyed streams ---------------------------------------------------------------
-
-TEST(FlinkKeyedTest, KeyedReduceEmitsRunningAggregates) {
-  StreamExecutionEnvironment env;
-  auto collected = std::make_shared<Collected>();
-  env.add_source<int>(int_source(10))
-      .key_by<int>([](const int& v) { return v % 2; })
-      .reduce([](const int& a, const int& b) { return a + b; })
-      .for_each([collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  // Evens: 0,2,6,12,20; odds: 1,4,9,16,25 (running sums).
-  EXPECT_EQ(collected->sorted(),
-            (std::vector<int>{0, 1, 2, 4, 6, 9, 12, 16, 20, 25}));
-}
-
-TEST(FlinkKeyedTest, CountWindowReduceEmitsPerWindow) {
-  StreamExecutionEnvironment env;
-  auto collected = std::make_shared<Collected>();
-  env.add_source<int>(int_source(12))
-      .key_by<int>([](const int& v) { return v % 3; })
-      .count_window_reduce(2, [](const int& a, const int& b) { return a + b; })
-      .for_each([collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  // Key 0: (0+3), (6+9); key 1: (1+4), (7+10); key 2: (2+5), (8+11).
-  EXPECT_EQ(collected->sorted(),
-            (std::vector<int>{3, 5, 7, 15, 17, 19}));
-}
-
-TEST(FlinkKeyedTest, PartialWindowsFlushAtEndOfInput) {
-  StreamExecutionEnvironment env;
-  auto collected = std::make_shared<Collected>();
-  env.add_source<int>(int_source(3))
-      .key_by<int>([](const int&) { return 0; })
-      .count_window_reduce(10,
-                           [](const int& a, const int& b) { return a + b; })
-      .for_each([collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  EXPECT_EQ(collected->sorted(), (std::vector<int>{3}));  // 0+1+2 flushed
-}
-
-TEST(FlinkKeyedTest, KeyedRoutingKeepsKeysTogetherAcrossSubtasks) {
-  StreamExecutionEnvironment env;
-  env.set_parallelism(4);
-  auto collected = std::make_shared<Collected>();
-  env.add_source<int>(int_source(400))
-      .key_by<int>([](const int& v) { return v % 7; })
-      .reduce([](const int& a, const int& b) { return a + b; })
-      .for_each([collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  // The largest running sum per key must equal the key's total, proving
-  // all values of a key met in one place.
-  std::vector<int> totals(7, 0);
-  for (int i = 0; i < 400; ++i) totals[static_cast<std::size_t>(i % 7)] += i;
-  const auto values = collected->sorted();
-  for (const int total : totals) {
-    EXPECT_TRUE(std::binary_search(values.begin(), values.end(), total))
-        << "missing final aggregate " << total;
-  }
-}
-
 // --- async execution ---------------------------------------------------------------
 
 TEST(FlinkAsyncTest, CancelStopsUnboundedSource) {
@@ -436,33 +362,6 @@ TEST(FlinkKafkaTest, MultiPartitionTopicShardsAcrossSubtasks) {
       .add_sink(kafka_sink(broker, KafkaSinkConfig{.topic = "out"}));
   ASSERT_TRUE(env.execute().is_ok());
   EXPECT_EQ(broker.end_offset({"out", 0}).value(), 100);
-}
-
-TEST(FlinkTest, UnionMergesStreams) {
-  StreamExecutionEnvironment env;
-  auto collected = std::make_shared<Collected>();
-  auto a = env.add_source<int>(int_source(10));
-  auto b = env.add_source<int>(int_source(5))
-               .map<int>([](const int& v) { return v + 100; });
-  auto c = env.add_source<int>(int_source(3))
-               .map<int>([](const int& v) { return v + 200; });
-  a.union_with({b, c}).for_each(
-      [collected](const int& v) { collected->add(v); });
-  ASSERT_TRUE(env.execute().is_ok());
-  std::vector<int> expected;
-  for (int i = 0; i < 10; ++i) expected.push_back(i);
-  for (int i = 0; i < 5; ++i) expected.push_back(i + 100);
-  for (int i = 0; i < 3; ++i) expected.push_back(i + 200);
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(collected->sorted(), expected);
-}
-
-TEST(FlinkTest, UnionRejectsForeignEnvironment) {
-  StreamExecutionEnvironment env_a;
-  StreamExecutionEnvironment env_b;
-  auto a = env_a.add_source<int>(int_source(1));
-  auto b = env_b.add_source<int>(int_source(1));
-  EXPECT_THROW(a.union_with({b}), std::invalid_argument);
 }
 
 TEST(FlinkKafkaTest, CrashRestartRecoveryIsAtLeastOnce) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -92,14 +91,6 @@ TEST(RddTest, FilterRemovesElements) {
   std::sort(collected.begin(), collected.end());
   EXPECT_EQ(collected, (std::vector<int>{90, 91, 92, 93, 94, 95, 96, 97, 98,
                                          99}));
-}
-
-TEST(RddTest, FlatMapExpands) {
-  SparkContext sc(SparkConf{.default_parallelism = 2});
-  auto base = sc.parallelize(ints(4), 2);
-  RDDPtr<int> expanded = std::make_shared<FlatMapRDD<int, int>>(
-      base, [](const int& v) { return std::vector<int>(static_cast<std::size_t>(v), v); });
-  EXPECT_EQ(sc.count(expanded), 6u);  // 0+1+2+3
 }
 
 TEST(RddTest, NarrowChainPipelinesWithoutMaterializing) {
@@ -201,22 +192,6 @@ TEST(ShuffleTest, BucketIsCopiedRowByRowAndSurvivesRecompute) {
   EXPECT_EQ(CopyCounted::copies.load(), 50);
   // A retry recomputes the split from the kept bucket.
   EXPECT_EQ(values_of(repartitioned->compute(0)), first);
-}
-
-TEST(ShuffleTest, ReduceByKeyAggregates) {
-  SparkContext sc(SparkConf{.default_parallelism = 2});
-  std::vector<std::pair<std::string, int>> pairs;
-  for (int i = 0; i < 100; ++i) {
-    pairs.emplace_back(i % 2 == 0 ? "even" : "odd", i);
-  }
-  auto base = sc.parallelize(std::move(pairs), 4);
-  RDDPtr<std::pair<std::string, int>> reduced = std::make_shared<ReduceByKeyRDD<std::string, int>>(
-      base, [](const int& a, const int& b) { return a + b; }, 2);
-  auto collected = sc.collect(reduced);
-  ASSERT_EQ(collected.size(), 2u);
-  std::map<std::string, int> by_key(collected.begin(), collected.end());
-  EXPECT_EQ(by_key["even"], 2450);
-  EXPECT_EQ(by_key["odd"], 2500);
 }
 
 TEST(ShuffleTest, ShuffleRunsOncePerRddInstance) {
@@ -376,40 +351,6 @@ TEST(DStreamTest, MultipleOutputsShareOneLineagePerBatch) {
   EXPECT_EQ(seen_a, seen_b);
 }
 
-TEST(DStreamTest, ReduceByKeyHelper) {
-  kafka::Broker broker;
-  broker.create_topic("in", kafka::TopicConfig{.partitions = 1}).expect_ok();
-  for (int i = 0; i < 20; ++i) {
-    broker.append({"in", 0},
-                  kafka::ProducerRecord{.value = std::to_string(i)}, false)
-        .status()
-        .expect_ok();
-  }
-  StreamingContext ssc(SparkConf{.default_parallelism = 2}, 10);
-  auto pairs = ssc.kafka_direct_stream(broker, "in")
-                   .map<std::pair<std::string, int>>(
-                       [](const kafka::Payload& s) {
-                         const int v = std::stoi(s.str());
-                         return std::make_pair(
-                             v % 2 == 0 ? std::string("even")
-                                        : std::string("odd"),
-                             v);
-                       });
-  auto reduced = reduce_by_key<std::string, int>(
-      pairs, [](const int& a, const int& b) { return a + b; }, 2);
-  std::map<std::string, int> totals;
-  std::mutex totals_mutex;
-  reduced.foreach_rdd(
-      [&](SparkContext& sc, const RDDPtr<std::pair<std::string, int>>& rdd) {
-        for (auto& [key, value] : sc.collect(rdd)) {
-          std::lock_guard lock(totals_mutex);
-          totals[key] += value;
-        }
-      });
-  ASSERT_TRUE(ssc.run_bounded().is_ok());
-  EXPECT_EQ(totals["even"], 90);
-  EXPECT_EQ(totals["odd"], 100);
-}
 
 // --- streaming context ---------------------------------------------------------------
 
