@@ -41,10 +41,11 @@ int main() {
                 static_cast<long long>(rtt_us), apex, flink, note);
   }
   std::printf(
-      "\nreading: the Flink factor barely moves (its writer batches, so\n"
-      "RTT amortizes), while the Apex factor scales with RTT because its\n"
-      "runner flushes per record — evidence that the reproduced 50x gap is\n"
-      "the paper's network-bound mechanism, not an artifact of one engine\n"
-      "simulator being slower than another.\n");
+      "\nreading: the Flink factor drifts down as RTT grows (its writer\n"
+      "batches, so native and Beam pay about the same few round trips and\n"
+      "the fixed Beam overheads weigh less), while the Apex factor rises\n"
+      "with RTT because its runner flushes per record — evidence that the\n"
+      "reproduced 50x gap is the paper's network-bound mechanism, not an\n"
+      "artifact of one engine simulator being slower than another.\n");
   return 0;
 }

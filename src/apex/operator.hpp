@@ -100,7 +100,10 @@ class Operator {
 /// repeatedly inside streaming windows until it returns false (exhausted).
 class InputOperator : public Operator {
  public:
-  /// Emits up to `budget` tuples. Returns false when the source is done.
+  /// Emits up to `budget` tuples: one streaming window's input. Only the
+  /// window's first read may wait for input; once the source has nothing
+  /// ready the call returns, so the window ends and its tuples leave the
+  /// container. Returns false when the source is done.
   virtual bool emit_tuples(std::size_t budget) = 0;
 };
 

@@ -106,8 +106,8 @@ class KafkaSourceReader final : public SourceReader {
 
   ReadNow advance_now(Element& out) override {
     if (buffer_index_ >= batch_.records.size()) {
-      // One non-blocking fetch: a micro-batch runner calling this must not
-      // park inside the batch it is assembling.
+      // One non-blocking fetch: a runner calling this must not park inside
+      // the micro-batch (Spark) or streaming window (Apex) it is filling.
       const kafka::FetchState state = consumer_->poll_batch(0, batch_);
       buffer_index_ = 0;
       if (batch_.empty()) {

@@ -47,14 +47,21 @@ class BeamApexInput final : public apex::InputOperator {
     reader_->open();
   }
 
+  /// One streaming window's reads, as Beam's ApexReadUnboundedInputOperator
+  /// does them: the first read may wait for input, every later one takes
+  /// only what is ready, and an idle source ends the window so its tuples
+  /// leave the container's output batchers now instead of waiting for the
+  /// budget to fill.
   bool emit_tuples(std::size_t budget) override {
     Element element;
-    for (std::size_t i = 0; i < budget; ++i) {
-      if (!reader_->advance(element)) return false;
+    if (!reader_->advance(element)) return false;
+    for (std::size_t emitted = 1;; ++emitted) {
       emit(out_, apex::make_tuple_of<Element>(std::move(element)));
       element = Element{};
+      if (emitted >= budget) return true;
+      const ReadNow state = reader_->advance_now(element);
+      if (state != ReadNow::kRecord) return state == ReadNow::kIdle;
     }
-    return true;
   }
 
   void teardown() override {

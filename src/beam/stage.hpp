@@ -47,10 +47,10 @@ class SourceReader {
   /// Blocks while the source is merely idle (unbounded sources wait for
   /// more input until the topic seals).
   virtual bool advance(Element& out) = 0;
-  /// Non-blocking variant for micro-batch runners over unbounded sources:
-  /// kIdle lets the runner end the current batch instead of blocking
-  /// inside it. The default delegates to advance(), which is exact for
-  /// bounded readers (they are never idle short of end-of-input).
+  /// Non-blocking variant for runners that read in batches or windows:
+  /// kIdle lets the runner end the current batch or window instead of
+  /// blocking inside it. The default delegates to advance(), which is
+  /// exact for bounded readers (they are never idle short of end-of-input).
   virtual ReadNow advance_now(Element& out) {
     return advance(out) ? ReadNow::kRecord : ReadNow::kDone;
   }

@@ -5,14 +5,17 @@
 // 4 queries x 3 engines x {native, Beam} run open loop from a paced
 // generator — every offered record is admitted and output multisets must
 // exactly equal a DirectRunner run over the same input. All six setups also
-// finish open-loop when a reader owns no input partition.
+// finish open-loop when a reader owns no input partition, and the Spark and
+// Apex setups deliver a trickle of records before the input is sealed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,16 +273,36 @@ TEST(OpenLoopDifferential, AllSetupsMatchDirectRunner) {
   }
 }
 
+/// Runs Identity on (engine, sdk) over `ctx` in its own thread while
+/// `during` runs on the caller's, then waits for the run. Each run has its
+/// own deadline; a hang fails in seconds, then the broker shutdown unblocks
+/// the stuck reader so the test can still join it. Returns the run's
+/// status, or nothing when it missed the deadline.
+std::optional<Status> run_identity_within_deadline(
+    Engine engine, Sdk sdk, const queries::QueryContext& ctx,
+    const std::function<void()>& during) {
+  constexpr auto kDeadline = std::chrono::seconds(10);
+  std::promise<Status> done;
+  std::future<Status> status = done.get_future();
+  std::thread engine_thread([&] {
+    done.set_value(queries::run_query(engine, sdk, QueryId::kIdentity, ctx));
+  });
+  during();
+  const bool finished =
+      status.wait_for(kDeadline) == std::future_status::ready;
+  if (!finished) ctx.broker->begin_shutdown();
+  engine_thread.join();
+  if (!finished) return std::nullopt;
+  return status.get();
+}
+
 // --- surplus shards in open loop ---------------------------------------------
 
 /// Parallelism 2 over a 1-partition input topic sealed before the run: one
 /// reader per engine owns no partition. Its empty slice must end at the seal
-/// like any other, so every setup finishes with output == input. Each run
-/// has its own deadline; a hang fails in seconds, then the broker shutdown
-/// unblocks the stuck reader so the test can still join it.
+/// like any other, so every setup finishes with output == input.
 TEST(OpenLoopSurplusShard, AllSetupsFinishOverSealedInput) {
   constexpr int kLines = 500;
-  constexpr auto kDeadline = std::chrono::seconds(10);
   for (const auto engine : {Engine::kFlink, Engine::kSpark, Engine::kApex}) {
     for (const auto sdk : {Sdk::kNative, Sdk::kBeam}) {
       SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
@@ -303,22 +326,70 @@ TEST(OpenLoopSurplusShard, AllSetupsFinishOverSealedInput) {
       ctx.output_topic = kOut;
       ctx.parallelism = 2;
       ctx.open_loop = true;
-      std::promise<Status> done;
-      std::future<Status> status = done.get_future();
-      std::thread engine_thread([&] {
-        done.set_value(
-            queries::run_query(engine, sdk, QueryId::kIdentity, ctx));
-      });
-      const bool finished =
-          status.wait_for(kDeadline) == std::future_status::ready;
-      if (!finished) broker.begin_shutdown();
-      engine_thread.join();
-      if (!finished) {
+      const std::optional<Status> engine_status =
+          run_identity_within_deadline(engine, sdk, ctx, [] {});
+      if (!engine_status) {
         ADD_FAILURE() << "run did not finish within the deadline";
         continue;
       }
-      const Status engine_status = status.get();
-      EXPECT_TRUE(engine_status.is_ok()) << engine_status.message();
+      EXPECT_TRUE(engine_status->is_ok()) << engine_status->message();
+      EXPECT_EQ(sorted_output(broker, kOut), input);
+    }
+  }
+}
+
+// --- trickled input in open loop -------------------------------------------
+
+/// A few records appended to an open-loop input that stays unsealed must
+/// reach the output while the input is idle, not only at the seal: an
+/// input that waits to fill its window or batch before it ends strands them.
+/// Flink-sim is left out: its Router buffer timeout and the sink producer's
+/// linger are only checked on the next emit/send, so an idle source strands
+/// what they hold until the seal.
+TEST(OpenLoopTrickle, SparkAndApexDeliverBeforeTheSeal) {
+  constexpr int kLines = 10;
+  constexpr auto kDelivery = std::chrono::seconds(2);
+  for (const auto engine : {Engine::kSpark, Engine::kApex}) {
+    for (const auto sdk : {Sdk::kNative, Sdk::kBeam}) {
+      SCOPED_TRACE(std::string(queries::engine_name(engine)) + "/" +
+                   queries::sdk_name(sdk));
+      kafka::Broker broker;
+      workload::create_benchmark_topic(broker, kIn).expect_ok();
+      workload::create_benchmark_topic(broker, kOut).expect_ok();
+
+      queries::QueryContext ctx;
+      ctx.broker = &broker;
+      ctx.input_topic = kIn;
+      ctx.output_topic = kOut;
+      ctx.open_loop = true;
+      std::vector<std::string> input;
+      const std::optional<Status> engine_status =
+          run_identity_within_deadline(engine, sdk, ctx, [&] {
+            for (int i = 0; i < kLines; ++i) {
+              input.push_back("trickle-" + std::to_string(i));
+              broker
+                  .append_batch({kIn, 0},
+                                {kafka::ProducerRecord{.value = input.back()}},
+                                false)
+                  .status()
+                  .expect_ok();
+            }
+            const auto deadline = std::chrono::steady_clock::now() + kDelivery;
+            std::int64_t delivered = 0;
+            while (std::chrono::steady_clock::now() < deadline) {
+              delivered = broker.end_offset({kOut, 0}).value();
+              if (delivered >= kLines) break;
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            EXPECT_EQ(delivered, kLines) << "records delivered before the seal";
+            broker.seal_topic(kIn).expect_ok();
+          });
+      if (!engine_status) {
+        ADD_FAILURE() << "run did not finish within the deadline";
+        continue;
+      }
+      EXPECT_TRUE(engine_status->is_ok()) << engine_status->message();
+      std::sort(input.begin(), input.end());
       EXPECT_EQ(sorted_output(broker, kOut), input);
     }
   }
